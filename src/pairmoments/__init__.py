@@ -48,13 +48,11 @@ from .moments import (
     CumulantSequence,
     GramMatrix,
     MomentSequence,
-    SetPartition,
     check_mix_semigroup,
     cumulants_from_connected,
     cumulants_from_moments,
     dilate,
     dilate_sq,
-    enumerate_nc_even,
     free_convolve,
     gaussian_moments,
     hankel_psd,

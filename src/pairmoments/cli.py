@@ -84,13 +84,26 @@ def parse_rational(text: str):
         return float(text)
 
 
+def _thread_count(text: str) -> int:
+    """Worker count from --threads or $PAIRMOMENTS_THREADS: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1 (from --threads or $PAIRMOMENTS_THREADS), got {text!r}"
+        )
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format (default csv)")
     p.add_argument("--out", default="-", metavar="PATH",
                    help="output file, '-' for stdout (default)")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("PAIRMOMENTS_THREADS", "1")),
+    p.add_argument("--threads", type=_thread_count,
+                   default=os.environ.get("PAIRMOMENTS_THREADS", "1"),
                    help="worker count for enumeration folds "
                         "(default $PAIRMOMENTS_THREADS or 1)")
 
@@ -251,6 +264,10 @@ def cmd_moments(args, out) -> int:
 
 
 def cmd_randmat(args, out) -> int:
+    if args.hist is not None and args.n > 400:
+        raise SizeLimitError(
+            "histogram export runs the dense Jacobi solver; use --n <= 400"
+        )
     cfg = rm.McConfig(n=args.n, trials=args.trials, kmax=args.kmax,
                       dist=args.dist, seed=args.seed)
     report = rm.run_mc(cfg)
@@ -264,10 +281,6 @@ def cmd_randmat(args, out) -> int:
             "even_pass": report.even_pass, "odd_pass": report.odd_pass}
     emit(rows, meta, args.format, out)
     if args.hist is not None:
-        if args.n > 400:
-            raise SizeLimitError(
-                "histogram export runs the dense Jacobi solver; use --n <= 400"
-            )
         from .rng import substream_seed
 
         matrix = rm.sample_markov(cfg.n, cfg.dist, substream_seed(cfg.seed, 0))

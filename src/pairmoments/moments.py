@@ -12,12 +12,11 @@ is exact when inputs are rational.
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from math import factorial
+from typing import Callable, Iterator, Sequence
 
 from . import pairings
 from .exceptions import DualPathMismatchError, SizeLimitError
@@ -28,6 +27,7 @@ from .weights import (
     SingletonCountPower,
     WeightSpec,
     is_exact,
+    numbers_equal,
 )
 
 
@@ -110,100 +110,57 @@ class GramMatrix:
         return self.entries[i][j]
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """A set partition of {1..k}; blocks sorted internally and by minimum."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "SetPartition":
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        return cls(canon)
-
-    @property
-    def size(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def is_noncrossing(self) -> bool:
-        """No two blocks interleave: never a < b < c < d alternating blocks."""
-        for first, second in itertools.combinations(self.blocks, 2):
-            # crossing-free iff every element of `second` falls in the same
-            # gap of `first` (before it, after it, or between two members)
-            gaps = {bisect_left(first, x) for x in second}
-            if len(gaps) > 1:
-                return False
-        return True
-
-    def all_blocks_even(self) -> bool:
-        return all(len(b) % 2 == 0 for b in self.blocks)
-
-
-def enumerate_nc_even(k: int) -> Iterator[SetPartition]:
-    """All non-crossing partitions of {1..k} with every block of even size.
-
-    For k = 2, 4, 6, 8 there are 1, 3, 12, 55 of them (the ternary-tree
-    numbers binom(3m, m) / (2m + 1) at m = k/2).
-    """
-    if k % 2 != 0 or k < 0:
-        raise ValueError(f"ground-set size must be even and >= 0, got {k}")
-    if k > 2 * HARD_MAX_N:
-        raise SizeLimitError(
-            f"even non-crossing enumeration capped at {2 * HARD_MAX_N} points, got {k}"
-        )
-    for blocks in _iter_nc_even(tuple(range(1, k + 1))):
-        yield SetPartition(blocks)
-
-
-def _iter_nc_even(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not points:
+def _partitions(total: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    # Integer partitions of `total` into parts >= `least`, parts ascending.
+    if total == 0:
         yield ()
-        return
-    rest = points[1:]
-    m = len(rest)
-
-    # Companions of points[0], as rest-indices i_1 < ... < i_t.  Every gap
-    # between consecutive companions (and before the first) must have even
-    # length so it can be partitioned into even blocks on its own, hence the
-    # step-2 ranges; an odd companion count makes the block itself even, and
-    # the tail gap must be even too.
-    def choose(base: int, chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        for i in range(base, m, 2):
-            picked = chosen + (i,)
-            if len(picked) % 2 == 1 and (m - 1 - i) % 2 == 0:
-                yield picked
-            yield from choose(i + 1, picked)
-
-    for idxs in choose(0, ()):
-        block = (points[0],) + tuple(rest[i] for i in idxs)
-        segments = []
-        prev = -1
-        for i in idxs:
-            segments.append(rest[prev + 1:i])
-            prev = i
-        segments.append(rest[prev + 1:])
-        for combo in _segment_products(tuple(segments)):
-            yield tuple(sorted((block,) + combo, key=lambda b: b[0]))
-
-
-def _segment_products(segments) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not segments:
-        yield ()
-        return
-    for head in _iter_nc_even(segments[0]):
-        for tail in _segment_products(segments[1:]):
-            yield head + tail
+    for part in range(least, total + 1):
+        for rest in _partitions(total - part, part):
+            yield (part,) + rest
 
 
 @lru_cache(maxsize=None)
 def _nc_even_type_counts(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     # How many even non-crossing partitions of {1..k} exist per multiset of
     # block sizes; enough to evaluate any product over blocks of r_{|B|}.
-    counts: dict[tuple[int, ...], int] = {}
-    for part in enumerate_nc_even(k):
-        key = tuple(sorted(len(b) for b in part.blocks))
-        counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted(counts.items()))
+    # Kreweras (Discrete Math. 1, 1972): the non-crossing partitions of
+    # {1..k} with b blocks, m_j of them of size j, number
+    # k! / ((k - b + 1)! * prod_j m_j!).
+    if k % 2 != 0 or k < 0:
+        raise ValueError(f"ground-set size must be even and >= 0, got {k}")
+    if k > 2 * HARD_MAX_N:
+        raise SizeLimitError(
+            f"even non-crossing type table capped at {2 * HARD_MAX_N} points, got {k}"
+        )
+    table = []
+    for halves in _partitions(k // 2):
+        sizes = tuple(2 * h for h in halves)
+        denominator = factorial(k - len(sizes) + 1)
+        for s in set(sizes):
+            denominator *= factorial(sizes.count(s))
+        table.append((sizes, factorial(k) // denominator))
+    return tuple(sorted(table))
+
+
+def _table_sums(
+    n: int,
+    max_n: int,
+    summand: Callable[[int, int, int, int, int], Number],
+    *,
+    connected_only: bool = False,
+) -> tuple[Number, ...]:
+    # For k = 1..n, the sum of summand(k, cr, h, cc, count) over the cells of
+    # the exact joint (cr, h, cc) table of P2(2k) (only cc = 1 cells when
+    # connected_only), in sorted cell order.
+    values = []
+    for k in range(1, n + 1):
+        dist = pairings.statistic_distribution(k, max_n=max_n)
+        total = 0
+        for (cr, h, cc), count in sorted(dist.counts.items()):
+            if cc == 1 or not connected_only:
+                total = total + summand(k, cr, h, cc, count)
+        values.append(total)
+    return tuple(values)
 
 
 def moments_from_cumulants(r: CumulantSequence) -> MomentSequence:
@@ -290,29 +247,17 @@ def moments_of_weight(
     Weights depend on partitions only through (cr, h, cc), so the sum runs
     over the cached exact joint distribution rather than the raw stream.
     """
-    values = []
-    for k in range(1, n + 1):
-        dist = pairings.statistic_distribution(k, max_n=max_n)
-        total = 0
-        for (cr, h, cc), count in sorted(dist.counts.items()):
-            total = total + count * spec.weight_of(k, cr, h, cc)
-        values.append(total)
-    return MomentSequence(tuple(values))
+    return MomentSequence(_table_sums(
+        n, max_n, lambda k, cr, h, cc, count: count * spec.weight_of(k, cr, h, cc)))
 
 
 def cumulants_from_connected(
     spec: WeightSpec, n: int, *, max_n: int = DEFAULT_MAX_N
 ) -> CumulantSequence:
     """r_{2k} = sum of the weight over pair partitions with connected crossing graph."""
-    values = []
-    for k in range(1, n + 1):
-        dist = pairings.statistic_distribution(k, max_n=max_n)
-        total = 0
-        for (cr, h, cc), count in sorted(dist.counts.items()):
-            if cc == 1:
-                total = total + count * spec.weight_of(k, cr, h, cc)
-        values.append(total)
-    return CumulantSequence(tuple(values))
+    return CumulantSequence(_table_sums(
+        n, max_n, lambda k, cr, h, cc, count: count * spec.weight_of(k, cr, h, cc),
+        connected_only=True))
 
 
 def markov_limit_moments(n: int, *, max_n: int = DEFAULT_MAX_N) -> MomentSequence:
@@ -369,14 +314,9 @@ def semicircle_mix_moments(
     """
     if not 0 <= b <= 1:
         raise ValueError(f"mixing parameter b must lie in [0, 1], got {b}")
-    direct = []
-    for k in range(1, n + 1):
-        dist = pairings.statistic_distribution(k, max_n=max_n)
-        total = 0
-        for (cr, h, cc), count in sorted(dist.counts.items()):
-            total = total + count * b ** (k - h) * spec.weight_of(k, cr, h, cc)
-        direct.append(total)
-    path_a = MomentSequence(tuple(direct))
+    path_a = MomentSequence(_table_sums(
+        n, max_n,
+        lambda k, cr, h, cc, count: count * b ** (k - h) * spec.weight_of(k, cr, h, cc)))
 
     base = moments_of_weight(spec, n, max_n=max_n)
     one = Fraction(1) if is_exact(b) else 1.0
@@ -386,11 +326,7 @@ def semicircle_mix_moments(
         n,
     )
     for va, vb in zip(path_a.values, path_b.values):
-        if is_exact(va) and is_exact(vb):
-            ok = va == vb
-        else:
-            ok = abs(va - vb) <= tol
-        if not ok:
+        if not numbers_equal(va, vb, rel_tol=0, abs_tol=tol):
             raise DualPathMismatchError(
                 f"mixture moment paths disagree: {va} vs {vb}",
                 path_a=path_a,
@@ -434,12 +370,9 @@ def check_mix_semigroup(
         dilate_sq(semicircle_moments(n), one - c),
         n,
     )
-    diffs = [abs(x - y) for x, y in zip(lhs.values, rhs.values)]
-    exact = all(is_exact(x) and is_exact(y) for x, y in zip(lhs.values, rhs.values))
-    if exact:
-        passed = all(x == y for x, y in zip(lhs.values, rhs.values))
-    else:
-        passed = all(d <= tol for d in diffs)
+    pairs = list(zip(lhs.values, rhs.values))
+    passed = all(numbers_equal(x, y, rel_tol=0, abs_tol=tol) for x, y in pairs)
+    diffs = [abs(x - y) for x, y in pairs]
     return SemigroupReport(passed, b, c, lhs, rhs, float(max(diffs, default=0)))
 
 

@@ -16,13 +16,14 @@ that anything narrower would overflow almost immediately.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .exceptions import SizeLimitError
+from .exceptions import DualPathMismatchError, SizeLimitError
 
 #: Largest half-size enumerated without an explicit override (2n = 16 points,
 #: 2,027,025 partitions).  Callers may pass ``max_n`` to go beyond; the CLI
@@ -307,9 +308,11 @@ def total_singletons(n: int, *, max_n: int = DEFAULT_MAX_N) -> int:
         dist = statistic_distribution(n, max_n=max_n)
         brute = sum(h * count for (_, h, _), count in dist.counts.items())
         if brute != closed:
-            raise AssertionError(
+            raise DualPathMismatchError(
                 f"singleton total mismatch at n={n}: closed form {closed}, "
-                f"enumeration {brute}"
+                f"enumeration {brute}",
+                path_a=closed,
+                path_b=brute,
             )
     return closed
 
@@ -448,9 +451,11 @@ def statistic_distribution(
 
     With ``workers > 1`` the 2n-1 top-level branches (indexed by the partner
     of point 1) are tallied in separate processes and merged in fixed branch
-    order, so the result is identical for any worker count.
+    order, so the result is identical for any worker count.  At most
+    min(workers, 2n-1, cpu count) processes are started.
     """
     _check_cap(n, max_n)
+    workers = min(workers, 2 * n - 1, os.cpu_count() or 1)
     if workers > 1 and n >= 4:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments as moments_mod
+from .exceptions import SizeLimitError
 from .jacobi import jacobi_eigenvalues
+from .pairings import DEFAULT_MAX_N
 from .rng import Xorshift64Star, substream_seed
 
 ENTRY_DISTRIBUTIONS = ("rademacher", "gaussian")
@@ -60,6 +62,11 @@ class McConfig:
             raise ValueError("trials must be >= 1")
         if self.kmax < 2:
             raise ValueError("kmax must be >= 2")
+        if self.kmax // 2 > DEFAULT_MAX_N:
+            raise SizeLimitError(
+                f"kmax {self.kmax} needs exact targets up to half-size {self.kmax // 2}, "
+                f"above the enumeration cap {DEFAULT_MAX_N}"
+            )
         if self.dist not in ENTRY_DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {ENTRY_DISTRIBUTIONS}")
 

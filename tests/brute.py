@@ -6,6 +6,7 @@ crossings by quadruple inspection, components by DFS over an explicit
 adjacency dict, set partitions by direct recursive construction.
 """
 
+import bisect
 import itertools
 from fractions import Fraction
 
@@ -97,3 +98,72 @@ def weighted_sum(n, weight_of_stats):
         cr, h, cc = chord_stats(blocks)
         total += weight_of_stats(cr, h, cc)
     return total
+
+
+def nc_even_partitions(points):
+    """Even non-crossing partitions of `points`, by direct recursive construction.
+
+    Each partition is a tuple of blocks sorted by their minima.  The block of
+    points[0] picks companions so that every gap between consecutive members
+    (and the tail after the last) has even length; each gap is then
+    partitioned on its own, which keeps the result non-crossing.
+    """
+    points = tuple(points)
+    if not points:
+        yield ()
+        return
+    rest = points[1:]
+    m = len(rest)
+
+    # Companion rest-indices i_1 < ... < i_t, with even gaps (step-2 ranges),
+    # an odd count (so the block is even) and an even tail gap.
+    def choose(base, chosen):
+        for i in range(base, m, 2):
+            picked = chosen + (i,)
+            if len(picked) % 2 == 1 and (m - 1 - i) % 2 == 0:
+                yield picked
+            yield from choose(i + 1, picked)
+
+    for idxs in choose(0, ()):
+        block = (points[0],) + tuple(rest[i] for i in idxs)
+        segments = []
+        prev = -1
+        for i in idxs:
+            segments.append(rest[prev + 1:i])
+            prev = i
+        segments.append(rest[prev + 1:])
+        for combo in _segment_products(tuple(segments)):
+            yield tuple(sorted((block,) + combo, key=lambda b: b[0]))
+
+
+def _segment_products(segments):
+    if not segments:
+        yield ()
+        return
+    for head in nc_even_partitions(segments[0]):
+        for tail in _segment_products(segments[1:]):
+            yield head + tail
+
+
+def nc_even_type_counts(k):
+    """Even non-crossing partitions of {1..k} tallied by sorted block sizes."""
+    counts = {}
+    for blocks in nc_even_partitions(range(1, k + 1)):
+        key = tuple(sorted(len(b) for b in blocks))
+        counts[key] = counts.get(key, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def blocks_noncrossing(blocks):
+    """No two blocks interleave, checked by gaps: every member of the block
+    with the larger minimum falls in one gap of the other (between two
+    consecutive members, or after the last)."""
+    blocks = sorted(sorted(b) for b in blocks)
+    for first, second in itertools.combinations(blocks, 2):
+        if len({bisect.bisect_left(first, x) for x in second}) > 1:
+            return False
+    return True
+
+
+def blocks_even(blocks):
+    return all(len(b) % 2 == 0 for b in blocks)

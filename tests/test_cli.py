@@ -3,6 +3,11 @@ import json
 import pytest
 
 from pairmoments import cli
+from pairmoments import randmat as rm
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sample_markov must not run for a rejected configuration")
 
 
 def run(capsys, *argv):
@@ -158,6 +163,23 @@ class TestRandmat:
         assert code == 2
         assert "histogram" in err
 
+    def test_histogram_size_checked_before_sampling(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(rm, "sample_markov", _no_sampling)
+        code, out, err = run(
+            capsys, "randmat", "--n", "401", "--trials", "2", "--kmax", "4",
+            "--seed", "3", "--hist", str(tmp_path / "h.csv"),
+        )
+        assert (code, out) == (2, "")
+        assert "error:" in err and "histogram" in err
+
+    def test_kmax_beyond_cap_checked_before_sampling(self, capsys, monkeypatch):
+        monkeypatch.setattr(rm, "sample_markov", _no_sampling)
+        code, out, err = run(
+            capsys, "randmat", "--n", "300", "--trials", "2", "--kmax", "18", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "error:" in err and "kmax 18" in err
+
     def test_bad_dist_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "randmat", "--n", "10", "--trials", "1", "--dist", "cauchy")
@@ -210,6 +232,31 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["command"] == "verify"
         assert all(row["passed"] for row in doc["rows"])
+
+
+class TestThreads:
+    @pytest.mark.parametrize("value", ["abc", "", "0", "-2", "1.5"])
+    def test_bad_environment_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PAIRMOMENTS_THREADS", value)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sequences", "--which", "catalan", "--max", "3"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_bad_flag_is_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--level", "quick", "--threads", value])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_flag_overrides_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("PAIRMOMENTS_THREADS", "abc")
+        code, out, _ = run(
+            capsys, "sequences", "--which", "catalan", "--max", "3", "--threads", "1"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "3,5,5,true"
 
 
 class TestUsage:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,11 @@ from hypothesis import strategies as st
 import brute
 from pairmoments import moments as mo
 from pairmoments import pairings
-from pairmoments.exceptions import DualPathMismatchError
+from pairmoments.exceptions import DualPathMismatchError, SizeLimitError
 from pairmoments.moments import (
     CumulantSequence,
     GramMatrix,
     MomentSequence,
-    SetPartition,
 )
 from pairmoments.weights import (
     ComponentPower,
@@ -54,42 +54,49 @@ class TestSequencesApi:
 
 
 class TestSetPartition:
+    """Set-partition predicates the recursive oracle in brute.py is checked with."""
+
     def test_noncrossing_predicate(self):
-        assert SetPartition.from_blocks([[1, 2], [3, 4, 5, 6]]).is_noncrossing()
-        assert SetPartition.from_blocks([[1, 4], [2, 5], [3, 6]]).is_noncrossing() is False
-        assert SetPartition.from_blocks([[1, 2, 5, 6], [3, 4]]).is_noncrossing()
+        assert brute.blocks_noncrossing([[1, 2], [3, 4, 5, 6]])
+        assert brute.blocks_noncrossing([[1, 4], [2, 5], [3, 6]]) is False
+        assert brute.blocks_noncrossing([[1, 2, 5, 6], [3, 4]])
+        assert brute.blocks_noncrossing([[2, 3], [1, 4]])
 
     def test_even_predicate(self):
-        assert SetPartition.from_blocks([[1, 2], [3, 4, 5, 6]]).all_blocks_even()
-        assert not SetPartition.from_blocks([[1], [2, 3]]).all_blocks_even()
+        assert brute.blocks_even([[1, 2], [3, 4, 5, 6]])
+        assert not brute.blocks_even([[1], [2, 3]])
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8])
     def test_predicates_match_brute_force(self, k):
         import itertools
 
         for blocks in itertools.islice(brute.all_set_partitions(range(1, k + 1)), 500):
-            sp = SetPartition.from_blocks(blocks)
-            assert sp.is_noncrossing() == brute.partition_noncrossing(blocks)
+            assert brute.blocks_noncrossing(blocks) == brute.partition_noncrossing(blocks)
 
 
 class TestEnumerateNcEven:
+    """The Kreweras-count table of even non-crossing partitions by block sizes,
+    against the recursive enumeration oracle brute.nc_even_partitions."""
+
     def test_k2(self):
-        assert [p.blocks for p in mo.enumerate_nc_even(2)] == [((1, 2),)]
+        assert list(brute.nc_even_partitions(range(1, 3))) == [((1, 2),)]
+        assert mo._nc_even_type_counts(2) == (((2,), 1),)
 
     def test_k4(self):
-        got = {p.blocks for p in mo.enumerate_nc_even(4)}
+        got = set(brute.nc_even_partitions(range(1, 5)))
         assert got == {
             ((1, 2), (3, 4)),
             ((1, 4), (2, 3)),
             ((1, 2, 3, 4),),
         }
+        assert mo._nc_even_type_counts(4) == (((2, 2), 2), ((4,), 1))
 
     def test_k6_count(self):
-        assert sum(1 for _ in mo.enumerate_nc_even(6)) == 12
+        assert mo._nc_even_type_counts(6) == (((2, 2, 2), 5), ((2, 4), 6), ((6,), 1))
 
     @pytest.mark.parametrize("k", [0, 2, 4, 6, 8])
     def test_matches_filtering_oracle(self, k):
-        mine = {p.blocks for p in mo.enumerate_nc_even(k)}
+        mine = set(brute.nc_even_partitions(range(1, k + 1)))
         ref = {
             tuple(sorted((tuple(b) for b in blocks), key=lambda b: b[0]))
             for blocks in brute.even_nc_set_partitions(k)
@@ -98,25 +105,42 @@ class TestEnumerateNcEven:
             ref = {()}
         assert mine == ref
 
-    @pytest.mark.parametrize("k,count", [(2, 1), (4, 3), (6, 12), (8, 55), (10, 273), (12, 1428)])
+    @pytest.mark.parametrize("k", range(0, 17, 2))
+    def test_table_matches_enumeration(self, k):
+        assert mo._nc_even_type_counts(k) == brute.nc_even_type_counts(k)
+
+    @pytest.mark.parametrize(
+        "k,count",
+        [(2, 1), (4, 3), (6, 12), (8, 55), (10, 273), (12, 1428),
+         (14, 7752), (16, 43263), (18, 246675)],
+    )
     def test_ternary_tree_closed_form(self, k, count):
         # number of even NC partitions of 2m points = binom(3m, m) / (2m+1)
-        assert sum(1 for _ in mo.enumerate_nc_even(k)) == count
+        m = k // 2
+        assert count == math.comb(3 * m, m) // (2 * m + 1)
+        assert sum(c for _, c in mo._nc_even_type_counts(k)) == count
 
     def test_rejects_odd(self):
         with pytest.raises(ValueError):
-            list(mo.enumerate_nc_even(3))
+            mo._nc_even_type_counts(3)
 
     def test_rejects_oversize(self):
-        from pairmoments.exceptions import SizeLimitError
-
         with pytest.raises(SizeLimitError):
-            list(mo.enumerate_nc_even(20))
+            mo._nc_even_type_counts(20)
+
+    def test_transform_order_above_hard_cap(self):
+        assert pairings.HARD_MAX_N == 9
+        mo.moments_from_cumulants(CumulantSequence((1,) * 9))
+        with pytest.raises(SizeLimitError):
+            mo.moments_from_cumulants(CumulantSequence((1,) * 10))
+        with pytest.raises(SizeLimitError):
+            mo.cumulants_from_moments(MomentSequence((1,) * 10))
 
     def test_all_noncrossing_even(self):
-        for p in mo.enumerate_nc_even(8):
-            assert p.is_noncrossing()
-            assert p.all_blocks_even()
+        for p in brute.nc_even_partitions(range(1, 9)):
+            assert brute.blocks_noncrossing(p)
+            assert brute.blocks_even(p)
+            assert brute.partition_noncrossing(p)
 
 
 class TestMomentCumulantTransforms:
@@ -160,6 +184,23 @@ class TestWeightMoments:
 
     def test_markov_weight(self):
         assert mo.moments_of_weight(SingletonCountPower(2), 3).values == (2, 9, 56)
+
+    def test_float_table_sums_pinned(self):
+        # float.hex of the joint-table sums pins the order of every
+        # multiplication and addition, not just the value to a tolerance
+        spec, b, n = CrossingPower(0.7), 0.3, 6
+        assert [v.hex() for v in mo.moments_of_weight(spec, n).values] == [
+            "0x1.0000000000000p+0", "0x1.599999999999ap+1", "0x1.606a7ef9db22cp+3",
+            "0x1.caf7a99fa11a8p+5", "0x1.60940899563abp+8", "0x1.31579a7540e86p+11",
+        ]
+        assert [v.hex() for v in mo.cumulants_from_connected(spec, n).values] == [
+            "0x1.0000000000000p+0", "0x1.6666666666666p-1", "0x1.d020c49ba5e34p+0",
+            "0x1.d3a4b9884c6a1p+2", "0x1.2976b6fcfe592p+5", "0x1.b61d6dd673b63p+7",
+        ]
+        assert [v.hex() for v in mo.semicircle_mix_moments(spec, b, n).values] == [
+            "0x1.0000000000000p+0", "0x1.0810624dd2f1bp+1", "0x1.5b532a497fa5ep+2",
+            "0x1.03b0d32829c19p+4", "0x1.a53c52e56b2ccp+5", "0x1.69c5978e3ee37p+7",
+        ]
 
     def test_connected_cumulants_constant(self):
         r = mo.cumulants_from_connected(Constant1(), 5)

@@ -2,7 +2,7 @@ import pytest
 
 import brute
 from pairmoments import pairings
-from pairmoments.exceptions import SizeLimitError
+from pairmoments.exceptions import DualPathMismatchError, SizeLimitError
 from pairmoments.pairings import PairPartition
 
 DOUBLE_FACTORIALS = [1, 3, 15, 105, 945, 10395, 135135, 2027025]
@@ -225,6 +225,19 @@ class TestSequences:
         )
         assert pairings.total_singletons(n) == s
 
+    def test_total_singletons_mismatch_names_both_paths(self, monkeypatch):
+        counts = dict(pairings.statistic_distribution(3).counts)
+        key = next(k for k in sorted(counts) if k[1] > 0)
+        counts[key] += 1
+        monkeypatch.setattr(
+            pairings, "statistic_distribution",
+            lambda n, **kw: pairings.StatisticDistribution(n, counts),
+        )
+        with pytest.raises(DualPathMismatchError) as exc:
+            pairings.total_singletons(3)
+        assert exc.value.path_a == SINGLETON_TOTALS[2]
+        assert exc.value.path_b == SINGLETON_TOTALS[2] + key[1]
+
     def test_count_nc_pairings(self):
         assert [pairings.count_nc_pairings(n) for n in range(1, 9)] == CATALAN
         assert pairings.count_nc_pairings(3) == 5
@@ -283,6 +296,35 @@ class TestStatisticDistribution:
         for workers in (2, 3):
             par = pairings.statistic_distribution(5, workers=workers)
             assert dict(par.counts) == dict(serial.counts)
+
+    def test_worker_count_capped(self, monkeypatch):
+        # a stand-in pool that runs in-process and records its size
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        serial = dict(pairings.statistic_distribution(4).counts)
+        monkeypatch.setattr(pairings.os, "cpu_count", lambda: 64)
+        assert dict(pairings.statistic_distribution(4, workers=10**6).counts) == serial
+        monkeypatch.setattr(pairings.os, "cpu_count", lambda: 3)
+        assert dict(pairings.statistic_distribution(4, workers=10**6).counts) == serial
+        monkeypatch.setattr(pairings.os, "cpu_count", lambda: None)
+        assert dict(pairings.statistic_distribution(4, workers=5).counts) == serial
+        assert sizes == [7, 3]  # 2n - 1 branches, then the cpu count; None means 1
 
 
 class TestIterStatistics:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pairmoments import randmat as rm
+from pairmoments.exceptions import SizeLimitError
 from pairmoments.rng import Xorshift64Star, mix64, substream_seed
 
 
@@ -174,6 +175,11 @@ class TestRunMc:
             rm.McConfig(n=2, trials=1, kmax=1)
         with pytest.raises(ValueError):
             rm.McConfig(n=2, trials=1, kmax=2, dist="cauchy")
+
+    def test_config_rejects_kmax_beyond_cap(self):
+        rm.McConfig(n=2, trials=1, kmax=17)
+        with pytest.raises(SizeLimitError):
+            rm.McConfig(n=2, trials=1, kmax=18)  # the order-18 target needs half-size 9
 
 
 class TestHistogram:
