@@ -85,7 +85,7 @@ def parse_rational(text: str):
 
 
 def _thread_count(text: str) -> int:
-    """Worker count from --threads or $PAIRMOMENTS_THREADS: an integer >= 1."""
+    """Value of --threads or $PAIRMOMENTS_THREADS: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -104,8 +104,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="output file, '-' for stdout (default)")
     p.add_argument("--threads", type=_thread_count,
                    default=os.environ.get("PAIRMOMENTS_THREADS", "1"),
-                   help="worker count for enumeration folds "
-                        "(default $PAIRMOMENTS_THREADS or 1)")
+                   help="accepted for compatibility and has no effect; must be an "
+                        "integer >= 1 (default $PAIRMOMENTS_THREADS or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sequence_rows(which: str, nmax: int, cap: int, workers: int) -> list[dict]:
+def _sequence_rows(which: str, nmax: int, cap: int) -> list[dict]:
     rows = []
     if which == "pairings":
         for n in range(1, nmax + 1):
@@ -173,7 +173,7 @@ def _sequence_rows(which: str, nmax: int, cap: int, workers: int) -> list[dict]:
                          "agree": streamed == pa.pairing_count(n)})
     elif which == "catalan":
         for n in range(1, nmax + 1):
-            dist = pa.statistic_distribution(n, max_n=cap, workers=workers)
+            dist = pa.statistic_distribution(n, max_n=cap)
             cr0 = sum(v for (cr, _, _), v in dist.counts.items() if cr == 0)
             formula = pa.count_nc_pairings(n)
             rows.append({"n": n, "value": formula, "oracle": cr0,
@@ -181,13 +181,13 @@ def _sequence_rows(which: str, nmax: int, cap: int, workers: int) -> list[dict]:
     elif which == "connected":
         recur = pa.riordan_connected(nmax)
         for n in range(1, nmax + 1):
-            dist = pa.statistic_distribution(n, max_n=cap, workers=workers)
+            dist = pa.statistic_distribution(n, max_n=cap)
             brute = sum(v for (_, _, cc), v in dist.counts.items() if cc == 1)
             rows.append({"n": n, "value": recur[n - 1], "oracle": brute,
                          "agree": recur[n - 1] == brute})
     elif which == "singletons":
         for n in range(1, nmax + 1):
-            dist = pa.statistic_distribution(n, max_n=cap, workers=workers)
+            dist = pa.statistic_distribution(n, max_n=cap)
             brute = sum(h * v for (_, h, _), v in dist.counts.items())
             p = [pa.pairing_count(k) for k in range(n)]
             closed = n * sum(p[k] * p[n - 1 - k] for k in range(n))
@@ -211,7 +211,7 @@ def cmd_sequences(args, out) -> int:
         raise SizeLimitError(
             f"--max {args.max} outside 1..cap ({args.cap}); raise --cap up to {pa.HARD_MAX_N}"
         )
-    rows = _sequence_rows(args.which, args.max, args.cap, args.threads)
+    rows = _sequence_rows(args.which, args.max, args.cap)
     emit(rows, {"command": "sequences", "which": args.which, "max": args.max},
          args.format, out)
     return EXIT_OK if all(r["agree"] for r in rows) else EXIT_CHECK_FAILED
@@ -330,7 +330,7 @@ def cmd_permcheck(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    results = ve.run_level(args.level, workers=args.threads)
+    results = ve.run_level(args.level)
     # timings go to stderr so the report itself is deterministic
     for r in results:
         print(f"{r.name}: {'ok' if r.passed else 'FAILED'} in {r.elapsed:.2f}s",

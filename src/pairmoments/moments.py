@@ -120,7 +120,9 @@ def _partitions(total: int, least: int = 1) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _nc_even_type_counts(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _nc_even_type_counts(
+    k: int, max_n: int = HARD_MAX_N
+) -> tuple[tuple[tuple[int, ...], int], ...]:
     # How many even non-crossing partitions of {1..k} exist per multiset of
     # block sizes; enough to evaluate any product over blocks of r_{|B|}.
     # Kreweras (Discrete Math. 1, 1972): the non-crossing partitions of
@@ -128,9 +130,9 @@ def _nc_even_type_counts(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     # k! / ((k - b + 1)! * prod_j m_j!).
     if k % 2 != 0 or k < 0:
         raise ValueError(f"ground-set size must be even and >= 0, got {k}")
-    if k > 2 * HARD_MAX_N:
+    if k > 2 * max_n:
         raise SizeLimitError(
-            f"even non-crossing type table capped at {2 * HARD_MAX_N} points, got {k}"
+            f"even non-crossing type table capped at {2 * max_n} points, got {k}"
         )
     table = []
     for halves in _partitions(k // 2):
@@ -163,12 +165,18 @@ def _table_sums(
     return tuple(values)
 
 
-def moments_from_cumulants(r: CumulantSequence) -> MomentSequence:
-    """m_{2n} = sum over even non-crossing partitions of prod_B r_{|B|}."""
+def moments_from_cumulants(
+    r: CumulantSequence, *, max_n: int = HARD_MAX_N
+) -> MomentSequence:
+    """m_{2n} = sum over even non-crossing partitions of prod_B r_{|B|}.
+
+    Runs over any ring with +, - and * (Fraction, float, integer
+    polynomials); orders above 2 * max_n raise :class:`SizeLimitError`.
+    """
     values = []
     for n in range(1, r.order + 1):
         total = 0
-        for sizes, count in _nc_even_type_counts(2 * n):
+        for sizes, count in _nc_even_type_counts(2 * n, max_n):
             prod = count
             for s in sizes:
                 prod = prod * r.cumulant(s)
@@ -177,18 +185,20 @@ def moments_from_cumulants(r: CumulantSequence) -> MomentSequence:
     return MomentSequence(tuple(values))
 
 
-def cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
+def cumulants_from_moments(
+    m: MomentSequence, *, max_n: int = HARD_MAX_N
+) -> CumulantSequence:
     """Invert the free moment-cumulant relation by recursive subtraction.
 
     r_{2n} is m_{2n} minus the contribution of every even non-crossing
     partition with more than one block; those involve cumulants of strictly
-    lower order only.
+    lower order only.  Same rings and cap as :func:`moments_from_cumulants`.
     """
     r: list[Number] = []
     for n in range(1, m.order + 1):
         rest = 0
         lower = CumulantSequence(tuple(r))  # multi-block partitions only need orders < 2n
-        for sizes, count in _nc_even_type_counts(2 * n):
+        for sizes, count in _nc_even_type_counts(2 * n, max_n):
             if len(sizes) == 1:
                 continue
             prod = count

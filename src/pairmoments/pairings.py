@@ -11,12 +11,21 @@ downstream:
 
 Counts are exact Python integers throughout; (2n-1)!! grows fast enough
 that anything narrower would overflow almost immediately.
+
+The joint (cr, h, cc) table is not enumerated.  A pair partition splits
+uniquely into its crossing-graph components, which sit on the blocks of an
+even non-crossing partition; a singleton is a component with one chord.
+So sum_V q^cr x^h y^cc is the free moment-cumulant transform of r_2 = x*y
+and r_2k = y*C_k(q), where C_k(q) are the free cumulants of the
+Touchard-Riordan q-Gaussian moments T_k(q) (Bozejko-Speicher, CMP 137
+(1991); Lehner, Eur. J. Combin. 23 (2002)).  The per-partition streams
+(:func:`enumerate_pairings`, :func:`iter_statistics`) remain for the
+checks that need each partition.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -297,8 +306,8 @@ def total_singletons(n: int, *, max_n: int = DEFAULT_MAX_N) -> int:
     """T_{2n} = sum of h(V) over all V in P2(2n).
 
     Uses the closed form ``T_{2n} = n * sum_{k=0..n-1} p_{2k} * p_{2(n-1-k)}``
-    and, whenever n is within the enumeration cap, cross-checks it against
-    the exhaustive sum of singleton counts.
+    and, whenever n is within the cap, cross-checks it against the joint
+    table.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -310,7 +319,7 @@ def total_singletons(n: int, *, max_n: int = DEFAULT_MAX_N) -> int:
         if brute != closed:
             raise DualPathMismatchError(
                 f"singleton total mismatch at n={n}: closed form {closed}, "
-                f"enumeration {brute}",
+                f"joint table {brute}",
                 path_a=closed,
                 path_b=brute,
             )
@@ -332,14 +341,10 @@ def iter_statistics(
     *,
     with_blocks: bool = False,
     max_n: int = DEFAULT_MAX_N,
-    first_partner: int | None = None,
 ) -> Iterator:
     """Yield (cr, h, cc) triples, or (blocks, cr, h, cc) tuples, over P2(2n).
 
-    Enumeration order matches :func:`enumerate_pairings`.  When
-    ``first_partner`` is given, only partitions whose block containing 1 is
-    (1, first_partner) are visited; this is the range-partitioning hook used
-    for parallel folds.
+    Enumeration order matches :func:`enumerate_pairings`.
     """
     _check_cap(n, max_n)
     m = 2 * n
@@ -373,8 +378,6 @@ def iter_statistics(
         start = i + 1
         for j in range(start, m + 1):
             if partner[j]:
-                continue
-            if bid == 0 and first_partner is not None and j != first_partner:
                 continue
             # blocks already placed all have lo < i; (lo,hi) crosses (i,j)
             # exactly when i < hi < j
@@ -423,47 +426,84 @@ def iter_statistics(
     yield from walk(1)
 
 
-def _branch_counts(args: tuple[int, int]) -> dict[tuple[int, int, int], int]:
-    # Joint (cr, h, cc) tally over the branch pairing 1 with a fixed partner.
-    # Module-level so it can cross a process boundary.
-    n, j = args
-    counts: dict[tuple[int, int, int], int] = {}
-    for key in iter_statistics(n, max_n=n, first_partner=j):
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+
+# ---------------------------------------------------------------------------
+# The joint (cr, h, cc) table, from the Touchard-Riordan moments and the free
+# moment-cumulant transform over integer polynomials (see the module
+# docstring).  Pinned against a fold of the stream above for n <= 8.
+# ---------------------------------------------------------------------------
+
+
+class _Poly:
+    # Integer polynomial in q, x, y: ``terms`` maps exponents (cr, h, cc) to
+    # nonzero coefficients.  Supports +, - and * with itself and with ints,
+    # which is all the free moment-cumulant transforms use.
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[tuple[int, int, int], int]) -> None:
+        self.terms = {key: c for key, c in terms.items() if c}
+
+    @staticmethod
+    def _terms(other) -> dict[tuple[int, int, int], int]:
+        return other.terms if isinstance(other, _Poly) else {(0, 0, 0): other}
+
+    def __add__(self, other) -> "_Poly":
+        out = dict(self.terms)
+        for key, c in _Poly._terms(other).items():
+            out[key] = out.get(key, 0) + c
+        return _Poly(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "_Poly":
+        return self + other * -1
+
+    def __mul__(self, other) -> "_Poly":
+        out: dict[tuple[int, int, int], int] = {}
+        for (a, b, c), u in self.terms.items():
+            for (d, e, f), v in _Poly._terms(other).items():
+                key = (a + d, b + e, c + f)
+                out[key] = out.get(key, 0) + u * v
+        return _Poly(out)
+
+    __rmul__ = __mul__
+
+
+def _touchard_riordan(n: int) -> list[_Poly]:
+    # T_1(q), ..., T_n(q) with T_k = sum over P2(2k) of q^cr: Dyck paths of
+    # length 2k whose down step from height j has weight [j]_q = 1 + ... + q^(j-1).
+    q_int = [_Poly({(i, 0, 0): 1 for i in range(j)}) for j in range(n + 1)]
+    level = [_Poly({(0, 0, 0): 1})] + [0] * n  # paths so far, by current height
+    out = []
+    for step in range(1, 2 * n + 1):
+        level = [(level[j - 1] if j else 0) + (level[j + 1] * q_int[j + 1] if j < n else 0)
+                 for j in range(n + 1)]
+        if step % 2 == 0:
+            out.append(level[0])
+    return out
 
 
 @lru_cache(maxsize=None)
-def _statistic_distribution_cached(n: int) -> StatisticDistribution:
-    counts: dict[tuple[int, int, int], int] = {}
-    for key in iter_statistics(n, max_n=n):
-        counts[key] = counts.get(key, 0) + 1
-    return StatisticDistribution(n, MappingProxyType(counts))
+def _joint_table(n: int) -> StatisticDistribution:
+    from .moments import (
+        CumulantSequence,
+        MomentSequence,
+        cumulants_from_moments,
+        moments_from_cumulants,
+    )
+
+    connected = cumulants_from_moments(MomentSequence(tuple(_touchard_riordan(n))), max_n=n)
+    x, y = _Poly({(0, 1, 0): 1}), _Poly({(0, 0, 1): 1})
+    r = CumulantSequence((x * y,) + tuple(y * c for c in connected.values[1:]))
+    table = moments_from_cumulants(r, max_n=n).values[-1]
+    return StatisticDistribution(n, MappingProxyType(dict(sorted(table.terms.items()))))
 
 
-def statistic_distribution(
-    n: int,
-    *,
-    max_n: int = DEFAULT_MAX_N,
-    workers: int = 1,
-) -> StatisticDistribution:
-    """Exact joint (cr, h, cc) counts over P2(2n).
+def statistic_distribution(n: int, *, max_n: int = DEFAULT_MAX_N) -> StatisticDistribution:
+    """Exact joint (cr, h, cc) counts over P2(2n), cells in sorted key order.
 
-    With ``workers > 1`` the 2n-1 top-level branches (indexed by the partner
-    of point 1) are tallied in separate processes and merged in fixed branch
-    order, so the result is identical for any worker count.  At most
-    min(workers, 2n-1, cpu count) processes are started.
+    Built from the Touchard-Riordan moments and the free moment-cumulant
+    transform (see the module docstring), without visiting any partition.
     """
     _check_cap(n, max_n)
-    workers = min(workers, 2 * n - 1, os.cpu_count() or 1)
-    if workers > 1 and n >= 4:
-        from concurrent.futures import ProcessPoolExecutor
-
-        branches = [(n, j) for j in range(2, 2 * n + 1)]
-        merged: dict[tuple[int, int, int], int] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_branch_counts, branches):
-                for key, count in part.items():
-                    merged[key] = merged.get(key, 0) + count
-        return StatisticDistribution(n, MappingProxyType(merged))
-    return _statistic_distribution_cached(n)
+    return _joint_table(n)

@@ -31,6 +31,18 @@ from .rng import Xorshift64Star
 #: Largest degree for which full kernel matrices are built (order 5! = 120).
 MAX_KERNEL_DEGREE = 5
 
+#: Largest degree whose whole group the metric and embedding checks list
+#: (order 8! = 40,320).
+MAX_GROUP_DEGREE = 8
+
+
+def _check_group_degree(n: int) -> None:
+    if n > MAX_GROUP_DEGREE:
+        raise SizeLimitError(
+            f"group checks are limited to degree {MAX_GROUP_DEGREE} "
+            f"(order {math.factorial(MAX_GROUP_DEGREE)}); got degree {n}"
+        )
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -285,8 +297,10 @@ def metric_checks(
     separation (d = 0 only on the diagonal), the triangle inequality, and
     left invariance.  Exhaustive over all |S(n)|^3 triples for n <= 5;
     for larger degrees a seeded sample of ``triples`` random triples is
-    used for the triangle and invariance checks.
+    used for the triangle and invariance checks.  Degrees above
+    ``MAX_GROUP_DEGREE`` raise :class:`SizeLimitError`.
     """
+    _check_group_degree(n)
     group = enumerate_group(n)
     order = len(group)
     hvec = _h_vector(group)
@@ -357,7 +371,11 @@ def metric_checks(
 
 
 def embedding_consistency(n: int) -> GroupCheckReport:
-    """Exhaustively confirm isolated_fixed_points == singletons of the embedding."""
+    """Exhaustively confirm isolated_fixed_points == singletons of the embedding.
+
+    Degrees above ``MAX_GROUP_DEGREE`` raise :class:`SizeLimitError`.
+    """
+    _check_group_degree(n)
     cases = 0
     for sigma in enumerate_group(n):
         cases += 1

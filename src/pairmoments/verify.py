@@ -39,7 +39,7 @@ def _check(name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResult:
     return CheckResult(name, passed, time.perf_counter() - start, detail)
 
 
-def _pairing_counts(nmax: int, workers: int) -> tuple[bool, str]:
+def _pairing_counts(nmax: int) -> tuple[bool, str]:
     for n in range(1, nmax + 1):
         streamed = sum(1 for _ in pa.enumerate_pairings(n, max_n=nmax))
         if streamed != pa.pairing_count(n):
@@ -47,30 +47,30 @@ def _pairing_counts(nmax: int, workers: int) -> tuple[bool, str]:
     return True, f"stream lengths match (2n-1)!! for n <= {nmax}"
 
 
-def _nc_counts(nmax: int, workers: int) -> tuple[bool, str]:
+def _nc_counts(nmax: int) -> tuple[bool, str]:
     for n in range(1, nmax + 1):
-        dist = pa.statistic_distribution(n, max_n=nmax, workers=workers)
+        dist = pa.statistic_distribution(n, max_n=nmax)
         cr0 = sum(v for (cr, _, _), v in dist.counts.items() if cr == 0)
         if cr0 != pa.count_nc_pairings(n):
             return False, f"n={n}: cr=0 count {cr0} != Catalan {pa.count_nc_pairings(n)}"
     return True, f"non-crossing counts equal Catalan numbers for n <= {nmax}"
 
 
-def _connected_counts(nmax: int, workers: int) -> tuple[bool, str]:
+def _connected_counts(nmax: int) -> tuple[bool, str]:
     recur = pa.riordan_connected(nmax)
     for n in range(1, nmax + 1):
-        dist = pa.statistic_distribution(n, max_n=nmax, workers=workers)
+        dist = pa.statistic_distribution(n, max_n=nmax)
         brute = sum(v for (_, _, cc), v in dist.counts.items() if cc == 1)
         if brute != recur[n - 1]:
-            return False, f"n={n}: enumeration {brute} != recurrence {recur[n - 1]}"
-    return True, f"recurrence matches enumeration for n <= {nmax}: {recur}"
+            return False, f"n={n}: joint table {brute} != recurrence {recur[n - 1]}"
+    return True, f"recurrence matches joint table for n <= {nmax}: {recur}"
 
 
-def _singleton_totals(nmax: int, workers: int) -> tuple[bool, str]:
+def _singleton_totals(nmax: int) -> tuple[bool, str]:
     values = []
     for n in range(1, nmax + 1):
         values.append(pa.total_singletons(n, max_n=nmax))  # asserts both paths
-    return True, f"closed form equals enumeration for n <= {nmax}: {values}"
+    return True, f"closed form equals joint table for n <= {nmax}: {values}"
 
 
 _PRIMITIVE_SPECS = (
@@ -127,7 +127,7 @@ def _markov_targets() -> tuple[bool, str]:
     direct = mo.markov_limit_moments(3)
     conv = mo.free_convolve(mo.semicircle_moments(3), mo.gaussian_moments(3))
     if direct.values != (2, 9, 56):
-        return False, f"enumeration gave {direct.values}"
+        return False, f"joint table gave {direct.values}"
     if conv.values != (2, 9, 56):
         return False, f"free convolution gave {conv.values}"
     return True, "sum of 2^h equals free convolution: (2, 9, 56)"
@@ -217,16 +217,16 @@ def _roundtrip() -> tuple[bool, str]:
     return True, f"moment/cumulant round trip exact on {len(seqs)} rational sequences, N = 6"
 
 
-def run_level(level: str, workers: int = 1) -> list[CheckResult]:
+def run_level(level: str) -> list[CheckResult]:
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     full = level == "full"
 
     results = [
-        _check("pairing-counts", lambda: _pairing_counts(8 if full else 6, workers)),
-        _check("noncrossing-counts", lambda: _nc_counts(8 if full else 6, workers)),
-        _check("connected-counts", lambda: _connected_counts(6 if full else 5, workers)),
-        _check("singleton-totals", lambda: _singleton_totals(7 if full else 5, workers)),
+        _check("pairing-counts", lambda: _pairing_counts(8 if full else 6)),
+        _check("noncrossing-counts", lambda: _nc_counts(8 if full else 6)),
+        _check("connected-counts", lambda: _connected_counts(6 if full else 5)),
+        _check("singleton-totals", lambda: _singleton_totals(7 if full else 5)),
         _check("connected-cumulant-identity",
                lambda: _connected_cumulant_identity(5 if full else 4)),
         _check("mix-dual-path", lambda: _mix_dual_path(5 if full else 4)),

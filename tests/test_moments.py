@@ -136,6 +136,14 @@ class TestEnumerateNcEven:
         with pytest.raises(SizeLimitError):
             mo.cumulants_from_moments(MomentSequence((1,) * 10))
 
+    def test_transform_cap_override(self):
+        # all cumulants 1: moments count even NC partitions, the ternary numbers
+        m = mo.moments_from_cumulants(CumulantSequence((1,) * 10), max_n=10)
+        assert m.values == tuple(math.comb(3 * k, k) // (2 * k + 1) for k in range(1, 11))
+        assert mo.cumulants_from_moments(m, max_n=10).values == (1,) * 10
+        with pytest.raises(SizeLimitError):
+            mo.moments_from_cumulants(CumulantSequence((1,) * 11), max_n=10)
+
     def test_all_noncrossing_even(self):
         for p in brute.nc_even_partitions(range(1, 9)):
             assert brute.blocks_noncrossing(p)

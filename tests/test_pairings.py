@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 import brute
@@ -284,47 +287,49 @@ class TestStatisticDistribution:
         with pytest.raises(SizeLimitError):
             pairings.statistic_distribution(9)
 
-    def test_n8_noncrossing_cell_sum(self):
-        # the full 2n = 16 table: 2,027,025 partitions, 1430 of them crossing-free
-        d = pairings.statistic_distribution(8)
-        assert d.total() == 2027025
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_stream_fold(self, n):
+        # n = 8 walks all 2,027,025 partitions of the stream
+        fold = {}
+        for key in pairings.iter_statistics(n):
+            fold[key] = fold.get(key, 0) + 1
+        d = pairings.statistic_distribution(n)
+        assert dict(d.counts) == fold
+        assert list(d.counts) == sorted(fold)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_closed_forms_beyond_the_cap(self, n):
+        d = pairings.statistic_distribution(n, max_n=12)
+        assert d.total() == math.prod(range(1, 2 * n, 2))
         cr0 = sum(c for (cr, _, _), c in d.counts.items() if cr == 0)
-        assert cr0 == pairings.count_nc_pairings(8) == 1430
+        assert cr0 == math.comb(2 * n, n) // (n + 1)
+        # Riordan: c_2 = 1, c_2(m+1) = m * sum_{i=1..m} c_2i c_2(m+1-i)
+        c = [0, 1]
+        for m in range(1, n):
+            c.append(m * sum(c[i] * c[m + 1 - i] for i in range(1, m + 1)))
+        assert sum(v for (_, _, cc), v in d.counts.items() if cc == 1) == c[n]
+        p = [math.prod(range(1, 2 * k, 2)) for k in range(n)]
+        singletons = n * sum(p[k] * p[n - 1 - k] for k in range(n))
+        assert sum(h * v for (_, h, _), v in d.counts.items()) == singletons
+        assert d.marginal("cr") == touchard_riordan(n)
 
-    def test_parallel_fold_bit_identical(self):
-        serial = pairings.statistic_distribution(5)
-        for workers in (2, 3):
-            par = pairings.statistic_distribution(5, workers=workers)
-            assert dict(par.counts) == dict(serial.counts)
+    def test_touchard_riordan_small(self):
+        assert touchard_riordan(1) == {0: 1}
+        assert touchard_riordan(2) == {0: 2, 1: 1}
+        assert touchard_riordan(3) == {0: 5, 1: 6, 2: 3, 3: 1}
 
-    def test_worker_count_capped(self, monkeypatch):
-        # a stand-in pool that runs in-process and records its size
-        import concurrent.futures
 
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        serial = dict(pairings.statistic_distribution(4).counts)
-        monkeypatch.setattr(pairings.os, "cpu_count", lambda: 64)
-        assert dict(pairings.statistic_distribution(4, workers=10**6).counts) == serial
-        monkeypatch.setattr(pairings.os, "cpu_count", lambda: 3)
-        assert dict(pairings.statistic_distribution(4, workers=10**6).counts) == serial
-        monkeypatch.setattr(pairings.os, "cpu_count", lambda: None)
-        assert dict(pairings.statistic_distribution(4, workers=5).counts) == serial
-        assert sizes == [7, 3]  # 2n - 1 branches, then the cpu count; None means 1
+def touchard_riordan(n):
+    """Exponent -> count of sum_V q^cr(V) over P2(2n), from the closed form
+    (1-q)^-n sum_k (-1)^k q^(k(k+1)/2) [C(2n, n-k) - C(2n, n-k-1)]."""
+    coeffs = [0] * (n * (n + 1) // 2 + 1)
+    for k in range(n + 1):
+        ballot = math.comb(2 * n, n - k) - (math.comb(2 * n, n - k - 1) if k < n else 0)
+        coeffs[k * (k + 1) // 2] += (-1) ** k * ballot
+    for _ in range(n):
+        coeffs = list(itertools.accumulate(coeffs))  # divide by 1 - q ...
+        assert coeffs.pop() == 0  # ... exactly
+    return {e: c for e, c in enumerate(coeffs) if c}
 
 
 class TestIterStatistics:
@@ -336,15 +341,3 @@ class TestIterStatistics:
             for blocks, cr, h, cc in got:
                 ref = brute.chord_stats(list(blocks))
                 assert (cr, h, cc) == ref
-
-    def test_first_partner_branches_partition_the_stream(self):
-        n = 4
-        whole = [b for b, *_ in pairings.iter_statistics(n, with_blocks=True)]
-        chunks = []
-        for j in range(2, 2 * n + 1):
-            chunks.extend(
-                b for b, *_ in pairings.iter_statistics(
-                    n, with_blocks=True, first_partner=j
-                )
-            )
-        assert whole == chunks

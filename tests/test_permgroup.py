@@ -259,6 +259,19 @@ class TestMetric:
         b = pg.metric_checks(6, triples=500, seed=11)
         assert a == b
 
+    def test_size_guard_before_enumerating(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"enumerate_group({n}) called")
+
+        monkeypatch.setattr(pg, "enumerate_group", refuse)
+        degree = pg.MAX_GROUP_DEGREE + 1
+        with pytest.raises(SizeLimitError):
+            pg.metric_checks(degree, triples=10)
+        with pytest.raises(SizeLimitError):
+            pg.embedding_consistency(degree)
+        with pytest.raises(SizeLimitError):
+            pg.metric_checks(12, triples=10)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_subadditivity_direct(self, n):
         for sigma in pg.enumerate_group(n):
