@@ -10,7 +10,7 @@ Subpackages:
 * :mod:`pairmoments.cli`       -- the ``pairmoments`` command-line tool
 """
 
-from .exceptions import DualPathMismatchError, JacobiConvergenceError, SizeLimitError
+from .exceptions import DualPathMismatchError, SizeLimitError
 from .pairings import (
     DEFAULT_MAX_N,
     ChordStatistics,

@@ -19,7 +19,3 @@ class DualPathMismatchError(RuntimeError):
         super().__init__(message)
         self.path_a = path_a
         self.path_b = path_b
-
-
-class JacobiConvergenceError(RuntimeError):
-    """The Jacobi eigenvalue sweep limit was reached before convergence."""

@@ -395,11 +395,10 @@ def hankel_psd(m: MomentSequence, tol: float = 1e-10) -> tuple[bool, float]:
     condition for being the moment sequence of some symmetric probability
     measure, not a sufficient one.
     """
-    from .jacobi import jacobi_eigenvalues
+    from .randmat import spectrum  # randmat imports this module
 
     size = m.order + 1
     rows = [[float(m.moment(i + j)) for j in range(size)] for i in range(size)]
-    eigs = jacobi_eigenvalues(rows)
-    min_eig = float(min(eigs))
+    min_eig = spectrum(rows)[0]
     scale = 1.0 + max(abs(rows[i][j]) for i in range(size) for j in range(size))
     return min_eig >= -tol * scale, min_eig

@@ -10,7 +10,8 @@ subadditive, and vanishes only at the identity, so d(sigma, tau) =
 H(sigma^-1 tau) is a left-invariant metric.
 
 Positivity statements are exercised as finite Gram-matrix eigenvalue tests
-over an entire group S(n), using the shared Jacobi solver.
+over an entire group S(n); every eigenvalue comes from
+:func:`pairmoments.randmat.spectrum` (LAPACK ``eigvalsh``).
 """
 
 from __future__ import annotations
@@ -24,15 +25,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import SizeLimitError
-from .jacobi import jacobi_eigenvalues
 from .pairings import PairPartition, singleton_blocks
+from .randmat import spectrum
 from .rng import Xorshift64Star
 
 #: Largest degree for which full kernel matrices are built (order 5! = 120).
 MAX_KERNEL_DEGREE = 5
 
-#: Largest degree whose whole group the metric and embedding checks list
-#: (order 8! = 40,320).
+#: Largest degree whose whole group is ever listed (order 8! = 40,320); it
+#: also bounds the cache of :func:`enumerate_group`.
 MAX_GROUP_DEGREE = 8
 
 
@@ -96,7 +97,11 @@ class Permutation:
 
 @lru_cache(maxsize=None)
 def enumerate_group(n: int) -> tuple[Permutation, ...]:
-    """All of S(n) in lexicographic one-line order."""
+    """All of S(n) in lexicographic one-line order.
+
+    Degrees above ``MAX_GROUP_DEGREE`` raise :class:`SizeLimitError`.
+    """
+    _check_group_degree(n)
     return tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
 
 
@@ -213,8 +218,7 @@ def check_positive_definite(
     ``tol * (1 + max |entry|)`` below zero.
     """
     km = kernel_matrix(n, f)
-    eigs = jacobi_eigenvalues(km.entries)
-    min_eig = float(min(eigs))
+    min_eig = spectrum(km.entries)[0]
     scale = 1.0 + float(np.abs(km.entries).max())
     return min_eig >= -tol * scale, min_eig
 
@@ -253,13 +257,13 @@ def check_cnd(
     proj = np.eye(order) - np.full((order, order), 1.0 / order)
     centered = -(proj @ k @ proj)
     centered = (centered + centered.T) / 2.0
-    centered_min = float(min(jacobi_eigenvalues(centered)))
+    centered_min = spectrum(centered)[0]
     ok = centered_min >= -tol * scale
 
     schoenberg: dict[float, float] = {}
     for x in exponents:
         expk = np.exp(-x * k)
-        m = float(min(jacobi_eigenvalues(expk)))
+        m = spectrum(expk)[0]
         schoenberg[x] = m
         ok = ok and m >= -tol * (1.0 + float(np.abs(expk).max()))
     detail = (

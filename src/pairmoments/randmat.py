@@ -8,8 +8,12 @@ sum over pair partitions of 2^h(V) -- the free additive convolution of the
 semicircle and standard normal laws, with moments 2, 9, 56, ... at orders
 2, 4, 6.
 
-Empirical moments are taken from traces of matrix powers (the eigensolver
-is kept as an independent cross-check and for histogram export).
+Empirical moments are taken from traces of matrix powers.  :func:`spectrum`
+is the package's one eigenvalue routine: LAPACK's symmetric solver
+(``numpy.linalg.eigvalsh``) behind an explicit symmetry check.  It serves the
+Hankel and group-kernel positivity tests, the eigenvalue cross-check of the
+trace path and the histogram export.  Matrix dimensions stop at
+``MAX_MATRIX_DIM``.
 """
 
 from __future__ import annotations
@@ -20,11 +24,24 @@ import numpy as np
 
 from . import moments as moments_mod
 from .exceptions import SizeLimitError
-from .jacobi import jacobi_eigenvalues
 from .pairings import DEFAULT_MAX_N
 from .rng import Xorshift64Star, substream_seed
 
 ENTRY_DISTRIBUTIONS = ("rademacher", "gaussian")
+
+#: Largest Markov matrix dimension sampled; at 2000 one dense float matrix
+#: is 32 MB, and sampling, kmax = 6 trace powers and the spectrum together
+#: peak below 200 MB.
+MAX_MATRIX_DIM = 2000
+
+
+def _check_dimension(n: int) -> None:
+    if n < 2:
+        raise ValueError("matrix dimension n must be >= 2")
+    if n > MAX_MATRIX_DIM:
+        raise SizeLimitError(
+            f"matrix dimension {n} exceeds the cap MAX_MATRIX_DIM = {MAX_MATRIX_DIM}"
+        )
 
 
 @dataclass(frozen=True)
@@ -56,10 +73,9 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("matrix dimension n must be >= 2")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_dimension(self.n)
+        if self.trials < 2:
+            raise ValueError("trials must be >= 2 (the standard error needs two)")
         if self.kmax < 2:
             raise ValueError("kmax must be >= 2")
         if self.kmax // 2 > DEFAULT_MAX_N:
@@ -108,10 +124,10 @@ def sample_markov(n: int, dist: str = "rademacher", seed: int = 0) -> SymMatrix:
 
     The upper triangle of X (diagonal included) is filled row by row from
     the seeded stream, so a given (n, dist, seed) always produces the same
-    matrix, on any machine.
+    matrix, on any machine.  Dimensions above ``MAX_MATRIX_DIM`` raise
+    :class:`SizeLimitError` before anything is allocated.
     """
-    if n < 2:
-        raise ValueError("matrix dimension n must be >= 2")
+    _check_dimension(n)
     rng = Xorshift64Star(seed)
     vals = sample_entries(rng, dist, n * (n + 1) // 2)
     x = np.zeros((n, n))
@@ -122,6 +138,10 @@ def sample_markov(n: int, dist: str = "rademacher", seed: int = 0) -> SymMatrix:
     return SymMatrix(m)
 
 
+def _array(m: SymMatrix | np.ndarray) -> np.ndarray:
+    return m.matrix if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
+
+
 def empirical_moments(m: SymMatrix | np.ndarray, kmax: int) -> list[float]:
     """Moments of the empirical spectral law of M / sqrt(n), orders 1..kmax.
 
@@ -129,7 +149,7 @@ def empirical_moments(m: SymMatrix | np.ndarray, kmax: int) -> list[float]:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    a = m.matrix if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
+    a = _array(m)
     n = a.shape[0]
     scaled = a / np.sqrt(n)
     power = scaled.copy()
@@ -141,14 +161,26 @@ def empirical_moments(m: SymMatrix | np.ndarray, kmax: int) -> list[float]:
 
 
 def spectrum(m: SymMatrix | np.ndarray) -> list[float]:
-    """Eigenvalues, ascending, via the shared cyclic Jacobi solver."""
-    a = m.matrix if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
-    return jacobi_eigenvalues(a)
+    """Eigenvalues of a real symmetric matrix, ascending, as Python floats.
+
+    ``eigvalsh`` reads one triangle only, so a matrix that is not square, or
+    not symmetric within ``rtol = atol = 1e-12``, raises :class:`ValueError`
+    rather than getting the spectrum of a matrix it is not; so does a NaN or
+    infinite entry.  Integer input is accepted; a 0 x 0 matrix gives ``[]``.
+    """
+    a = _array(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    if not np.allclose(a, a.T, rtol=1e-12, atol=1e-12):
+        raise ValueError("matrix must be symmetric")
+    return np.linalg.eigvalsh(a).tolist()
 
 
 def spectral_moments(m: SymMatrix | np.ndarray, kmax: int) -> list[float]:
     """Eigenvalue-based oracle for :func:`empirical_moments`."""
-    a = m.matrix if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
+    a = _array(m)
     n = a.shape[0]
     lam = np.array(spectrum(a)) / np.sqrt(n)
     return [float(np.mean(lam ** k)) for k in range(1, kmax + 1)]
@@ -180,10 +212,7 @@ def run_mc(cfg: McConfig, z_limit: float = 4.0, odd_sigma: float = 3.0) -> McRep
     for k in range(1, cfg.kmax + 1):
         col = samples[:, k - 1]
         mean = float(col.mean())
-        if cfg.trials > 1:
-            stderr = float(col.std(ddof=1) / np.sqrt(cfg.trials))
-        else:
-            stderr = 0.0
+        stderr = float(col.std(ddof=1) / np.sqrt(cfg.trials))
         target = target_moment(k)
         if stderr > 0:
             z = (mean - target) / stderr
@@ -204,10 +233,11 @@ def eigenvalue_histogram(
 ) -> list[tuple[float, float, int]]:
     """Equal-width histogram of the spectrum of M / sqrt(n).
 
-    Returns (bin_left, bin_right, count) rows for CSV export.  Uses the
-    Jacobi solver, so keep the dimension desk-scale (a few hundred).
+    Returns (bin_left, bin_right, count) rows for CSV export.  The
+    eigenvalues come from :func:`spectrum`; at ``MAX_MATRIX_DIM`` they take
+    under a second.
     """
-    a = m.matrix if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
+    a = _array(m)
     n = a.shape[0]
     lam = np.array(spectrum(a)) / np.sqrt(n)
     counts, edges = np.histogram(lam, bins=bins)

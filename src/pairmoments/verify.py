@@ -1,10 +1,12 @@
 """Self-verification suites: every headline identity at desk scale.
 
-Two levels are exposed.  ``quick`` keeps every enumeration small enough to
-finish in about a minute; ``full`` pushes the caps (2n = 16 pairing count,
-the n = 1000 Monte Carlo, sampled metric triples on S(6)) and may take
-several minutes.  Each check reports pass/fail plus a one-line detail; the
-CLI prints one line per check and exits nonzero on any failure.
+Two levels are exposed.  ``quick`` keeps every enumeration small and
+finishes in well under a second; ``full`` pushes the caps (2n = 16 pairing
+count, the n = 1000 Monte Carlo, sampled metric triples on S(6)) and takes
+about 15-20 s on two cores, most of it the n = 8 pairing stream, the Monte
+Carlo and the sampled metric check.  Each check reports pass/fail plus a
+one-line detail; the CLI prints one line per check and exits nonzero on
+any failure.
 """
 
 from __future__ import annotations

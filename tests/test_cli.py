@@ -131,10 +131,14 @@ class TestRandmat:
         assert out1 == out2
 
     def test_tiny_smoke(self, capsys):
-        # one trial of a 2x2 matrix: deterministic report, and the single
-        # empirical moment sits far from the asymptotic target with zero
+        # one trial has no standard error, so it is a usage error (exit 2)
+        code, out, err = run(capsys, "randmat", "--n", "2", "--trials", "1", "--kmax", "2")
+        assert (code, out) == (2, "")
+        assert "error:" in err and "trials" in err
+        # two trials of a 2x2 matrix: deterministic report, and the tied
+        # empirical moments sit far from the asymptotic target with zero
         # stderr, so the z-gate correctly reports failure (exit 1)
-        args = ("randmat", "--n", "2", "--trials", "1", "--kmax", "2", "--seed", "1")
+        args = ("randmat", "--n", "2", "--trials", "2", "--kmax", "2", "--seed", "1")
         code, out, _ = run(capsys, *args)
         assert code == 1
         lines = out.strip().splitlines()
@@ -157,20 +161,34 @@ class TestRandmat:
 
     def test_histogram_size_guard(self, capsys, tmp_path):
         code, _, err = run(
-            capsys, "randmat", "--n", "600", "--trials", "1", "--kmax", "2",
+            capsys, "randmat", "--n", "2001", "--trials", "2", "--kmax", "2",
             "--seed", "3", "--hist", str(tmp_path / "h.csv"),
         )
         assert code == 2
-        assert "histogram" in err
+        assert "MAX_MATRIX_DIM" in err
+        assert not (tmp_path / "h.csv").exists()
 
     def test_histogram_size_checked_before_sampling(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(rm, "sample_markov", _no_sampling)
-        code, out, err = run(
-            capsys, "randmat", "--n", "401", "--trials", "2", "--kmax", "4",
-            "--seed", "3", "--hist", str(tmp_path / "h.csv"),
+        for extra in (("--hist", str(tmp_path / "h.csv")), ()):
+            code, out, err = run(
+                capsys, "randmat", "--n", "2001", "--trials", "2", "--kmax", "4",
+                "--seed", "3", *extra,
+            )
+            assert (code, out) == (2, "")
+            assert "error:" in err and "2001" in err
+
+    def test_histogram_runs_past_400(self, capsys, tmp_path):
+        # --hist runs for every dimension up to MAX_MATRIX_DIM
+        path = tmp_path / "hist.csv"
+        code, _, _ = run(
+            capsys, "randmat", "--n", "401", "--trials", "2", "--kmax", "2",
+            "--seed", "3", "--hist", str(path), "--bins", "5",
         )
-        assert (code, out) == (2, "")
-        assert "error:" in err and "histogram" in err
+        assert code in (0, 1)
+        lines = path.read_text().strip().splitlines()
+        assert len(lines) == 6
+        assert sum(int(line.split(",")[2]) for line in lines[1:]) == 401
 
     def test_kmax_beyond_cap_checked_before_sampling(self, capsys, monkeypatch):
         monkeypatch.setattr(rm, "sample_markov", _no_sampling)
@@ -207,6 +225,18 @@ class TestPermcheck:
         code, _, err = run(capsys, "permcheck", "--n", "9")
         assert code == 2
         assert "--n" in err
+
+    def test_non_finite_kernel_is_a_usage_error(self, capsys):
+        # exp(-inf * H) is NaN at the identity
+        code, out, err = run(capsys, "permcheck", "--n", "3", "--x", "inf")
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
+    def test_s5_report_deterministic(self, capsys):
+        code1, out1, _ = run(capsys, "permcheck", "--n", "5")
+        code2, out2, _ = run(capsys, "permcheck", "--n", "5")
+        assert code1 == code2 == 0
+        assert out1 == out2
 
 
 class TestVerify:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pairmoments import pairings, permgroup as pg
+from pairmoments import randmat as rm
 from pairmoments.exceptions import SizeLimitError
 from pairmoments.permgroup import Permutation
 
@@ -42,6 +43,10 @@ class TestPermutation:
             (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
         ]
         assert len(pg.enumerate_group(4)) == 24
+
+    def test_enumerate_group_size_guard(self):
+        with pytest.raises(SizeLimitError):
+            pg.enumerate_group(9)
 
 
 class TestEmbedding:
@@ -152,7 +157,7 @@ class TestKernelMatrix:
     def test_constant_one(self):
         km = pg.kernel_matrix(3, lambda s: 1.0)
         assert np.array_equal(km.entries, np.ones((6, 6)))
-        eigs = pg.jacobi_eigenvalues(km.entries)
+        eigs = rm.spectrum(km.entries)
         assert eigs[-1] == pytest.approx(6.0)
         assert np.allclose(eigs[:-1], 0.0, atol=1e-12)
 
@@ -200,6 +205,20 @@ class TestPositiveDefinite:
         assert isinstance(ok, bool)
         assert min_eig == min_eig
 
+    def test_non_inverse_invariant_kernel_rejected(self):
+        # f(g) != f(g^-1) gives a non-symmetric kernel; eigvalsh would read
+        # one triangle and return a verdict, so the solver must refuse it
+        with pytest.raises(ValueError, match="symmetric"):
+            pg.check_positive_definite(3, lambda s: 1.0 if s(1) == 2 else 0.0)
+
+    @pytest.mark.parametrize("n, least", [(2, 3.0), (3, 5.0), (4, 8.0), (5, 13.0)])
+    def test_two_power_h_least_eigenvalue(self, n, least):
+        # regression values observed on S(2..5), not proved: the least
+        # eigenvalue of the 2^h kernel follows 3, 5, 8, 13
+        ok, min_eig = pg.check_positive_definite(n, lambda s: 2.0 ** pg.isolated_fixed_points(s))
+        assert ok
+        assert min_eig == pytest.approx(least, abs=1e-9 * (1 + 2.0 ** n))
+
     def test_alternating_sign_not_psd(self):
         # sanity: signature character of S(3) shifted to break positivity
         def f(s):
@@ -232,7 +251,7 @@ class TestCnd:
     def test_constant_direction_excluded(self):
         # -K itself is NOT psd (H >= 0 kernel), only its centered form is
         km = pg.kernel_matrix(3, lambda s: float(pg.big_h(s)))
-        eigs = pg.jacobi_eigenvalues(-km.entries)
+        eigs = rm.spectrum(-km.entries)
         assert eigs[0] < -1e-6
 
 

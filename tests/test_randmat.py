@@ -107,6 +107,16 @@ class TestSampleMarkov:
         with pytest.raises(ValueError):
             rm.sample_markov(1)
 
+    def test_dimension_cap_before_sampling(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sample_entries must not run above the cap")
+
+        monkeypatch.setattr(rm, "sample_entries", refuse)
+        with pytest.raises(SizeLimitError, match="MAX_MATRIX_DIM"):
+            rm.sample_markov(rm.MAX_MATRIX_DIM + 1)
+        with pytest.raises(SizeLimitError):
+            rm.sample_markov(100_000)
+
 
 class TestEmpiricalMoments:
     def test_identity_matrix(self):
@@ -141,6 +151,71 @@ class TestSpectrum:
         m = rm.sample_markov(20, "rademacher", seed=8)
         assert sum(rm.spectrum(m)) == pytest.approx(np.trace(m.matrix), abs=1e-9)
 
+    def test_diagonal_nested_lists(self):
+        assert rm.spectrum([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == [1, 2, 3]
+
+    def test_two_by_two_swap(self):
+        assert rm.spectrum([[0, 1], [1, 0]]) == pytest.approx([-1, 1])
+
+    def test_known_3x3(self):
+        a = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+        # eigenvalues 2, 2 +- sqrt(2)
+        expect = sorted([2.0, 2.0 + np.sqrt(2), 2.0 - np.sqrt(2)])
+        assert rm.spectrum(a) == pytest.approx(expect)
+
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_trace_identity_random(self, n):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((n, n))
+        a = a + a.T
+        assert sum(rm.spectrum(a)) == pytest.approx(np.trace(a), abs=1e-9)
+
+    def test_zero_matrix(self):
+        assert rm.spectrum(np.zeros((4, 4))) == [0.0] * 4
+
+    def test_psd_gram(self):
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal((6, 4))
+        eigs = rm.spectrum(b @ b.T)  # rank 4 PSD
+        assert eigs[0] >= -1e-10
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            rm.spectrum([[1, 2], [0, 1]])
+
+    def test_symmetry_tolerance(self):
+        # eigvalsh reads one triangle, so the symmetry rule is what keeps a
+        # non-symmetric kernel from getting a verdict; roundoff still passes
+        near = np.array([[1.0, 0.5 + 1e-13], [0.5, 1.0]])
+        assert rm.spectrum(near) == pytest.approx([0.5, 1.5])
+        with pytest.raises(ValueError, match="symmetric"):
+            rm.spectrum(np.array([[1.0, 0.5 + 1e-9], [0.5, 1.0]]))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            rm.spectrum([[float("nan"), 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            rm.spectrum([[float("inf")]])
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError, match="square"):
+            rm.spectrum([[1, 2, 3], [2, 1, 2]])
+        with pytest.raises(ValueError, match="square"):
+            rm.spectrum([1.0, 2.0])
+
+    def test_empty(self):
+        assert rm.spectrum(np.zeros((0, 0))) == []
+
+    def test_integer_input(self):
+        got = rm.spectrum([[4]])
+        assert got == [4.0]
+        assert type(got[0]) is float
+
+    def test_ascending_python_floats(self):
+        got = rm.spectrum(rm.sample_markov(15, "gaussian", seed=2))
+        assert got == sorted(got)
+        assert all(type(x) is float for x in got)
+
 
 class TestRunMc:
     def test_deterministic_report(self):
@@ -155,9 +230,13 @@ class TestRunMc:
         assert targets == [0, 2, 0, 9, 0, 56]
 
     def test_tiny_smoke(self):
-        rep = rm.run_mc(rm.McConfig(n=2, trials=1, kmax=2, seed=1))
+        # every Rademacher 2x2 Markov matrix has the same order-2 moment 1,
+        # so the two trials tie: stderr 0 and the row fails
+        rep = rm.run_mc(rm.McConfig(n=2, trials=2, kmax=2, seed=1))
         assert len(rep.rows) == 2
+        assert rep.rows[1].mean == pytest.approx(1.0)
         assert rep.rows[1].stderr == 0.0
+        assert not rep.rows[1].passed
 
     def test_moderate_run_passes(self):
         rep = rm.run_mc(rm.McConfig(n=300, trials=8, kmax=6, seed=42))
@@ -167,19 +246,27 @@ class TestRunMc:
                 assert abs(row.z) <= 4
 
     def test_config_validation(self):
+        rm.McConfig(n=2, trials=2, kmax=2)
         with pytest.raises(ValueError):
-            rm.McConfig(n=1, trials=1, kmax=2)
+            rm.McConfig(n=1, trials=2, kmax=2)
         with pytest.raises(ValueError):
             rm.McConfig(n=2, trials=0, kmax=2)
+        with pytest.raises(ValueError, match="trials"):
+            rm.McConfig(n=2, trials=1, kmax=2)  # one trial has no standard error
         with pytest.raises(ValueError):
-            rm.McConfig(n=2, trials=1, kmax=1)
+            rm.McConfig(n=2, trials=2, kmax=1)
         with pytest.raises(ValueError):
-            rm.McConfig(n=2, trials=1, kmax=2, dist="cauchy")
+            rm.McConfig(n=2, trials=2, kmax=2, dist="cauchy")
 
     def test_config_rejects_kmax_beyond_cap(self):
-        rm.McConfig(n=2, trials=1, kmax=17)
+        rm.McConfig(n=2, trials=2, kmax=17)
         with pytest.raises(SizeLimitError):
-            rm.McConfig(n=2, trials=1, kmax=18)  # the order-18 target needs half-size 9
+            rm.McConfig(n=2, trials=2, kmax=18)  # the order-18 target needs half-size 9
+
+    def test_config_rejects_dimension_beyond_cap(self):
+        rm.McConfig(n=rm.MAX_MATRIX_DIM, trials=2, kmax=2)
+        with pytest.raises(SizeLimitError, match="MAX_MATRIX_DIM"):
+            rm.McConfig(n=rm.MAX_MATRIX_DIM + 1, trials=2, kmax=2)
 
 
 class TestHistogram:
