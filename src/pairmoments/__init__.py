@@ -73,6 +73,7 @@ from .randmat import (
     sample_markov,
     spectrum,
 )
+from . import jacobi  # noqa: F401  (the benchmark's name for the eigensolver layer)
 from .permgroup import (
     Permutation,
     big_h,

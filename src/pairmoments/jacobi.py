@@ -1,86 +1,15 @@
-"""Dense symmetric eigenvalues by the cyclic Jacobi rotation method.
+"""The eigensolver layer under the name the benchmark traces.
 
-One solver serves every positivity test in the package (Hankel matrices,
-group kernel matrices, random-matrix spectra), so they all share a single,
-inspectable numerical path.  numpy is used as the array backend only; the
-rotations themselves are spelled out.
+Every eigenvalue in the package comes from :func:`pairmoments.randmat.spectrum`
+(LAPACK ``eigvalsh``); the cyclic Jacobi solver that used to live here is gone.
+The benchmark's tracer (``bench/tracing.py``) still records the eigensolver
+layer as ``pairmoments.jacobi.jacobi_eigenvalues``, which feeds its
+``jacobi.self_s``, ``jacobi.calls`` and ``jacobi.max_order`` metrics.  This
+alias is that same function under the old name, so the tracer wraps every
+``spectrum`` call there.  Library code calls ``spectrum``; the alias goes once
+the benchmark names the layer after ``randmat.spectrum``.
 """
 
-from __future__ import annotations
+from .randmat import spectrum as jacobi_eigenvalues
 
-import numpy as np
-
-from .exceptions import JacobiConvergenceError
-
-#: Sweeps allowed before giving up; cyclic Jacobi converges quadratically,
-#: so well-conditioned inputs finish in well under ten.
-MAX_SWEEPS = 100
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt((off * off).sum()))
-
-
-def jacobi_eigenvalues(matrix, rel_tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS):
-    """Eigenvalues of a real symmetric matrix, sorted ascending.
-
-    Rotations are applied in cyclic row order until the Frobenius mass of
-    the off-diagonal part drops below ``rel_tol`` times the Frobenius norm
-    of the input.  Raises :class:`JacobiConvergenceError` if the sweep
-    limit is reached first.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return []
-    if not np.allclose(a, a.T, rtol=1e-12, atol=1e-12):
-        raise ValueError("matrix must be symmetric")
-    a = (a + a.T) / 2.0
-
-    norm = float(np.sqrt((a * a).sum()))
-    if norm == 0.0:
-        return [0.0] * n
-    threshold = rel_tol * norm
-
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) < threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                # smaller-angle root keeps the rotation stable
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        if _offdiag_norm(a) >= threshold:
-            raise JacobiConvergenceError(
-                f"off-diagonal mass {_offdiag_norm(a):.3e} still above "
-                f"{threshold:.3e} after {max_sweeps} sweeps"
-            )
-    return sorted(float(x) for x in np.diag(a))
-
-
-def min_eigenvalue(matrix, rel_tol: float = 1e-12) -> float:
-    return jacobi_eigenvalues(matrix, rel_tol=rel_tol)[0]
+__all__ = ["jacobi_eigenvalues"]

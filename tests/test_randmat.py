@@ -151,38 +151,6 @@ class TestSpectrum:
         m = rm.sample_markov(20, "rademacher", seed=8)
         assert sum(rm.spectrum(m)) == pytest.approx(np.trace(m.matrix), abs=1e-9)
 
-    def test_diagonal_nested_lists(self):
-        assert rm.spectrum([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == [1, 2, 3]
-
-    def test_two_by_two_swap(self):
-        assert rm.spectrum([[0, 1], [1, 0]]) == pytest.approx([-1, 1])
-
-    def test_known_3x3(self):
-        a = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
-        # eigenvalues 2, 2 +- sqrt(2)
-        expect = sorted([2.0, 2.0 + np.sqrt(2), 2.0 - np.sqrt(2)])
-        assert rm.spectrum(a) == pytest.approx(expect)
-
-    @pytest.mark.parametrize("n", [3, 20])
-    def test_trace_identity_random(self, n):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((n, n))
-        a = a + a.T
-        assert sum(rm.spectrum(a)) == pytest.approx(np.trace(a), abs=1e-9)
-
-    def test_zero_matrix(self):
-        assert rm.spectrum(np.zeros((4, 4))) == [0.0] * 4
-
-    def test_psd_gram(self):
-        rng = np.random.default_rng(3)
-        b = rng.standard_normal((6, 4))
-        eigs = rm.spectrum(b @ b.T)  # rank 4 PSD
-        assert eigs[0] >= -1e-10
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            rm.spectrum([[1, 2], [0, 1]])
-
     def test_symmetry_tolerance(self):
         # eigvalsh reads one triangle, so the symmetry rule is what keeps a
         # non-symmetric kernel from getting a verdict; roundoff still passes
@@ -196,20 +164,6 @@ class TestSpectrum:
             rm.spectrum([[float("nan"), 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             rm.spectrum([[float("inf")]])
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            rm.spectrum([[1, 2, 3], [2, 1, 2]])
-        with pytest.raises(ValueError, match="square"):
-            rm.spectrum([1.0, 2.0])
-
-    def test_empty(self):
-        assert rm.spectrum(np.zeros((0, 0))) == []
-
-    def test_integer_input(self):
-        got = rm.spectrum([[4]])
-        assert got == [4.0]
-        assert type(got[0]) is float
 
     def test_ascending_python_floats(self):
         got = rm.spectrum(rm.sample_markov(15, "gaussian", seed=2))
