@@ -266,6 +266,8 @@ def cmd_moments(args, out) -> int:
 
 
 def cmd_randmat(args, out) -> int:
+    if args.bins < 1:
+        raise ValueError(f"--bins must be at least 1, got {args.bins}")
     cfg = rm.McConfig(n=args.n, trials=args.trials, kmax=args.kmax,
                       dist=args.dist, seed=args.seed)
     report = rm.run_mc(cfg)

@@ -26,6 +26,7 @@ from .weights import (
     Number,
     SingletonCountPower,
     WeightSpec,
+    _WeightMemo,
     is_exact,
     numbers_equal,
 )
@@ -293,11 +294,13 @@ def mixed_moment(
     if k == 0:
         return 1
     n = k // 2
+    weight = _WeightMemo(spec)
+    rows = gram.entries
     total = 0
     for blocks, cr, h, cc in pairings.iter_statistics(n, with_blocks=True, max_n=max_n):
-        term = spec.weight_of(n, cr, h, cc)
+        term = weight[n, cr, h, cc]
         for i, j in blocks:
-            term = term * gram[i - 1, j - 1]
+            term = term * rows[i - 1][j - 1]
         total = total + term
     return total
 

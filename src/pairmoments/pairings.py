@@ -20,7 +20,9 @@ and r_2k = y*C_k(q), where C_k(q) are the free cumulants of the
 Touchard-Riordan q-Gaussian moments T_k(q) (Bozejko-Speicher, CMP 137
 (1991); Lehner, Eur. J. Combin. 23 (2002)).  The per-partition streams
 (:func:`enumerate_pairings`, :func:`iter_statistics`) remain for the
-checks that need each partition.
+checks that need each partition.  Both are non-recursive walks over an
+explicit stack, in the same canonical order; :func:`iter_statistics`
+updates (cr, h, cc) incrementally as blocks are placed and taken away.
 """
 
 from __future__ import annotations
@@ -101,8 +103,7 @@ def _fast_partition(n: int, blocks: tuple[tuple[int, int], ...]) -> PairPartitio
     # Internal constructor for enumeration output that is canonical by
     # construction; skips __post_init__ validation.
     obj = object.__new__(PairPartition)
-    object.__setattr__(obj, "n", n)
-    object.__setattr__(obj, "blocks", blocks)
+    obj.__dict__.update(n=n, blocks=blocks)
     return obj
 
 
@@ -164,20 +165,43 @@ def enumerate_pairings(n: int, *, max_n: int = DEFAULT_MAX_N) -> Iterator[PairPa
     out sorted by their low endpoint.
     """
     _check_cap(n, max_n)
-    for blocks in _iter_blocks(tuple(range(1, 2 * n + 1))):
+    for blocks in _iter_blocks(n):
         yield _fast_partition(n, blocks)
 
 
-def _iter_blocks(free: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    if not free:
-        yield ()
+def _iter_blocks(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    # Non-recursive walk in canonical order.  Depth d holds the free points
+    # left after d blocks, the index of the partner last tried for the
+    # smallest of them, and the blocks placed above it.  The last four free
+    # points pair in three ways, written out.
+    if n == 1:
+        yield ((1, 2),)
         return
-    lo = free[0]
-    for i in range(1, len(free)):
-        head = (lo, free[i])
-        rest = free[1:i] + free[i + 1:]
-        for tail in _iter_blocks(rest):
-            yield (head,) + tail
+    last = n - 2
+    free: list[tuple[int, ...]] = [()] * (last + 1)
+    pick = [0] * (last + 1)
+    placed: list[tuple[tuple[int, int], ...]] = [()] * (last + 1)
+    free[0] = tuple(range(1, 2 * n + 1))
+    d = 0
+    while d >= 0:
+        pts = free[d]
+        if d == last:
+            a, b, c, e = pts
+            head = placed[d]
+            yield head + ((a, b), (c, e))
+            yield head + ((a, c), (b, e))
+            yield head + ((a, e), (b, c))
+            d -= 1
+            continue
+        i = pick[d] + 1
+        if i == len(pts):
+            d -= 1
+            continue
+        pick[d] = i
+        d += 1
+        free[d] = pts[1:i] + pts[i + 1:]
+        pick[d] = 0
+        placed[d] = placed[d - 1] + ((pts[0], pts[i]),)
 
 
 def crossings(partition: PairPartition) -> int:
@@ -281,9 +305,13 @@ def component_support_partition(partition: PairPartition) -> tuple[tuple[int, ..
 
 def rotate(partition: PairPartition) -> PairPartition:
     """Cyclic rotation of the ground set: k -> 1 + (k mod 2n)."""
+    # The block ending at 2n becomes (1, lo + 1) and goes first; every other
+    # block shifts up by one and keeps its place, so the output is canonical.
     m = 2 * partition.n
-    pairs = [(1 + (a % m), 1 + (b % m)) for a, b in partition.blocks]
-    return PairPartition.from_pairs(pairs)
+    blocks = partition.blocks
+    wrapped = tuple((1, a + 1) for a, b in blocks if b == m)
+    shifted = tuple((a + 1, b + 1) for a, b in blocks if b != m)
+    return _fast_partition(partition.n, wrapped + shifted)
 
 
 def riordan_connected(nmax: int) -> list[int]:
@@ -329,11 +357,23 @@ def total_singletons(n: int, *, max_n: int = DEFAULT_MAX_N) -> int:
 # ---------------------------------------------------------------------------
 # Bulk enumeration with incremental statistics.
 #
-# The recursive walk below maintains cr / h / cc while blocks are added and
-# removed, so the per-partition cost is O(n) instead of O(n^2).  Correctness
-# is pinned by exhaustive comparison against the definitional single-partition
-# functions above (see the test suite).
+# The walk below is flat: block d is placed at depth d of an explicit stack,
+# and cr / h / cc are maintained while blocks are added and removed (a
+# crossing-degree count per block and a union-find over blocks with undo), so
+# the per-partition cost is O(n) instead of O(n^2).  The blocks already placed
+# all start left of the smallest free point i, so the new block (i, j)
+# crosses exactly the blocks ending strictly between i and j; when j moves on
+# to the next free point, the blocks ending in between are added to what it
+# crosses and nothing is taken away.  Correctness is pinned by exhaustive
+# comparison against the definitional single-partition functions above (see
+# the test suite).
 # ---------------------------------------------------------------------------
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        x = parent[x]
+    return x
 
 
 def iter_statistics(
@@ -348,83 +388,105 @@ def iter_statistics(
     """
     _check_cap(n, max_n)
     m = 2 * n
-    partner = [0] * (m + 2)
-    his: list[int] = []            # hi endpoint of each block, creation order
-    deg: list[int] = []            # crossing degree of each block
+    last = n - 1
+    owner = [-1] * (m + 1)         # block holding each point; -1 while free
+    deg = [0] * n                  # crossing degree of each block
     parent = list(range(n))
     size = [1] * n
+    # per depth d, i.e. block d: its lo point, the partner tried last (lo
+    # itself before the first), the blocks it crosses, the unions it made in
+    # the order made, and the blocks placed above it
+    lo = [0] * n
+    hi = [0] * n
+    crossed: list[list[int]] = [[] for _ in range(n)]
+    merged: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    placed: list[tuple[tuple[int, int], ...]] = [()] * n
+    cr = zero = merges = 0         # zero counts the blocks of degree 0
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    # state counters mutated in place: [cr, zero_degree_blocks, merges]
-    state = [0, 0, 0]
-    blocks: list[tuple[int, int]] = []
-
-    def walk(scan_from: int) -> Iterator:
-        i = scan_from
-        while i <= m and partner[i]:
-            i += 1
-        if i > m:
-            cr, zero, merges = state
+    d = 0
+    lo[0] = hi[0] = 1
+    owner[1] = 0
+    while d >= 0:
+        i = lo[d]
+        if d == last:
+            # two free points remain: read the statistics off without
+            # placing the last block
+            j = i + 1
+            while owner[j] >= 0:
+                j += 1
+            h = zero + (j == i + 1)
+            roots = set()
+            for b in owner[i + 1:j]:
+                if not deg[b]:
+                    h -= 1
+                while parent[b] != b:
+                    b = parent[b]
+                roots.add(b)
             if with_blocks:
-                yield tuple(blocks), cr, zero, n - merges
+                yield placed[d] + ((i, j),), cr + j - i - 1, h, n - merges - len(roots)
             else:
-                yield cr, zero, n - merges
-            return
-        bid = len(his)
-        start = i + 1
-        for j in range(start, m + 1):
-            if partner[j]:
-                continue
-            # blocks already placed all have lo < i; (lo,hi) crosses (i,j)
-            # exactly when i < hi < j
-            crossed = [b for b in range(bid) if i < his[b] < j]
-            cnt = len(crossed)
-            partner[i], partner[j] = j, i
-            his.append(j)
-            deg.append(cnt)
-            state[0] += cnt
-            if cnt == 0:
-                state[1] += 1
-            merged: list[tuple[int, int]] = []
-            for b in crossed:
+                yield cr + j - i - 1, h, n - merges - len(roots)
+            owner[i] = -1
+            d -= 1
+            continue
+        j = hi[d]
+        first = j == i
+        if not first:
+            owner[j] = -1
+        new = []
+        j += 1
+        while j <= m and owner[j] >= 0:
+            new.append(owner[j])
+            j += 1
+        if j > m:
+            # every partner tried: take block d away, in reverse order
+            for rb, ra in reversed(merged[d]):
+                parent[rb] = rb
+                size[ra] -= size[rb]
+            merges -= len(merged[d])
+            for b in crossed[d]:
+                deg[b] -= 1
+                if not deg[b]:
+                    zero += 1
+            cr -= deg[d]
+            if not deg[d]:
+                zero -= 1
+            deg[d] = 0
+            crossed[d] = []
+            merged[d] = []
+            owner[i] = -1
+            d -= 1
+            continue
+        hi[d] = j
+        owner[j] = d
+        if first:
+            zero += 1
+        if new:
+            if not deg[d]:
+                zero -= 1
+            deg[d] += len(new)
+            cr += len(new)
+            crossed[d] += new
+            for b in new:
                 deg[b] += 1
                 if deg[b] == 1:
-                    state[1] -= 1
-                ra, rb = find(bid), find(b)
+                    zero -= 1
+                ra, rb = _find(parent, d), _find(parent, b)
                 if ra != rb:
                     if size[ra] < size[rb]:
                         ra, rb = rb, ra
                     parent[rb] = ra
                     size[ra] += size[rb]
-                    merged.append((rb, ra))
-                    state[2] += 1
-            if with_blocks:
-                blocks.append((i, j))
-            yield from walk(i + 1)
-            # undo, in reverse order of application
-            if with_blocks:
-                blocks.pop()
-            for rb, ra in reversed(merged):
-                parent[rb] = rb
-                size[ra] -= size[rb]
-                state[2] -= 1
-            for b in crossed:
-                if deg[b] == 1:
-                    state[1] += 1
-                deg[b] -= 1
-            if cnt == 0:
-                state[1] -= 1
-            state[0] -= cnt
-            deg.pop()
-            his.pop()
-            partner[i] = partner[j] = 0
-
-    yield from walk(1)
-
+                    merged[d].append((rb, ra))
+                    merges += 1
+        if with_blocks:
+            placed[d + 1] = placed[d] + ((i, j),)
+        k = i + 1
+        while owner[k] >= 0:
+            k += 1
+        d += 1
+        lo[d] = hi[d] = k
+        owner[k] = d
 
 
 # ---------------------------------------------------------------------------

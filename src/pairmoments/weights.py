@@ -19,7 +19,7 @@ from numbers import Rational
 from typing import Mapping, Optional, Union
 
 from . import pairings
-from .pairings import DEFAULT_MAX_N, PairPartition
+from .pairings import DEFAULT_MAX_N, PairPartition, _fast_partition
 
 Number = Union[int, Fraction, float]
 
@@ -166,11 +166,28 @@ class CheckReport:
         return self.passed
 
 
+class _WeightMemo(dict):
+    """``spec.weight_of`` by ``memo[n, cr, h, cc]``, computed once per key.
+
+    Meant to live for one call that visits many partitions: the keys are the
+    distinct statistics seen, 224 for all n <= 8 and 375 for all n <= 9.
+    """
+
+    def __init__(self, spec: WeightSpec) -> None:
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, key: tuple[int, int, int, int]) -> Number:
+        value = self[key] = self.spec.weight_of(*key)
+        return value
+
+
 def _standardize(component: tuple[tuple[int, int], ...]) -> PairPartition:
-    # Relabel a component's support to {1..2k} preserving order.
+    # Relabel a component's support to {1..2k} preserving order; the blocks
+    # stay sorted by lo, so the result is canonical.
     support = sorted(p for blk in component for p in blk)
     rank = {p: i + 1 for i, p in enumerate(support)}
-    return PairPartition.from_pairs((rank[a], rank[b]) for a, b in component)
+    return _fast_partition(len(component), tuple((rank[a], rank[b]) for a, b in component))
 
 
 def check_strong_multiplicativity(
@@ -181,16 +198,27 @@ def check_strong_multiplicativity(
     For every partition with half-size at most nmax, the weight must equal
     the product of the weights of its components, each relabelled to a
     standalone partition on {1..2k} preserving the order of its support.
+    The whole partition's statistics come from :func:`pairings.iter_statistics`,
+    each component's from :func:`pairings.statistics`.
     """
+    weight = _WeightMemo(spec)
+    # every one-block component standardizes to {(1,2)}
+    one = pairings.statistics(_fast_partition(1, ((1, 2),)))
+    one_block = (1, one.cr, one.h, one.cc)
     cases = 0
     for n in range(1, nmax + 1):
-        for part in pairings.enumerate_pairings(n, max_n=max_n):
+        for blocks, cr, h, cc in pairings.iter_statistics(n, with_blocks=True, max_n=max_n):
             cases += 1
-            whole = evaluate(spec, part)
+            whole = weight[n, cr, h, cc]
+            part = _fast_partition(n, blocks)
             _, comps = pairings.connected_components(part)
             split = 1
             for comp in comps:
-                split = split * evaluate(spec, _standardize(comp))
+                if len(comp) == 1:
+                    split = split * weight[one_block]
+                    continue
+                st = pairings.statistics(_standardize(comp))
+                split = split * weight[len(comp), st.cr, st.h, st.cc]
             if not numbers_equal(whole, split):
                 return CheckReport(
                     False,
@@ -204,24 +232,26 @@ def check_strong_multiplicativity(
 def check_traceability(
     statistic: str, nmax: int, *, max_n: int = DEFAULT_MAX_N
 ) -> CheckReport:
-    """Verify a statistic is invariant under cyclic rotation of the ground set."""
-    if statistic not in {"cr", "h", "cc", "H"}:
+    """Verify a statistic is invariant under cyclic rotation of the ground set.
+
+    Each partition's statistics come from :func:`pairings.iter_statistics`,
+    its rotation's from :func:`pairings.statistics`.
+    """
+    fields = ("cr", "h", "cc", "H")
+    if statistic not in fields:
         raise ValueError("statistic must be one of cr, h, cc, H")
+    index = fields.index(statistic)
     cases = 0
     for n in range(1, nmax + 1):
-        for part in pairings.enumerate_pairings(n, max_n=max_n):
+        for blocks, cr, h, cc in pairings.iter_statistics(n, with_blocks=True, max_n=max_n):
             cases += 1
-            a = pairings.statistics(part)
+            part = _fast_partition(n, blocks)
             b = pairings.statistics(pairings.rotate(part))
-            pair = {
-                "cr": (a.cr, b.cr),
-                "h": (a.h, b.h),
-                "cc": (a.cc, b.cc),
-                "H": (a.big_h, b.big_h),
-            }[statistic]
-            if pair[0] != pair[1]:
+            before = (cr, h, cc, n - h)[index]
+            after = (b.cr, b.h, b.cc, b.big_h)[index]
+            if before != after:
                 return CheckReport(
                     False, cases, part,
-                    f"{statistic} changed from {pair[0]} to {pair[1]} under rotation",
+                    f"{statistic} changed from {before} to {after} under rotation",
                 )
     return CheckReport(True, cases, None, f"{statistic} rotation-invariant on {cases} partitions")

@@ -4,11 +4,21 @@ Everything here is written from the definitions, with no shared code paths
 with the package: pairings via itertools-style recursion on element lists,
 crossings by quadruple inspection, components by DFS over an explicit
 adjacency dict, set partitions by direct recursive construction.
+
+The exception is the last section: the definitional bodies of the package's
+per-partition checks, kept as oracles for the walk-based checks.  They call
+the package's single-partition functions (``statistics``,
+``connected_components``, ``evaluate``) and the validating
+``PairPartition.from_pairs``, but visit partitions through
+:func:`all_pairings` and use no walk or weight memo.
 """
 
 import bisect
 import itertools
 from fractions import Fraction
+
+from pairmoments import pairings, weights
+from pairmoments.pairings import PairPartition
 
 
 def all_pairings(points):
@@ -167,3 +177,56 @@ def blocks_noncrossing(blocks):
 
 def blocks_even(blocks):
     return all(len(b) % 2 == 0 for b in blocks)
+
+
+# --- definitional check bodies ------------------------------------------------
+
+
+def _partitions_up_to(nmax):
+    for n in range(1, nmax + 1):
+        for pairs in all_pairings(range(1, 2 * n + 1)):
+            yield PairPartition.from_pairs(pairs)
+
+
+def rotate_by_pairs(partition):
+    """Rotation k -> 1 + (k mod 2n), canonicalized by from_pairs."""
+    m = 2 * partition.n
+    return PairPartition.from_pairs((1 + a % m, 1 + b % m) for a, b in partition.blocks)
+
+
+def standardize_by_pairs(component):
+    """A component relabelled to {1..2k} in order, built by from_pairs."""
+    support = sorted(p for blk in component for p in blk)
+    rank = {p: i + 1 for i, p in enumerate(support)}
+    return PairPartition.from_pairs((rank[a], rank[b]) for a, b in component)
+
+
+def strong_multiplicativity_report(spec, nmax):
+    """check_strong_multiplicativity, evaluating every partition and component."""
+    cases = 0
+    for part in _partitions_up_to(nmax):
+        cases += 1
+        whole = weights.evaluate(spec, part)
+        _, comps = pairings.connected_components(part)
+        split = 1
+        for comp in comps:
+            split = split * weights.evaluate(spec, standardize_by_pairs(comp))
+        if not weights.numbers_equal(whole, split):
+            return weights.CheckReport(
+                False, cases, part, f"t(V)={whole} but component product is {split}")
+    return weights.CheckReport(True, cases, None, f"factorization holds on {cases} partitions")
+
+
+def traceability_report(statistic, nmax):
+    """check_traceability, with both sides from pairings.statistics."""
+    field = {"cr": "cr", "h": "h", "cc": "cc", "H": "big_h"}[statistic]
+    cases = 0
+    for part in _partitions_up_to(nmax):
+        cases += 1
+        a = getattr(pairings.statistics(part), field)
+        b = getattr(pairings.statistics(rotate_by_pairs(part)), field)
+        if a != b:
+            return weights.CheckReport(
+                False, cases, part, f"{statistic} changed from {a} to {b} under rotation")
+    return weights.CheckReport(
+        True, cases, None, f"{statistic} rotation-invariant on {cases} partitions")

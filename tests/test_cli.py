@@ -190,6 +190,18 @@ class TestRandmat:
         assert len(lines) == 6
         assert sum(int(line.split(",")[2]) for line in lines[1:]) == 401
 
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bins_checked_before_sampling(self, capsys, tmp_path, monkeypatch, bins):
+        monkeypatch.setattr(rm, "sample_markov", _no_sampling)
+        path = tmp_path / "h.csv"
+        code, out, err = run(
+            capsys, "randmat", "--n", "10", "--trials", "2", "--kmax", "2",
+            "--hist", str(path), "--bins", bins,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--bins" in err
+        assert not path.exists()
+
     def test_kmax_beyond_cap_checked_before_sampling(self, capsys, monkeypatch):
         monkeypatch.setattr(rm, "sample_markov", _no_sampling)
         code, out, err = run(

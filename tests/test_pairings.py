@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -62,6 +63,11 @@ class TestEnumeration:
         ref = {tuple(sorted(p)) for p in brute.all_pairings(range(1, 2 * n + 1))}
         assert mine == ref
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_brute_force_order(self, n):
+        mine = [v.blocks for v in pairings.enumerate_pairings(n)]
+        assert mine == [tuple(p) for p in brute.all_pairings(range(1, 2 * n + 1))]
+
     def test_all_distinct_and_canonical(self):
         seen = set()
         for v in pairings.enumerate_pairings(5):
@@ -75,6 +81,16 @@ class TestEnumeration:
 
     def test_cap_override(self):
         assert sum(1 for _ in pairings.enumerate_pairings(2, max_n=9)) == 3
+
+    @pytest.mark.parametrize("stream", ["enumerate_pairings", "iter_statistics"])
+    def test_streams_are_generator_functions(self, stream):
+        # the cap check runs on the first next(), not at the call; benchmark
+        # tracing also counts the items of generator functions
+        fn = getattr(pairings, stream)
+        assert inspect.isgeneratorfunction(fn)
+        gen = fn(9)
+        with pytest.raises(SizeLimitError, match="cap"):
+            next(gen)
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
@@ -186,6 +202,13 @@ class TestRotate:
                 tuple(sorted((1 + a % m, 1 + b % m))) for a, b in singles
             }
             assert expected == set(rotated_singles)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_from_pairs_rotation(self, n):
+        for v in pairings.enumerate_pairings(n):
+            w = pairings.rotate(v)
+            assert w == brute.rotate_by_pairs(v)
+            assert PairPartition(w.n, w.blocks) == w  # passes __post_init__
 
     def test_orbit_returns_to_start(self):
         v = P((1, 4), (2, 6), (3, 5))
@@ -334,10 +357,11 @@ def touchard_riordan(n):
 
 class TestIterStatistics:
     def test_with_blocks_matches_enumerate(self):
-        for n in range(1, 5):
+        for n in range(1, 7):
             got = list(pairings.iter_statistics(n, with_blocks=True))
             plain = list(pairings.enumerate_pairings(n))
             assert [b for b, *_ in got] == [v.blocks for v in plain]
+            assert list(pairings.iter_statistics(n)) == [tuple(t) for _, *t in got]
             for blocks, cr, h, cc in got:
                 ref = brute.chord_stats(list(blocks))
                 assert (cr, h, cc) == ref

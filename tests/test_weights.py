@@ -179,6 +179,54 @@ class TestStrongMultiplicativity:
         assert mine == direct
 
 
+ORACLE_SPECS = [
+    Constant1(),
+    CrossingPower(Fraction(1, 3)),
+    ComponentPower(Fraction(2, 3)),
+    SingletonHPower(HALF),
+    SingletonCountPower(Fraction(3, 2)),
+    Product([CrossingPower(HALF), SingletonHPower(Fraction(1, 3))]),
+    CrossingPower(0.7),
+    _CrossingCountPlusOne(),
+]
+
+
+class TestChecksMatchDefinitionalBodies:
+    """The walk-based checks give the same CheckReport, field for field, as
+    the definitional check bodies kept in brute.py."""
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=[
+        "const", "qcr", "scc", "bH", "betah", "product", "qcr-float", "cr-plus-one"])
+    def test_strong_multiplicativity(self, spec):
+        assert weights.check_strong_multiplicativity(spec, 6) == \
+            brute.strong_multiplicativity_report(spec, 6)
+
+    @pytest.mark.parametrize("nmax", [3, 4])
+    def test_failing_weight_reports_the_same_witness(self, nmax):
+        spec = _CrossingCountPlusOne()
+        got = weights.check_strong_multiplicativity(spec, nmax)
+        assert got == brute.strong_multiplicativity_report(spec, nmax)
+        assert got.passed == (nmax < 4)
+
+    @pytest.mark.parametrize("stat", ["cr", "h", "cc", "H"])
+    def test_traceability(self, stat):
+        assert weights.check_traceability(stat, 6) == brute.traceability_report(stat, 6)
+
+    def test_weight_of_called_once_per_key(self):
+        calls = []
+
+        class Recording(weights.WeightSpec):
+            def weight_of(self, n, cr, h, cc):
+                calls.append((n, cr, h, cc))
+                return Fraction(1, 2) ** cr
+
+        assert weights.check_strong_multiplicativity(Recording(), 5).passed
+        assert len(calls) == len(set(calls))
+        keys = {(n, *key) for n in range(1, 6)
+                for key in pairings.statistic_distribution(n).counts}
+        assert set(calls) == keys
+
+
 class TestTraceability:
     @pytest.mark.parametrize("stat", ["cr", "h", "cc", "H"])
     def test_all_statistics_traceable(self, stat):
