@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -353,14 +354,22 @@ def main(argv=None) -> int:
         "permcheck": cmd_permcheck,
         "verify": cmd_verify,
     }[args.command]
+    # --out PATH is written only once the handler returns, so a usage error
+    # leaves an existing report alone and creates no file.
+    out = sys.stdout if args.out == "-" else io.StringIO()
     try:
-        if args.out == "-":
-            return handler(args, sys.stdout)
-        with open(args.out, "w") as fh:
-            return handler(args, fh)
+        status = handler(args, out)
     except (SizeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if out is not sys.stdout:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out.getvalue())
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    return status
 
 
 if __name__ == "__main__":

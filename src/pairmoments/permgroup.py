@@ -133,6 +133,65 @@ def big_h(sigma: Permutation) -> int:
     return sigma.degree - isolated_fixed_points(sigma)
 
 
+# A stack of permutations of one degree is an integer array whose last axis
+# holds one-line images; the helpers below act on that axis.
+
+
+@lru_cache(maxsize=None)
+def _image_array(n: int) -> np.ndarray:
+    """One-line images of ``enumerate_group(n)``, one row per element; read-only."""
+    group = enumerate_group(n)
+    images = np.array([g.images for g in group], dtype=np.int64)
+    images = images.reshape(len(group), group[0].degree)
+    images.setflags(write=False)
+    return images
+
+
+def _compose(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Images of left * right, that is left(right(i)), stack by stack."""
+    return np.take_along_axis(left, right - 1, axis=-1)
+
+
+def _invert(images: np.ndarray) -> np.ndarray:
+    return np.argsort(images, axis=-1) + 1
+
+
+def _big_h_of(images: np.ndarray) -> np.ndarray:
+    """H of every permutation in a stack.
+
+    k is an isolated fixed point exactly when sigma(k) = k and the prefix
+    maximum of sigma(1..k) is k (the k - 1 earlier images then fill 1..k-1).
+    """
+    degree = images.shape[-1]
+    positions = np.arange(1, degree + 1)
+    isolated = (images == positions) & (np.maximum.accumulate(images, axis=-1) == positions)
+    return degree - isolated.sum(axis=-1)
+
+
+def _rank(images: np.ndarray) -> np.ndarray:
+    """Index in ``enumerate_group(n)`` of every permutation in a stack of degree n.
+
+    Read as base-(n+1) digits, one-line images increase in lexicographic
+    order, so a binary search of the group's own keys finds each index.
+    """
+    n = images.shape[-1]
+    weights = (n + 1) ** np.arange(n - 1, -1, -1)
+    return np.searchsorted(_image_array(n) @ weights, images @ weights)
+
+
+@lru_cache(maxsize=None)
+def _quotient_table(n: int) -> np.ndarray:
+    """q[a, b] = index of sigma_a^-1 sigma_b in ``enumerate_group(n)``; read-only.
+
+    Shared by :func:`kernel_matrix` and the exhaustive :func:`metric_checks`;
+    callers keep n <= ``MAX_KERNEL_DEGREE`` (120 x 120 entries at most).
+    """
+    images = _image_array(n)
+    table = _rank(_compose(_invert(images)[:, None, :], images[None, :, :]))
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class GroupCheckReport:
     passed: bool
@@ -192,21 +251,19 @@ class KernelMatrix:
 
 
 def kernel_matrix(n: int, f: Callable[[Permutation], float]) -> KernelMatrix:
-    """Build the full group kernel of f on S(n) (lexicographic element order)."""
+    """Build the full group kernel of f on S(n) (lexicographic element order).
+
+    f is evaluated once per group element and entry (a, b) is read off as
+    the value at sigma_a^-1 sigma_b, so f must be a function of the
+    permutation alone (no state, no dependence on call order).
+    """
     if n > MAX_KERNEL_DEGREE:
         raise SizeLimitError(
             f"kernel matrices are limited to degree {MAX_KERNEL_DEGREE} "
             f"(order {math.factorial(MAX_KERNEL_DEGREE)}); got degree {n}"
         )
-    group = enumerate_group(n)
-    inverses = [g.inverse() for g in group]
-    order = len(group)
-    entries = np.empty((order, order))
-    for a in range(order):
-        inv_a = inverses[a]
-        for b in range(order):
-            entries[a, b] = f(inv_a * group[b])
-    return KernelMatrix(order, entries)
+    values = np.array([f(g) for g in enumerate_group(n)], dtype=float)
+    return KernelMatrix(len(values), values[_quotient_table(n)])
 
 
 def check_positive_definite(
@@ -288,8 +345,9 @@ class MetricReport:
         return self.passed
 
 
-def _h_vector(group: tuple[Permutation, ...]) -> np.ndarray:
-    return np.array([big_h(g) for g in group], dtype=np.int64)
+#: Sampled triples evaluated per numpy block; memory does not grow with
+#: ``triples``.
+_METRIC_BLOCK = 4096
 
 
 def metric_checks(
@@ -307,28 +365,29 @@ def metric_checks(
     _check_group_degree(n)
     group = enumerate_group(n)
     order = len(group)
-    hvec = _h_vector(group)
-    index_of = {g.images: i for i, g in enumerate(group)}
-    inv_idx = np.array([index_of[g.inverse().images] for g in group])
+    images = _image_array(n)
+    inverses = _invert(images)
+    hvec = _big_h_of(images)
+    inv_idx = _rank(inverses)
+    identity = 0  # first in lexicographic order
 
-    if hvec[index_of[Permutation.identity(n).images]] != 0:
+    if hvec[identity] != 0:
         return MetricReport(False, n, 0, True, (Permutation.identity(n),), "H(e) != 0")
-    for i, g in enumerate(group):
-        if hvec[i] != hvec[inv_idx[i]]:
+    asymmetric = hvec != hvec[inv_idx]
+    vanishing = hvec == 0
+    vanishing[identity] = False
+    bad = np.flatnonzero(asymmetric | vanishing)
+    if bad.size:
+        g = group[bad[0]]
+        if asymmetric[bad[0]]:
             return MetricReport(False, n, 0, True, (g,), f"H not symmetric at {g.images}")
-        if i != index_of[Permutation.identity(n).images] and hvec[i] == 0:
-            return MetricReport(False, n, 0, True, (g,), f"H vanishes off identity at {g.images}")
+        return MetricReport(False, n, 0, True, (g,), f"H vanishes off identity at {g.images}")
 
-    exhaustive = n <= 5
+    exhaustive = n <= MAX_KERNEL_DEGREE
     if exhaustive:
-        comp = np.empty((order, order), dtype=np.int32)
-        for a, ga in enumerate(group):
-            row = [index_of[(ga * gb).images] for gb in group]
-            comp[a, :] = row
+        table = _quotient_table(n)
         # dist[a, b] = H(inv(a) * b)
-        dist = np.empty((order, order), dtype=np.int64)
-        for a in range(order):
-            dist[a, :] = hvec[comp[inv_idx[a], :]]
+        dist = hvec[table]
         if not np.array_equal(dist, dist.T):
             return MetricReport(False, n, 0, True, None, "distance table not symmetric")
         checked = 0
@@ -344,7 +403,8 @@ def metric_checks(
                 )
             checked += order * order
         for r in range(order):
-            relabel = comp[r, :]
+            # relabel[b] = index of sigma_r * sigma_b
+            relabel = table[inv_idx[r], :]
             if not np.array_equal(dist[np.ix_(relabel, relabel)], dist):
                 return MetricReport(
                     False, n, checked, True, (group[r],), "left invariance fails",
@@ -354,20 +414,29 @@ def metric_checks(
             f"all {order}^3 = {checked} triangle triples and left translations pass",
         )
 
-    rng = Xorshift64Star(seed)
+    # Triples are drawn one value at a time in (a, b, r) order, then checked
+    # a block at a time; the first failing triple is reported, triangle first.
+    draw = Xorshift64Star(seed).randrange
     checked = 0
-    for _ in range(triples):
-        a = group[rng.randrange(order)]
-        b = group[rng.randrange(order)]
-        r = group[rng.randrange(order)]
-        d_ab = big_h(a.inverse() * b)
-        d_ar = big_h(a.inverse() * r)
-        d_rb = big_h(r.inverse() * b)
-        if d_ab > d_ar + d_rb:
-            return MetricReport(False, n, checked, False, (a, b, r), "triangle inequality fails")
-        if big_h((r * a).inverse() * (r * b)) != d_ab:
-            return MetricReport(False, n, checked, False, (a, b, r), "left invariance fails")
-        checked += 1
+    while checked < triples:
+        size = min(_METRIC_BLOCK, triples - checked)
+        a, b, r = np.array(
+            [draw(order) for _ in range(3 * size)], dtype=np.int64
+        ).reshape(size, 3).T
+        d_ab = _big_h_of(_compose(inverses[a], images[b]))
+        d_ar = _big_h_of(_compose(inverses[a], images[r]))
+        d_rb = _big_h_of(_compose(inverses[r], images[b]))
+        translated = _compose(_invert(_compose(images[r], images[a])),
+                              _compose(images[r], images[b]))
+        triangle = d_ab > d_ar + d_rb
+        bad = np.flatnonzero(triangle | (_big_h_of(translated) != d_ab))
+        if bad.size:
+            i = int(bad[0])
+            return MetricReport(
+                False, n, checked + i, False, (group[a[i]], group[b[i]], group[r[i]]),
+                "triangle inequality fails" if triangle[i] else "left invariance fails",
+            )
+        checked += size
     return MetricReport(
         True, n, checked, False, None,
         f"{checked} sampled triples pass triangle and left invariance",

@@ -8,12 +8,13 @@ sum over pair partitions of 2^h(V) -- the free additive convolution of the
 semicircle and standard normal laws, with moments 2, 9, 56, ... at orders
 2, 4, 6.
 
-Empirical moments are taken from traces of matrix powers.  :func:`spectrum`
-is the package's one eigenvalue routine: LAPACK's symmetric solver
-(``numpy.linalg.eigvalsh``) behind an explicit symmetry check.  It serves the
-Hankel and group-kernel positivity tests, the eigenvalue cross-check of the
-trace path and the histogram export.  Matrix dimensions stop at
-``MAX_MATRIX_DIM``.
+Empirical moments are taken from traces of matrix powers, of which only
+the lower half is formed: the higher traces are entrywise inner products
+of two formed powers.  :func:`spectrum` is the package's one eigenvalue
+routine: LAPACK's symmetric solver (``numpy.linalg.eigvalsh``) behind an
+explicit symmetry check.  It serves the Hankel and group-kernel positivity
+tests, the eigenvalue cross-check of the trace path and the histogram
+export.  Matrix dimensions stop at ``MAX_MATRIX_DIM``.
 """
 
 from __future__ import annotations
@@ -145,19 +146,30 @@ def _array(m: SymMatrix | np.ndarray) -> np.ndarray:
 def empirical_moments(m: SymMatrix | np.ndarray, kmax: int) -> list[float]:
     """Moments of the empirical spectral law of M / sqrt(n), orders 1..kmax.
 
-    Computed as (1/n) trace((M/sqrt(n))^k) by iterated matrix products.
+    Computed as (1/n) trace(A^k) with A = M/sqrt(n), forming A^j only for
+    j <= J = ceil(kmax/2), one product each as A^(j-1) @ A.  Orders k <= J
+    are the traces of those powers; higher orders are inner products,
+    tr(A^(2j-1)) = <A^(j-1), A^j> and tr(A^(2j)) = <A^j, A^j> with
+    <X, Y> = trace(X Y) summed entrywise.  kmax = 6 takes two products
+    instead of five, and the identities hold for any square matrix.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     a = _array(m)
     n = a.shape[0]
     scaled = a / np.sqrt(n)
-    power = scaled.copy()
-    out = [float(np.trace(power)) / n]
-    for _ in range(2, kmax + 1):
-        power = power @ scaled
-        out.append(float(np.trace(power)) / n)
-    return out
+    top = (kmax + 1) // 2
+    traces = [0.0] * kmax
+    previous = power = scaled
+    for j in range(1, top + 1):
+        if j > 1:
+            previous = power
+            power = power @ scaled
+        traces[j - 1] = np.trace(power)
+        for k, x in ((2 * j - 1, previous), (2 * j, power)):
+            if top < k <= kmax:
+                traces[k - 1] = np.einsum("ij,ji->", x, power)
+    return [float(t) / n for t in traces]
 
 
 def spectrum(m: SymMatrix | np.ndarray) -> list[float]:

@@ -5,20 +5,28 @@ with the package: pairings via itertools-style recursion on element lists,
 crossings by quadruple inspection, components by DFS over an explicit
 adjacency dict, set partitions by direct recursive construction.
 
-The exception is the last section: the definitional bodies of the package's
-per-partition checks, kept as oracles for the walk-based checks.  They call
-the package's single-partition functions (``statistics``,
+The exceptions are the last two sections.  The definitional bodies of the
+package's per-partition checks are kept as oracles for the walk-based
+checks: they call the package's single-partition functions (``statistics``,
 ``connected_components``, ``evaluate``) and the validating
 ``PairPartition.from_pairs``, but visit partitions through
-:func:`all_pairings` and use no walk or weight memo.
+:func:`all_pairings` and use no walk or weight memo.  The element-at-a-time
+bodies of the group kernel, the metric check, Box-Muller and the trace
+powers are kept as oracles for the array code: they compose ``Permutation``
+objects, draw one normal pair at a time and multiply out every power.
 """
 
 import bisect
 import itertools
+import math
 from fractions import Fraction
 
-from pairmoments import pairings, weights
+import numpy as np
+
+from pairmoments import pairings, permgroup, weights
 from pairmoments.pairings import PairPartition
+from pairmoments.permgroup import MetricReport, Permutation
+from pairmoments.rng import Xorshift64Star
 
 
 def all_pairings(points):
@@ -230,3 +238,111 @@ def traceability_report(statistic, nmax):
                 False, cases, part, f"{statistic} changed from {a} to {b} under rotation")
     return weights.CheckReport(
         True, cases, None, f"{statistic} rotation-invariant on {cases} partitions")
+
+
+# --- element-at-a-time group, sampling and trace bodies ------------------------
+
+
+def kernel_entries(n, f):
+    """[f(sigma_a^-1 sigma_b)] over S(n), one composed Permutation per entry."""
+    group = permgroup.enumerate_group(n)
+    inverses = [g.inverse() for g in group]
+    order = len(group)
+    entries = np.empty((order, order))
+    for a in range(order):
+        for b in range(order):
+            entries[a, b] = f(inverses[a] * group[b])
+    return entries
+
+
+def metric_report(n, triples=100_000, seed=0):
+    """metric_checks by composing Permutation objects, one triple at a time.
+
+    H is looked up as ``permgroup.big_h`` on every call.
+    """
+    group = permgroup.enumerate_group(n)
+    order = len(group)
+    hvec = np.array([permgroup.big_h(g) for g in group], dtype=np.int64)
+    index_of = {g.images: i for i, g in enumerate(group)}
+    inv_idx = np.array([index_of[g.inverse().images] for g in group])
+    identity = Permutation.identity(n)
+
+    if hvec[index_of[identity.images]] != 0:
+        return MetricReport(False, n, 0, True, (identity,), "H(e) != 0")
+    for i, g in enumerate(group):
+        if hvec[i] != hvec[inv_idx[i]]:
+            return MetricReport(False, n, 0, True, (g,), f"H not symmetric at {g.images}")
+        if i != index_of[identity.images] and hvec[i] == 0:
+            return MetricReport(False, n, 0, True, (g,), f"H vanishes off identity at {g.images}")
+
+    if n <= 5:
+        comp = np.array([[index_of[(ga * gb).images] for gb in group] for ga in group])
+        dist = np.empty((order, order), dtype=np.int64)
+        for a in range(order):
+            dist[a, :] = hvec[comp[inv_idx[a], :]]
+        if not np.array_equal(dist, dist.T):
+            return MetricReport(False, n, 0, True, None, "distance table not symmetric")
+        checked = 0
+        for r in range(order):
+            rhs = dist[:, r:r + 1] + dist[r:r + 1, :]
+            if (dist > rhs).any():
+                a, b = np.argwhere(dist > rhs)[0]
+                return MetricReport(False, n, checked, True, (group[a], group[b], group[r]),
+                                    "triangle inequality fails")
+            checked += order * order
+        for r in range(order):
+            relabel = comp[r, :]
+            if not np.array_equal(dist[np.ix_(relabel, relabel)], dist):
+                return MetricReport(False, n, checked, True, (group[r],), "left invariance fails")
+        return MetricReport(
+            True, n, checked, True, None,
+            f"all {order}^3 = {checked} triangle triples and left translations pass",
+        )
+
+    rng = Xorshift64Star(seed)
+    checked = 0
+    for _ in range(triples):
+        a = group[rng.randrange(order)]
+        b = group[rng.randrange(order)]
+        r = group[rng.randrange(order)]
+        d_ab = permgroup.big_h(a.inverse() * b)
+        d_ar = permgroup.big_h(a.inverse() * r)
+        d_rb = permgroup.big_h(r.inverse() * b)
+        if d_ab > d_ar + d_rb:
+            return MetricReport(False, n, checked, False, (a, b, r), "triangle inequality fails")
+        if permgroup.big_h((r * a).inverse() * (r * b)) != d_ab:
+            return MetricReport(False, n, checked, False, (a, b, r), "left invariance fails")
+        checked += 1
+    return MetricReport(
+        True, n, checked, False, None,
+        f"{checked} sampled triples pass triangle and left invariance",
+    )
+
+
+def normal_pair(rng):
+    """Box-Muller on two words of an Xorshift64Star, in scalar arithmetic."""
+    u1 = rng.uniform()
+    u2 = (rng.next_u64() >> 11) * 2.0 ** -53
+    r = math.sqrt(-2.0 * math.log(u1))
+    return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
+
+
+def normals(rng, count):
+    out = np.empty(count)
+    for i in range(0, count - 1, 2):
+        out[i], out[i + 1] = normal_pair(rng)
+    if count % 2 == 1:
+        out[-1] = normal_pair(rng)[0]
+    return out
+
+
+def empirical_moments_by_products(a, kmax):
+    """(1/n) trace((A/sqrt(n))^k) for k = 1..kmax, forming every power."""
+    n = a.shape[0]
+    scaled = a / np.sqrt(n)
+    power = scaled.copy()
+    out = [float(np.trace(power)) / n]
+    for _ in range(2, kmax + 1):
+        power = power @ scaled
+        out.append(float(np.trace(power)) / n)
+    return out

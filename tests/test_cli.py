@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -251,6 +252,34 @@ class TestPermcheck:
         assert out1 == out2
 
 
+    def test_s5_golden_stdout(self, capsys):
+        # recorded before the kernels and the metric moved onto index tables;
+        # the text must match exactly and every number to 1e-12, since the
+        # min_eig digits near zero are LAPACK rounding and may differ
+        # between BLAS builds
+        code, out, _ = run(capsys, "permcheck", "--n", "5")
+        assert code == 0
+        number = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?")
+        assert number.sub("#", out) == number.sub("#", PERMCHECK_S5_CSV)
+        got, want = number.findall(out), number.findall(PERMCHECK_S5_CSV)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert float(a) == pytest.approx(float(b), rel=1e-12, abs=1e-12)
+
+
+PERMCHECK_S5_CSV = """\
+check,passed,min_eig,detail
+isolated-split,true,,identity holds on all 120 elements
+psd-h,true,-8.9537672873332e-15,
+psd-b^h(b=2),true,12.9999999999999,
+psd-exp(-1H),true,0.61959776404679,
+cnd-H,true,-4.63660680947083e-14,centered min eig -4.637e-14; exp(-0.1H) min eig \
+1.132e-02; exp(-0.5H) min eig 2.511e-01; exp(-1.0H) min eig 6.196e-01; exp(-2.0H) min eig \
+9.345e-01
+metric,true,,all 120^3 = 1728000 triangle triples and left translations pass
+"""
+
+
 class TestVerify:
     def test_quick_passes(self, capsys):
         code, out, err = run(capsys, "verify", "--level", "quick")
@@ -319,8 +348,47 @@ class TestUsage:
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "seq.csv"
-        code = cli.main(
-            ["sequences", "--which", "catalan", "--max", "3", "--out", str(path)]
-        )
+        argv = ["sequences", "--which", "catalan", "--max", "3"]
+        _, out, _ = run(capsys, *argv)
+        code = cli.main(argv + ["--out", str(path)])
         assert code == 0
+        assert capsys.readouterr().out == ""
         assert path.read_text().splitlines()[0] == "n,value,oracle,agree"
+        assert path.read_text() == out
+
+    @pytest.mark.parametrize("argv", [
+        ["sequences", "--which", "connected", "--max", "12"],
+        ["randmat", "--n", "10", "--trials", "2", "--kmax", "2", "--bins", "0"],
+    ])
+    def test_usage_error_keeps_existing_report(self, capsys, tmp_path, argv):
+        path = tmp_path / "s.csv"
+        path.write_text("an earlier report\n")
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert path.read_text() == "an earlier report\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sequences", "--which", "connected", "--max", "12"],
+        ["randmat", "--n", "10", "--trials", "2", "--kmax", "2", "--bins", "0"],
+    ])
+    def test_usage_error_creates_no_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "s.csv"
+        code, _, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 2
+        assert not path.exists()
+
+    def test_failed_check_still_writes_report(self, capsys, tmp_path):
+        # exit 1 is a report, not a usage error: the tied 2x2 run fails its row
+        path = tmp_path / "r.csv"
+        code, out, _ = run(capsys, "randmat", "--n", "2", "--trials", "2", "--kmax", "2",
+                           "--seed", "1", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert path.read_text().startswith("k,mean,stderr,target,z,passed\n")
+
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "seq.csv"
+        code, out, err = run(capsys, "sequences", "--which", "catalan", "--max", "3",
+                             "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import brute
 from pairmoments import pairings, permgroup as pg
 from pairmoments import randmat as rm
 from pairmoments.exceptions import SizeLimitError
@@ -170,9 +171,13 @@ class TestKernelMatrix:
         assert np.array_equal(np.diag(km.entries), np.full(6, 3.0))
         assert np.array_equal(km.entries, km.entries.T)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no work above the kernel cap")
+
+        monkeypatch.setattr(pg, "enumerate_group", refuse)
         with pytest.raises(SizeLimitError):
-            pg.kernel_matrix(6, lambda s: 1.0)
+            pg.kernel_matrix(6, refuse)
 
 
 class TestPositiveDefinite:
@@ -325,3 +330,93 @@ class TestIndicatorSubadditivity:
                     assert self._delta(sigma * tau, j) <= (
                         self._delta(sigma, j) + self._delta(tau, j)
                     )
+
+
+KERNEL_FUNCTIONS = {
+    "h": lambda s: float(pg.isolated_fixed_points(s)),
+    "b^h": lambda s: 2.0 ** pg.isolated_fixed_points(s),
+    "exp(-xH)": lambda s: math.exp(-0.7 * pg.big_h(s)),
+    "sigma(1)": lambda s: float(s(1)),  # not a class function
+}
+
+
+class TestFastPathsMatchOracles:
+    """The index-table kernel and the array metric check against the
+    element-at-a-time bodies in tests/brute.py."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FUNCTIONS))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_kernel_entries_byte_equal(self, n, name):
+        f = KERNEL_FUNCTIONS[name]
+        km = pg.kernel_matrix(n, f)
+        ref = brute.kernel_entries(n, f)
+        assert km.order == math.factorial(n)
+        assert km.entries.dtype == ref.dtype and km.entries.shape == ref.shape
+        assert km.entries.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_kernel_calls_f_once_per_element(self, n):
+        seen = []
+
+        def f(sigma):
+            seen.append(sigma)
+            return 1.0
+
+        pg.kernel_matrix(n, f)
+        assert len(seen) == math.factorial(n)
+        assert seen == list(pg.enumerate_group(n))
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_array_h_and_rank(self, n):
+        images = pg._image_array(n)
+        group = pg.enumerate_group(n)
+        assert pg._big_h_of(images).tolist() == [pg.big_h(g) for g in group]
+        assert pg._rank(images).tolist() == list(range(len(group)))
+        inverse_ranks = pg._rank(pg._invert(images))
+        assert [group[i] for i in inverse_ranks] == [g.inverse() for g in group]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_quotient_table(self, n):
+        group = pg.enumerate_group(n)
+        table = pg._quotient_table(n)
+        assert not table.flags.writeable
+        for a, b in [(0, 0), (len(group) - 1, 0), (len(group) // 2, len(group) - 1)]:
+            assert group[table[a, b]] == group[a].inverse() * group[b]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_exhaustive_metric_reports_equal(self, n):
+        assert pg.metric_checks(n) == brute.metric_report(n)
+
+    @pytest.mark.parametrize("n, triples, seed", [
+        (6, 4000, 0), (6, 4000, 1), (6, 4000, 17), (6, 4100, 5),
+        (7, 2000, 0), (8, 500, 0), (6, 0, 0),
+    ])
+    def test_sampled_metric_reports_equal(self, n, triples, seed):
+        assert pg.metric_checks(n, triples=triples, seed=seed) == brute.metric_report(
+            n, triples, seed)
+
+    @pytest.mark.parametrize("n, triples, seed", [(4, 0, 0), (6, 5000, 2), (6, 9000, 3)])
+    def test_first_failing_triple_equal(self, monkeypatch, n, triples, seed):
+        # H^2 is symmetric and vanishes only at e, but breaks the triangle
+        # inequality; both paths must report the same first failing triple
+        h_of, big_h = pg._big_h_of, pg.big_h
+        monkeypatch.setattr(pg, "_big_h_of", lambda images: h_of(images) ** 2)
+        monkeypatch.setattr(pg, "big_h", lambda sigma: big_h(sigma) ** 2)
+        got = pg.metric_checks(n, triples=triples, seed=seed)
+        assert not got.passed and got.detail == "triangle inequality fails"
+        assert got == brute.metric_report(n, triples, seed)
+
+    @pytest.mark.parametrize("seed, first", [(3, 6161), (6, 4835), (7, 8029), (2, None)])
+    def test_failure_past_the_first_block(self, monkeypatch, seed, first):
+        # H + 7 at the transposition (1 2) breaks the triangle inequality
+        # rarely enough that the first failure lies beyond one block
+        bumped = (2, 1, 3, 4, 5, 6)
+        h_of, big_h = pg._big_h_of, pg.big_h
+        monkeypatch.setattr(pg, "_big_h_of", lambda images: h_of(images) + 7 * (
+            images == np.array(bumped)).all(axis=-1))
+        monkeypatch.setattr(pg, "big_h", lambda sigma: big_h(sigma) + 7 * (
+            sigma.images == bumped))
+        got = pg.metric_checks(6, triples=20_000, seed=seed)
+        assert got.triples_checked == (20_000 if first is None else first)
+        assert got.triples_checked > pg._METRIC_BLOCK
+        assert got == brute.metric_report(6, 20_000, seed)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import brute
 from pairmoments import randmat as rm
 from pairmoments.exceptions import SizeLimitError
 from pairmoments.rng import Xorshift64Star, mix64, substream_seed
@@ -70,6 +71,28 @@ class TestRng:
         assert rng.next_u64() == expect
         assert rng._state == 33554433
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 1001, 8193, 45150])
+    @pytest.mark.parametrize("seed", [0, 9, 2**40 + 3])
+    def test_normals_match_scalar_box_muller(self, seed, count):
+        fast, scalar = Xorshift64Star(seed), Xorshift64Star(seed)
+        assert fast.normals(count).tobytes() == brute.normals(scalar, count).tobytes()
+        assert fast.next_u64() == scalar.next_u64()  # same stream position
+
+    def test_normals_pinned(self):
+        # float.hex of the first normals at seed 7, recorded before Box-Muller
+        # moved onto arrays
+        rng = Xorshift64Star(7)
+        assert [x.hex() for x in rng.normals(5)] == [
+            "-0x1.3ab983fb5cdd6p+0", "-0x1.0f74d4dfae362p-1", "0x1.0c564cbef73bap-2",
+            "-0x1.46a2a9c2c06b7p-1", "-0x1.f5b17a16097c6p-2",
+        ]
+        assert rng.next_u64() == 11324640199624985426
+
+    def test_rademacher_stream_position(self):
+        rng, words = Xorshift64Star(4), Xorshift64Star(4)
+        rng.rademacher(130)  # three words
+        assert rng.next_u64() == [words.next_u64() for _ in range(4)][-1]
+
     def test_randrange_bounds(self):
         rng = Xorshift64Star(3)
         draws = [rng.randrange(7) for _ in range(500)]
@@ -138,6 +161,27 @@ class TestEmpiricalMoments:
         lam = np.linalg.eigvalsh(m.matrix / np.sqrt(30))
         ref = [float(np.mean(lam ** k)) for k in range(1, 7)]
         assert np.allclose(rm.empirical_moments(m, 6), ref, atol=1e-9)
+
+
+    @pytest.mark.parametrize("kmax", range(1, 17))
+    def test_matches_iterated_products(self, kmax):
+        # |difference| <= 1e-12 * ||A^floor(k/2)||_F ||A^ceil(k/2)||_F / n, the
+        # size of the terms of the inner product; for even k on a symmetric
+        # matrix that is the moment itself
+        generator = np.random.default_rng(kmax)
+        for a in (rm.sample_markov(90, "rademacher", seed=kmax).matrix,
+                  generator.standard_normal((70, 70))):
+            n = len(a)
+            got = rm.empirical_moments(a, kmax)
+            ref = brute.empirical_moments_by_products(a, kmax)
+            norms = [np.linalg.norm(np.linalg.matrix_power(a / np.sqrt(n), j))
+                     for j in range(kmax + 1)]
+            assert len(got) == kmax
+            # the formed powers are the same products, so their traces agree
+            assert got[:(kmax + 1) // 2] == ref[:(kmax + 1) // 2]
+            for k in range(1, kmax + 1):
+                scale = norms[k // 2] * norms[k - k // 2] / n
+                assert abs(got[k - 1] - ref[k - 1]) <= 1e-12 * scale, k
 
 
 class TestSpectrum:
