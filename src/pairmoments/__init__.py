@@ -12,7 +12,8 @@ Subpackages:
 
 from .exceptions import DualPathMismatchError, SizeLimitError
 from .pairings import (
-    DEFAULT_MAX_N,
+    STREAM_MAX_N,
+    TABLE_MAX_N,
     ChordStatistics,
     PairPartition,
     StatisticDistribution,

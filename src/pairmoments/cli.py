@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -85,28 +84,11 @@ def parse_rational(text: str):
         return float(text)
 
 
-def _thread_count(text: str) -> int:
-    """Value of --threads or $PAIRMOMENTS_THREADS: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1 (from --threads or $PAIRMOMENTS_THREADS), got {text!r}"
-        )
-    return value
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format (default csv)")
     p.add_argument("--out", default="-", metavar="PATH",
                    help="output file, '-' for stdout (default)")
-    p.add_argument("--threads", type=_thread_count,
-                   default=os.environ.get("PAIRMOMENTS_THREADS", "1"),
-                   help="accepted for compatibility and has no effect; must be an "
-                        "integer >= 1 (default $PAIRMOMENTS_THREADS or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,10 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True,
                    choices=("pairings", "catalan", "connected", "singletons", "moments"))
     p.add_argument("--max", type=int, required=True, metavar="N",
-                   help="largest half-size n (cap applies)")
-    p.add_argument("--cap", type=int, default=pa.DEFAULT_MAX_N,
-                   help=f"enumeration cap on n (default {pa.DEFAULT_MAX_N}, "
-                        f"hard ceiling {pa.HARD_MAX_N})")
+                   help=f"largest half-size n: at most {pa.STREAM_MAX_N} for pairings "
+                        f"(a stream), {pa.TABLE_MAX_N} otherwise (tables)")
     _add_common(p)
 
     p = sub.add_parser("moments", help="moments and free cumulants of a weight")
@@ -132,10 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="const: 1; qcr: q^cr; scc: s^(n-cc); bH: b^(n-h); betah: beta^h")
     p.add_argument("--param", default=None,
                    help="weight parameter (fraction/decimal parsed exactly)")
-    p.add_argument("--N", type=int, required=True, help="half-orders 1..N")
+    p.add_argument("--N", type=int, required=True,
+                   help=f"half-orders 1..N, N at most {pa.TABLE_MAX_N} (the table cap)")
     p.add_argument("--mix", default=None, metavar="B",
                    help="also mix with a free semicircle at weight b in [0,1]")
-    p.add_argument("--cap", type=int, default=pa.DEFAULT_MAX_N)
     _add_common(p)
 
     p = sub.add_parser("randmat", help="Monte Carlo spectral moments of Markov matrices")
@@ -166,38 +146,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sequence_rows(which: str, nmax: int, cap: int) -> list[dict]:
+def _sequence_rows(which: str, nmax: int) -> list[dict]:
     rows = []
     if which == "pairings":
         for n in range(1, nmax + 1):
-            streamed = sum(1 for _ in pa.enumerate_pairings(n, max_n=cap))
+            streamed = sum(1 for _ in pa.enumerate_pairings(n))
             rows.append({"n": n, "value": streamed,
                          "oracle": pa.pairing_count(n),
                          "agree": streamed == pa.pairing_count(n)})
     elif which == "catalan":
-        for n in range(1, nmax + 1):
-            dist = pa.statistic_distribution(n, max_n=cap)
+        for n, dist in enumerate(pa._joint_tables(nmax), start=1):
             cr0 = sum(v for (cr, _, _), v in dist.counts.items() if cr == 0)
             formula = pa.count_nc_pairings(n)
             rows.append({"n": n, "value": formula, "oracle": cr0,
                          "agree": formula == cr0})
     elif which == "connected":
         recur = pa.riordan_connected(nmax)
-        for n in range(1, nmax + 1):
-            dist = pa.statistic_distribution(n, max_n=cap)
+        for n, dist in enumerate(pa._joint_tables(nmax), start=1):
             brute = sum(v for (_, _, cc), v in dist.counts.items() if cc == 1)
             rows.append({"n": n, "value": recur[n - 1], "oracle": brute,
                          "agree": recur[n - 1] == brute})
     elif which == "singletons":
-        for n in range(1, nmax + 1):
-            dist = pa.statistic_distribution(n, max_n=cap)
+        for n, dist in enumerate(pa._joint_tables(nmax), start=1):
             brute = sum(h * v for (_, h, _), v in dist.counts.items())
             p = [pa.pairing_count(k) for k in range(n)]
             closed = n * sum(p[k] * p[n - 1 - k] for k in range(n))
             rows.append({"n": n, "value": closed, "oracle": brute,
                          "agree": closed == brute})
     elif which == "moments":
-        direct = mo.markov_limit_moments(nmax, max_n=cap)
+        direct = mo.markov_limit_moments(nmax)
         conv = mo.free_convolve(mo.semicircle_moments(nmax), mo.gaussian_moments(nmax))
         for n in range(1, nmax + 1):
             a, b = direct.moment(2 * n), conv.moment(2 * n)
@@ -206,15 +183,8 @@ def _sequence_rows(which: str, nmax: int, cap: int) -> list[dict]:
 
 
 def cmd_sequences(args, out) -> int:
-    if args.cap > pa.HARD_MAX_N:
-        raise SizeLimitError(
-            f"cap {args.cap} exceeds the hard ceiling {pa.HARD_MAX_N} (2n = {2 * pa.HARD_MAX_N})"
-        )
-    if args.max < 1 or args.max > args.cap:
-        raise SizeLimitError(
-            f"--max {args.max} outside 1..cap ({args.cap}); raise --cap up to {pa.HARD_MAX_N}"
-        )
-    rows = _sequence_rows(args.which, args.max, args.cap)
+    pa._check_cap(args.max, pa.STREAM_MAX_N if args.which == "pairings" else pa.TABLE_MAX_N)
+    rows = _sequence_rows(args.which, args.max)
     emit(rows, {"command": "sequences", "which": args.which, "max": args.max},
          args.format, out)
     return EXIT_OK if all(r["agree"] for r in rows) else EXIT_CHECK_FAILED
@@ -236,16 +206,15 @@ def _make_weight(name: str, param) -> we.WeightSpec:
 def cmd_moments(args, out) -> int:
     param = parse_rational(args.param) if args.param is not None else None
     spec = _make_weight(args.weight, param)
-    if args.N < 1 or args.N > args.cap:
-        raise SizeLimitError(f"--N {args.N} outside 1..cap ({args.cap})")
-    seq = mo.moments_of_weight(spec, args.N, max_n=args.cap)
-    cums = mo.cumulants_from_connected(spec, args.N, max_n=args.cap)
+    pa._check_cap(args.N, pa.TABLE_MAX_N)
+    seq = mo.moments_of_weight(spec, args.N)
+    cums = mo.cumulants_from_connected(spec, args.N)
     mix_seq = None
     status = EXIT_OK
     if args.mix is not None:
         b = parse_rational(args.mix)
         try:
-            mix_seq = mo.semicircle_mix_moments(spec, b, args.N, max_n=args.cap)
+            mix_seq = mo.semicircle_mix_moments(spec, b, args.N)
         except DualPathMismatchError as exc:
             print(f"error: {exc}", file=sys.stderr)
             status = EXIT_CHECK_FAILED
@@ -272,6 +241,17 @@ def cmd_randmat(args, out) -> int:
     cfg = rm.McConfig(n=args.n, trials=args.trials, kmax=args.kmax,
                       dist=args.dist, seed=args.seed)
     report = rm.run_mc(cfg)
+    if args.hist is not None:
+        # written before the report, so an unwritable PATH is a usage error
+        # (exit 2) with nothing on stdout
+        from .rng import substream_seed
+
+        matrix = rm.sample_markov(cfg.n, cfg.dist, substream_seed(cfg.seed, 0))
+        hist = rm.eigenvalue_histogram(matrix, bins=args.bins)
+        with open(args.hist, "w") as fh:
+            fh.write("bin_left,bin_right,count\n")
+            for left, right, count in hist:
+                fh.write(f"{left:.15g},{right:.15g},{count}\n")
     rows = [
         {"k": r.k, "mean": r.mean, "stderr": r.stderr,
          "target": r.target, "z": r.z, "passed": r.passed}
@@ -281,14 +261,6 @@ def cmd_randmat(args, out) -> int:
             "kmax": cfg.kmax, "dist": cfg.dist, "seed": cfg.seed,
             "even_pass": report.even_pass, "odd_pass": report.odd_pass}
     emit(rows, meta, args.format, out)
-    if args.hist is not None:
-        from .rng import substream_seed
-
-        matrix = rm.sample_markov(cfg.n, cfg.dist, substream_seed(cfg.seed, 0))
-        with open(args.hist, "w") as fh:
-            fh.write("bin_left,bin_right,count\n")
-            for left, right, count in rm.eigenvalue_histogram(matrix, bins=args.bins):
-                fh.write(f"{left:.15g},{right:.15g},{count}\n")
     return EXIT_OK if report.even_pass else EXIT_CHECK_FAILED
 
 
@@ -359,7 +331,7 @@ def main(argv=None) -> int:
     out = sys.stdout if args.out == "-" else io.StringIO()
     try:
         status = handler(args, out)
-    except (SizeLimitError, ValueError) as exc:
+    except (SizeLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if out is not sys.stdout:

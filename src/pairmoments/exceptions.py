@@ -2,10 +2,9 @@
 
 
 class SizeLimitError(ValueError):
-    """An enumeration or group-size cap was exceeded.
+    """A stream, table, group-degree or matrix-dimension cap was exceeded.
 
-    The message always names the offending size and the active cap so the
-    caller knows exactly which knob to raise.
+    The message always names the offending size and the cap it exceeds.
     """
 
 

@@ -19,8 +19,8 @@ from math import factorial
 from typing import Callable, Iterator, Sequence
 
 from . import pairings
-from .exceptions import DualPathMismatchError, SizeLimitError
-from .pairings import DEFAULT_MAX_N, HARD_MAX_N
+from .exceptions import DualPathMismatchError
+from .pairings import TABLE_MAX_N, _check_cap
 from .weights import (
     Constant1,
     Number,
@@ -120,21 +120,22 @@ def _partitions(total: int, least: int = 1) -> Iterator[tuple[int, ...]]:
             yield (part,) + rest
 
 
-@lru_cache(maxsize=None)
-def _nc_even_type_counts(
-    k: int, max_n: int = HARD_MAX_N
-) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _nc_even_type_counts(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     # How many even non-crossing partitions of {1..k} exist per multiset of
     # block sizes; enough to evaluate any product over blocks of r_{|B|}.
+    # Sizes above 2 * TABLE_MAX_N raise before anything is built.
+    if k % 2 != 0 or k < 0:
+        raise ValueError(f"ground-set size must be even and >= 0, got {k}")
+    if k:
+        _check_cap(k // 2, TABLE_MAX_N)
+    return _nc_even_types(k)
+
+
+@lru_cache(maxsize=None)
+def _nc_even_types(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     # Kreweras (Discrete Math. 1, 1972): the non-crossing partitions of
     # {1..k} with b blocks, m_j of them of size j, number
     # k! / ((k - b + 1)! * prod_j m_j!).
-    if k % 2 != 0 or k < 0:
-        raise ValueError(f"ground-set size must be even and >= 0, got {k}")
-    if k > 2 * max_n:
-        raise SizeLimitError(
-            f"even non-crossing type table capped at {2 * max_n} points, got {k}"
-        )
     table = []
     for halves in _partitions(k // 2):
         sizes = tuple(2 * h for h in halves)
@@ -147,37 +148,37 @@ def _nc_even_type_counts(
 
 def _table_sums(
     n: int,
-    max_n: int,
     summand: Callable[[int, int, int, int, int], Number],
     *,
     connected_only: bool = False,
 ) -> tuple[Number, ...]:
     # For k = 1..n, the sum of summand(k, cr, h, cc, count) over the cells of
     # the exact joint (cr, h, cc) table of P2(2k) (only cc = 1 cells when
-    # connected_only), in sorted cell order.
+    # connected_only), in sorted cell order; n above TABLE_MAX_N raises.
     values = []
-    for k in range(1, n + 1):
-        dist = pairings.statistic_distribution(k, max_n=max_n)
+    for dist in pairings._joint_tables(n) if n > 0 else ():
+        k = dist.n
         total = 0
-        for (cr, h, cc), count in sorted(dist.counts.items()):
+        for (cr, h, cc), count in dist.counts.items():
             if cc == 1 or not connected_only:
                 total = total + summand(k, cr, h, cc, count)
         values.append(total)
     return tuple(values)
 
 
-def moments_from_cumulants(
-    r: CumulantSequence, *, max_n: int = HARD_MAX_N
-) -> MomentSequence:
+def moments_from_cumulants(r: CumulantSequence) -> MomentSequence:
     """m_{2n} = sum over even non-crossing partitions of prod_B r_{|B|}.
 
     Runs over any ring with +, - and * (Fraction, float, integer
-    polynomials); orders above 2 * max_n raise :class:`SizeLimitError`.
+    polynomials); orders above 2 * ``TABLE_MAX_N`` raise
+    :class:`SizeLimitError` before any term is computed.
     """
+    if r.order:
+        _check_cap(r.order, TABLE_MAX_N)
     values = []
     for n in range(1, r.order + 1):
         total = 0
-        for sizes, count in _nc_even_type_counts(2 * n, max_n):
+        for sizes, count in _nc_even_type_counts(2 * n):
             prod = count
             for s in sizes:
                 prod = prod * r.cumulant(s)
@@ -186,20 +187,20 @@ def moments_from_cumulants(
     return MomentSequence(tuple(values))
 
 
-def cumulants_from_moments(
-    m: MomentSequence, *, max_n: int = HARD_MAX_N
-) -> CumulantSequence:
+def cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     """Invert the free moment-cumulant relation by recursive subtraction.
 
     r_{2n} is m_{2n} minus the contribution of every even non-crossing
     partition with more than one block; those involve cumulants of strictly
     lower order only.  Same rings and cap as :func:`moments_from_cumulants`.
     """
+    if m.order:
+        _check_cap(m.order, TABLE_MAX_N)
     r: list[Number] = []
     for n in range(1, m.order + 1):
         rest = 0
         lower = CumulantSequence(tuple(r))  # multi-block partitions only need orders < 2n
-        for sizes, count in _nc_even_type_counts(2 * n, max_n):
+        for sizes, count in _nc_even_type_counts(2 * n):
             if len(sizes) == 1:
                 continue
             prod = count
@@ -250,43 +251,39 @@ def gaussian_moments(n: int) -> MomentSequence:
     return MomentSequence(tuple(pairings.pairing_count(k) for k in range(1, n + 1)))
 
 
-def moments_of_weight(
-    spec: WeightSpec, n: int, *, max_n: int = DEFAULT_MAX_N
-) -> MomentSequence:
+def moments_of_weight(spec: WeightSpec, n: int) -> MomentSequence:
     """m_{2k} = sum over all pair partitions of the weight, for k = 1..n.
 
     Weights depend on partitions only through (cr, h, cc), so the sum runs
-    over the cached exact joint distribution rather than the raw stream.
+    over the cached exact joint distributions rather than the raw stream;
+    n is capped at ``TABLE_MAX_N``.
     """
     return MomentSequence(_table_sums(
-        n, max_n, lambda k, cr, h, cc, count: count * spec.weight_of(k, cr, h, cc)))
+        n, lambda k, cr, h, cc, count: count * spec.weight_of(k, cr, h, cc)))
 
 
-def cumulants_from_connected(
-    spec: WeightSpec, n: int, *, max_n: int = DEFAULT_MAX_N
-) -> CumulantSequence:
+def cumulants_from_connected(spec: WeightSpec, n: int) -> CumulantSequence:
     """r_{2k} = sum of the weight over pair partitions with connected crossing graph."""
     return CumulantSequence(_table_sums(
-        n, max_n, lambda k, cr, h, cc, count: count * spec.weight_of(k, cr, h, cc),
+        n, lambda k, cr, h, cc, count: count * spec.weight_of(k, cr, h, cc),
         connected_only=True))
 
 
-def markov_limit_moments(n: int, *, max_n: int = DEFAULT_MAX_N) -> MomentSequence:
+def markov_limit_moments(n: int) -> MomentSequence:
     """Even moments of the scaled Markov-matrix limit law: sum over V of 2^h(V).
 
     Equals the free additive convolution of the semicircle and normal laws;
     the first three values are 2, 9, 56.
     """
-    return moments_of_weight(SingletonCountPower(2), n, max_n=max_n)
+    return moments_of_weight(SingletonCountPower(2), n)
 
 
-def mixed_moment(
-    spec: WeightSpec, gram: GramMatrix, *, max_n: int = DEFAULT_MAX_N
-) -> Number:
+def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
     """Joint moment of a weight against a Gram matrix of inner products.
 
     Zero for odd size; otherwise the weighted sum over pair partitions of the
-    products of paired inner products.  Entries are indexed 0-based.
+    products of paired inner products, walked one partition at a time, so
+    half-sizes above ``STREAM_MAX_N`` raise.  Entries are indexed 0-based.
     """
     k = gram.size
     if k % 2 == 1:
@@ -297,7 +294,7 @@ def mixed_moment(
     weight = _WeightMemo(spec)
     rows = gram.entries
     total = 0
-    for blocks, cr, h, cc in pairings.iter_statistics(n, with_blocks=True, max_n=max_n):
+    for blocks, cr, h, cc in pairings.iter_statistics(n, with_blocks=True):
         term = weight[n, cr, h, cc]
         for i, j in blocks:
             term = term * rows[i - 1][j - 1]
@@ -310,7 +307,6 @@ def semicircle_mix_moments(
     b: Number,
     n: int,
     *,
-    max_n: int = DEFAULT_MAX_N,
     tol: float = 1e-9,
 ) -> MomentSequence:
     """Moments of sqrt(b) * X + sqrt(1-b) * S with S a free semicircle.
@@ -328,10 +324,10 @@ def semicircle_mix_moments(
     if not 0 <= b <= 1:
         raise ValueError(f"mixing parameter b must lie in [0, 1], got {b}")
     path_a = MomentSequence(_table_sums(
-        n, max_n,
+        n,
         lambda k, cr, h, cc, count: count * b ** (k - h) * spec.weight_of(k, cr, h, cc)))
 
-    base = moments_of_weight(spec, n, max_n=max_n)
+    base = moments_of_weight(spec, n)
     one = Fraction(1) if is_exact(b) else 1.0
     path_b = free_convolve(
         dilate_sq(base, b),
@@ -364,7 +360,7 @@ class SemigroupReport:
 
 
 def check_mix_semigroup(
-    b: Number, c: Number, n: int, *, max_n: int = DEFAULT_MAX_N, tol: float = 1e-9
+    b: Number, c: Number, n: int, *, tol: float = 1e-9
 ) -> SemigroupReport:
     """Check that mixing by b then by c equals mixing once by b*c.
 
@@ -375,8 +371,8 @@ def check_mix_semigroup(
     for name, val in (("b", b), ("c", c)):
         if not 0 <= val <= 1:
             raise ValueError(f"{name} must lie in [0, 1], got {val}")
-    lhs = semicircle_mix_moments(Constant1(), b * c, n, max_n=max_n)
-    rho_b = semicircle_mix_moments(Constant1(), b, n, max_n=max_n)
+    lhs = semicircle_mix_moments(Constant1(), b * c, n)
+    rho_b = semicircle_mix_moments(Constant1(), b, n)
     one = Fraction(1) if is_exact(c) else 1.0
     rhs = free_convolve(
         dilate_sq(rho_b, c),

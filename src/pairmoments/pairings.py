@@ -36,22 +36,26 @@ from typing import Iterator, Mapping
 
 from .exceptions import DualPathMismatchError, SizeLimitError
 
-#: Largest half-size enumerated without an explicit override (2n = 16 points,
-#: 2,027,025 partitions).  Callers may pass ``max_n`` to go beyond; the CLI
-#: allows at most ``HARD_MAX_N``.
-DEFAULT_MAX_N = 8
+#: Largest half-size walked one partition at a time (2n = 16 points,
+#: 2,027,025 partitions): :func:`enumerate_pairings`, :func:`iter_statistics`
+#: and every check that visits each partition.
+STREAM_MAX_N = 8
 
-#: Absolute ceiling accepted by the command-line tools (2n = 18).
-HARD_MAX_N = 9
+#: Largest half-size answered from tables, which visit no partition: the
+#: joint (cr, h, cc) table (3,401 cells at n = 20, every k <= 20 in about
+#: 1 s), the moment-cumulant transforms up to order 2 * TABLE_MAX_N and the
+#: weighted sums over them.
+TABLE_MAX_N = 20
 
 
-def _check_cap(n: int, max_n: int) -> None:
+def _check_cap(n: int, cap: int) -> None:
+    # cap is STREAM_MAX_N for the walks, TABLE_MAX_N for the tables
     if n < 1:
         raise ValueError(f"half-size n must be >= 1, got {n}")
-    if n > max_n:
+    if n > cap:
+        kind = "enumeration" if cap == STREAM_MAX_N else "table"
         raise SizeLimitError(
-            f"half-size n={n} exceeds the enumeration cap {max_n} "
-            f"(2n = {2 * max_n} points); pass a larger max_n to override"
+            f"half-size n={n} exceeds the {kind} cap {cap} (2n = {2 * cap} points)"
         )
 
 
@@ -157,14 +161,15 @@ def count_nc_pairings(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def enumerate_pairings(n: int, *, max_n: int = DEFAULT_MAX_N) -> Iterator[PairPartition]:
+def enumerate_pairings(n: int) -> Iterator[PairPartition]:
     """Yield all (2n-1)!! pair partitions of {1..2n} in canonical order.
 
     The order is deterministic: the smallest unpaired index is repeatedly
     matched with each larger free index, ascending.  Blocks therefore come
-    out sorted by their low endpoint.
+    out sorted by their low endpoint.  Half-sizes above ``STREAM_MAX_N``
+    raise :class:`SizeLimitError` on the first ``next()``.
     """
-    _check_cap(n, max_n)
+    _check_cap(n, STREAM_MAX_N)
     for blocks in _iter_blocks(n):
         yield _fast_partition(n, blocks)
 
@@ -330,19 +335,19 @@ def riordan_connected(nmax: int) -> list[int]:
     return c[1:]
 
 
-def total_singletons(n: int, *, max_n: int = DEFAULT_MAX_N) -> int:
+def total_singletons(n: int) -> int:
     """T_{2n} = sum of h(V) over all V in P2(2n).
 
     Uses the closed form ``T_{2n} = n * sum_{k=0..n-1} p_{2k} * p_{2(n-1-k)}``
-    and, whenever n is within the cap, cross-checks it against the joint
-    table.
+    and, whenever n is within ``TABLE_MAX_N``, cross-checks it against the
+    joint table.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     p = [pairing_count(k) for k in range(n)]
     closed = n * sum(p[k] * p[n - 1 - k] for k in range(n))
-    if n <= max_n:
-        dist = statistic_distribution(n, max_n=max_n)
+    if n <= TABLE_MAX_N:
+        dist = statistic_distribution(n)
         brute = sum(h * count for (_, h, _), count in dist.counts.items())
         if brute != closed:
             raise DualPathMismatchError(
@@ -376,17 +381,13 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def iter_statistics(
-    n: int,
-    *,
-    with_blocks: bool = False,
-    max_n: int = DEFAULT_MAX_N,
-) -> Iterator:
+def iter_statistics(n: int, *, with_blocks: bool = False) -> Iterator:
     """Yield (cr, h, cc) triples, or (blocks, cr, h, cc) tuples, over P2(2n).
 
-    Enumeration order matches :func:`enumerate_pairings`.
+    Enumeration order and the ``STREAM_MAX_N`` cap match
+    :func:`enumerate_pairings`.
     """
-    _check_cap(n, max_n)
+    _check_cap(n, STREAM_MAX_N)
     m = 2 * n
     last = n - 1
     owner = [-1] * (m + 1)         # block holding each point; -1 while free
@@ -546,7 +547,10 @@ def _touchard_riordan(n: int) -> list[_Poly]:
 
 
 @lru_cache(maxsize=None)
-def _joint_table(n: int) -> StatisticDistribution:
+def _joint_tables(n: int) -> tuple[StatisticDistribution, ...]:
+    # The joint tables of P2(2k) for every k = 1..n, all from one transform;
+    # half-sizes above TABLE_MAX_N raise before anything is built.
+    _check_cap(n, TABLE_MAX_N)
     from .moments import (
         CumulantSequence,
         MomentSequence,
@@ -554,18 +558,20 @@ def _joint_table(n: int) -> StatisticDistribution:
         moments_from_cumulants,
     )
 
-    connected = cumulants_from_moments(MomentSequence(tuple(_touchard_riordan(n))), max_n=n)
+    connected = cumulants_from_moments(MomentSequence(tuple(_touchard_riordan(n))))
     x, y = _Poly({(0, 1, 0): 1}), _Poly({(0, 0, 1): 1})
     r = CumulantSequence((x * y,) + tuple(y * c for c in connected.values[1:]))
-    table = moments_from_cumulants(r, max_n=n).values[-1]
-    return StatisticDistribution(n, MappingProxyType(dict(sorted(table.terms.items()))))
+    return tuple(
+        StatisticDistribution(k, MappingProxyType(dict(sorted(table.terms.items()))))
+        for k, table in enumerate(moments_from_cumulants(r).values, start=1)
+    )
 
 
-def statistic_distribution(n: int, *, max_n: int = DEFAULT_MAX_N) -> StatisticDistribution:
+def statistic_distribution(n: int) -> StatisticDistribution:
     """Exact joint (cr, h, cc) counts over P2(2n), cells in sorted key order.
 
     Built from the Touchard-Riordan moments and the free moment-cumulant
     transform (see the module docstring), without visiting any partition.
+    Half-sizes above ``TABLE_MAX_N`` raise :class:`SizeLimitError`.
     """
-    _check_cap(n, max_n)
-    return _joint_table(n)
+    return _joint_tables(n)[-1]

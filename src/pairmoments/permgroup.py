@@ -209,13 +209,11 @@ def check_isolated_split(n: int) -> GroupCheckReport:
     Over all of S(n+1), the count of isolated fixed points must equal the
     number of positions k whose prefix {1..k-1} and suffix {k+1..n+1} are
     both preserved setwise (membership in a product of two smaller symmetric
-    groups, summed over k).
+    groups, summed over k).  Degrees n + 1 above ``MAX_GROUP_DEGREE`` raise
+    :class:`SizeLimitError`.
     """
     degree = n + 1
-    if math.factorial(degree) > 5040:
-        raise SizeLimitError(
-            f"exhaustive split check needs |S({degree})| <= 5040, got {math.factorial(degree)}"
-        )
+    _check_group_degree(degree)
     cases = 0
     for sigma in enumerate_group(degree):
         cases += 1
@@ -301,12 +299,9 @@ def check_cnd(
     Certificate one: with P the projector onto zero-sum vectors, -P K P must
     be PSD (the quadratic form of K is nonpositive wherever coefficients sum
     to zero).  Certificate two (Schoenberg): exp(-x K) entrywise must be PSD
-    for each positive x in ``exponents``.
+    for each positive x in ``exponents``.  Degrees above
+    ``MAX_KERNEL_DEGREE`` raise in :func:`kernel_matrix`, before any work.
     """
-    if n > MAX_KERNEL_DEGREE:
-        raise SizeLimitError(
-            f"CND checks are limited to degree {MAX_KERNEL_DEGREE}, got {n}"
-        )
     km = kernel_matrix(n, lambda s: float(big_h(s)))
     order = km.order
     k = km.entries

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import moments as moments_mod
 from .exceptions import SizeLimitError
-from .pairings import DEFAULT_MAX_N
+from .pairings import TABLE_MAX_N
 from .rng import Xorshift64Star, substream_seed
 
 ENTRY_DISTRIBUTIONS = ("rademacher", "gaussian")
@@ -79,10 +79,10 @@ class McConfig:
             raise ValueError("trials must be >= 2 (the standard error needs two)")
         if self.kmax < 2:
             raise ValueError("kmax must be >= 2")
-        if self.kmax // 2 > DEFAULT_MAX_N:
+        if self.kmax // 2 > TABLE_MAX_N:
             raise SizeLimitError(
                 f"kmax {self.kmax} needs exact targets up to half-size {self.kmax // 2}, "
-                f"above the enumeration cap {DEFAULT_MAX_N}"
+                f"above the table cap {TABLE_MAX_N}"
             )
         if self.dist not in ENTRY_DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {ENTRY_DISTRIBUTIONS}")

@@ -43,15 +43,14 @@ def _check(name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResult:
 
 def _pairing_counts(nmax: int) -> tuple[bool, str]:
     for n in range(1, nmax + 1):
-        streamed = sum(1 for _ in pa.enumerate_pairings(n, max_n=nmax))
+        streamed = sum(1 for _ in pa.enumerate_pairings(n))
         if streamed != pa.pairing_count(n):
             return False, f"n={n}: stream {streamed} != (2n-1)!! {pa.pairing_count(n)}"
     return True, f"stream lengths match (2n-1)!! for n <= {nmax}"
 
 
 def _nc_counts(nmax: int) -> tuple[bool, str]:
-    for n in range(1, nmax + 1):
-        dist = pa.statistic_distribution(n, max_n=nmax)
+    for n, dist in enumerate(pa._joint_tables(nmax), start=1):
         cr0 = sum(v for (cr, _, _), v in dist.counts.items() if cr == 0)
         if cr0 != pa.count_nc_pairings(n):
             return False, f"n={n}: cr=0 count {cr0} != Catalan {pa.count_nc_pairings(n)}"
@@ -60,8 +59,7 @@ def _nc_counts(nmax: int) -> tuple[bool, str]:
 
 def _connected_counts(nmax: int) -> tuple[bool, str]:
     recur = pa.riordan_connected(nmax)
-    for n in range(1, nmax + 1):
-        dist = pa.statistic_distribution(n, max_n=nmax)
+    for n, dist in enumerate(pa._joint_tables(nmax), start=1):
         brute = sum(v for (_, _, cc), v in dist.counts.items() if cc == 1)
         if brute != recur[n - 1]:
             return False, f"n={n}: joint table {brute} != recurrence {recur[n - 1]}"
@@ -71,7 +69,7 @@ def _connected_counts(nmax: int) -> tuple[bool, str]:
 def _singleton_totals(nmax: int) -> tuple[bool, str]:
     values = []
     for n in range(1, nmax + 1):
-        values.append(pa.total_singletons(n, max_n=nmax))  # asserts both paths
+        values.append(pa.total_singletons(n))  # asserts both paths
     return True, f"closed form equals joint table for n <= {nmax}: {values}"
 
 

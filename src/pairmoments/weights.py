@@ -19,7 +19,7 @@ from numbers import Rational
 from typing import Mapping, Optional, Union
 
 from . import pairings
-from .pairings import DEFAULT_MAX_N, PairPartition, _fast_partition
+from .pairings import STREAM_MAX_N, PairPartition, _check_cap, _fast_partition
 
 Number = Union[int, Fraction, float]
 
@@ -139,17 +139,15 @@ class StatisticPolynomial:
         return sum(self.coefficients.values())
 
 
-def statistic_polynomial(
-    family: type, n: int, *, max_n: int = DEFAULT_MAX_N
-) -> StatisticPolynomial:
-    """Exact generating table for one weight family at half-size n."""
+def statistic_polynomial(family: type, n: int) -> StatisticPolynomial:
+    """Exact generating table for one weight family at half-size n <= ``TABLE_MAX_N``."""
     try:
         stat = _FAMILY_STATISTIC[family]
     except KeyError:
         raise ValueError(
             f"family must be one of {sorted(c.__name__ for c in _FAMILY_STATISTIC)}"
         ) from None
-    dist = pairings.statistic_distribution(n, max_n=max_n)
+    dist = pairings.statistic_distribution(n)
     return StatisticPolynomial(n, dist.marginal(stat))
 
 
@@ -190,24 +188,24 @@ def _standardize(component: tuple[tuple[int, int], ...]) -> PairPartition:
     return _fast_partition(len(component), tuple((rank[a], rank[b]) for a, b in component))
 
 
-def check_strong_multiplicativity(
-    spec: WeightSpec, nmax: int, *, max_n: int = DEFAULT_MAX_N
-) -> CheckReport:
+def check_strong_multiplicativity(spec: WeightSpec, nmax: int) -> CheckReport:
     """Verify the weight factorizes over crossing-graph components.
 
     For every partition with half-size at most nmax, the weight must equal
     the product of the weights of its components, each relabelled to a
     standalone partition on {1..2k} preserving the order of its support.
     The whole partition's statistics come from :func:`pairings.iter_statistics`,
-    each component's from :func:`pairings.statistics`.
+    each component's from :func:`pairings.statistics`.  nmax above
+    ``STREAM_MAX_N`` raises before any partition is visited.
     """
+    _check_cap(max(nmax, 1), STREAM_MAX_N)
     weight = _WeightMemo(spec)
     # every one-block component standardizes to {(1,2)}
     one = pairings.statistics(_fast_partition(1, ((1, 2),)))
     one_block = (1, one.cr, one.h, one.cc)
     cases = 0
     for n in range(1, nmax + 1):
-        for blocks, cr, h, cc in pairings.iter_statistics(n, with_blocks=True, max_n=max_n):
+        for blocks, cr, h, cc in pairings.iter_statistics(n, with_blocks=True):
             cases += 1
             whole = weight[n, cr, h, cc]
             part = _fast_partition(n, blocks)
@@ -229,21 +227,21 @@ def check_strong_multiplicativity(
     return CheckReport(True, cases, None, f"factorization holds on {cases} partitions")
 
 
-def check_traceability(
-    statistic: str, nmax: int, *, max_n: int = DEFAULT_MAX_N
-) -> CheckReport:
+def check_traceability(statistic: str, nmax: int) -> CheckReport:
     """Verify a statistic is invariant under cyclic rotation of the ground set.
 
     Each partition's statistics come from :func:`pairings.iter_statistics`,
-    its rotation's from :func:`pairings.statistics`.
+    its rotation's from :func:`pairings.statistics`.  nmax above
+    ``STREAM_MAX_N`` raises before any partition is visited.
     """
     fields = ("cr", "h", "cc", "H")
     if statistic not in fields:
         raise ValueError("statistic must be one of cr, h, cc, H")
+    _check_cap(max(nmax, 1), STREAM_MAX_N)
     index = fields.index(statistic)
     cases = 0
     for n in range(1, nmax + 1):
-        for blocks, cr, h, cc in pairings.iter_statistics(n, with_blocks=True, max_n=max_n):
+        for blocks, cr, h, cc in pairings.iter_statistics(n, with_blocks=True):
             cases += 1
             part = _fast_partition(n, blocks)
             b = pairings.statistics(pairings.rotate(part))

@@ -1,0 +1,165 @@
+"""One size cap per path, the same at every entry point.
+
+Everything answered from tables (the joint (cr, h, cc) table, the
+moment-cumulant transforms and the weighted sums over them) stops at
+``TABLE_MAX_N = 20``; everything that walks partitions one at a time stops
+at ``STREAM_MAX_N = 8``.  Each entry point answers at its cap and raises
+:class:`SizeLimitError` one past it.  Past the cap, stand-ins for the table
+builders and the walks fail the test if any work starts, which shows that
+the refusal comes first.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from pairmoments import cli
+from pairmoments import moments as mo
+from pairmoments import pairings as pa
+from pairmoments import randmat as rm
+from pairmoments import weights as we
+from pairmoments.exceptions import SizeLimitError
+
+TABLE, STREAM = pa.TABLE_MAX_N, pa.STREAM_MAX_N
+
+
+def test_the_two_caps():
+    assert (STREAM, TABLE) == (8, 20)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started above the cap")
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    # every joint table starts from the Touchard-Riordan moments, and every
+    # transform from the even non-crossing type tables
+    monkeypatch.setattr(pa, "_touchard_riordan", _no_work)
+    monkeypatch.setattr(mo, "_nc_even_types", _no_work)
+
+
+TABLE_ENTRIES = {
+    "statistic_distribution": pa.statistic_distribution,
+    "statistic_polynomial": lambda n: we.statistic_polynomial(we.CrossingPower, n),
+    "_nc_even_type_counts": lambda n: mo._nc_even_type_counts(2 * n),
+    "moments_from_cumulants":
+        lambda n: mo.moments_from_cumulants(mo.CumulantSequence((F(1),) * n)),
+    "cumulants_from_moments": lambda n: mo.cumulants_from_moments(mo.gaussian_moments(n)),
+    "free_convolve":
+        lambda n: mo.free_convolve(mo.semicircle_moments(n), mo.gaussian_moments(n)),
+    "moments_of_weight": lambda n: mo.moments_of_weight(we.CrossingPower(F(1, 3)), n),
+    "cumulants_from_connected":
+        lambda n: mo.cumulants_from_connected(we.ComponentPower(F(2, 3)), n),
+    "markov_limit_moments": mo.markov_limit_moments,
+    "semicircle_mix_moments":
+        lambda n: mo.semicircle_mix_moments(we.Constant1(), F(1, 4), n),
+    "check_mix_semigroup": lambda n: mo.check_mix_semigroup(F(1, 2), F(1, 3), n),
+    # order-2n targets need half-size n: kmax 40 and 41 pass, 42 does not
+    "McConfig.kmax": lambda n: rm.McConfig(n=2, trials=2, kmax=2 * n),
+}
+
+
+@pytest.mark.parametrize("entry", TABLE_ENTRIES)
+def test_table_entry_answers_at_cap(entry):
+    assert TABLE_ENTRIES[entry](TABLE) is not None
+
+
+@pytest.mark.parametrize("entry", TABLE_ENTRIES)
+def test_table_entry_refuses_past_cap(entry, no_tables):
+    with pytest.raises(SizeLimitError, match="table cap"):
+        TABLE_ENTRIES[entry](TABLE + 1)
+
+
+def test_total_singletons_cross_checks_up_to_the_cap(monkeypatch):
+    asked = []
+    real = pa.statistic_distribution
+    monkeypatch.setattr(pa, "statistic_distribution", lambda n: asked.append(n) or real(n))
+    p = [pa.pairing_count(k) for k in range(TABLE + 1)]
+    assert pa.total_singletons(TABLE) == TABLE * sum(
+        p[k] * p[TABLE - 1 - k] for k in range(TABLE))
+    assert asked == [TABLE]
+    # past the cap the closed form comes back without a table
+    monkeypatch.setattr(pa, "statistic_distribution", _no_work)
+    n = TABLE + 1
+    assert pa.total_singletons(n) == n * sum(p[k] * p[n - 1 - k] for k in range(n))
+
+
+TABLE_COMMANDS = [
+    ["sequences", "--which", which, "--max"]
+    for which in ("catalan", "connected", "singletons", "moments")
+] + [["moments", "--weight", "qcr", "--param", "1/3", "--mix", "1/4", "--N"]]
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda argv: " ".join(argv[:3]))
+def test_cli_table_command_at_cap(argv, capsys):
+    assert cli.main(argv + [str(TABLE)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert len(rows) == TABLE + 1
+    if argv[0] == "sequences":
+        assert all(row.endswith(",true") for row in rows[1:])
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda argv: " ".join(argv[:3]))
+def test_cli_table_command_refuses_past_cap(argv, capsys, no_tables):
+    assert cli.main(argv + [str(TABLE + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "table cap" in err
+
+
+class _Started(Exception):
+    """The walk at the half-size under test produced its first partition."""
+
+
+def _stub_walks(monkeypatch, top):
+    # Walks below half-size `top` are recorded and yield nothing, so a check
+    # over n = 1..top stays fast; the walk at `top` runs the real stream up to
+    # its first partition (its cap check fires there) and stops.
+    below = []
+    for name in ("enumerate_pairings", "iter_statistics"):
+        def walk(n, *args, real=getattr(pa, name), **kwargs):
+            if n < top:
+                below.append(n)
+                return iter(())
+            raise _Started(n, next(real(n, *args, **kwargs)))
+        monkeypatch.setattr(pa, name, walk)
+    return below
+
+
+def _gram(n):
+    return mo.GramMatrix.from_rows([[1] * (2 * n)] * (2 * n))
+
+
+STREAM_ENTRIES = {
+    "enumerate_pairings": lambda n: pa.enumerate_pairings(n),
+    "iter_statistics": lambda n: pa.iter_statistics(n),
+    "mixed_moment": lambda n: mo.mixed_moment(we.Constant1(), _gram(n)),
+    "check_traceability": lambda n: we.check_traceability("cr", n),
+    "check_strong_multiplicativity":
+        lambda n: we.check_strong_multiplicativity(we.Constant1(), n),
+    "sequences --which pairings":
+        lambda n: cli.main(["sequences", "--which", "pairings", "--max", str(n)]),
+}
+
+
+@pytest.mark.parametrize("entry", STREAM_ENTRIES)
+def test_stream_entry_walks_at_cap(entry, monkeypatch):
+    _stub_walks(monkeypatch, STREAM)
+    with pytest.raises(_Started):
+        STREAM_ENTRIES[entry](STREAM)
+
+
+@pytest.mark.parametrize("entry", STREAM_ENTRIES)
+def test_stream_entry_refuses_past_cap(entry, monkeypatch, capsys):
+    below = _stub_walks(monkeypatch, STREAM + 1)
+    monkeypatch.setattr(pa, "_iter_blocks", _no_work)
+    monkeypatch.setattr(pa, "_find", _no_work)
+    if entry.startswith("sequences"):
+        assert STREAM_ENTRIES[entry](STREAM + 1) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "enumeration cap" in err
+    else:
+        with pytest.raises(SizeLimitError, match="enumeration cap"):
+            STREAM_ENTRIES[entry](STREAM + 1)
+    assert below == []

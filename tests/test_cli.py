@@ -57,25 +57,30 @@ class TestSequences:
         assert "cap" in err
 
     def test_threads_flag_identical_output(self, capsys):
-        code1, out1, _ = run(
-            capsys, "sequences", "--which", "catalan", "--max", "5", "--threads", "1"
-        )
-        code2, out2, _ = run(
-            capsys, "sequences", "--which", "catalan", "--max", "5", "--threads", "2"
-        )
-        assert code1 == code2 == 0
-        assert out1 == out2
+        # --threads did nothing and is gone: every value is the same unknown
+        # argument, exit 2 with nothing on stdout
+        results = []
+        for value in ("1", "2"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["sequences", "--which", "catalan", "--max", "5", "--threads", value])
+            captured = capsys.readouterr()
+            results.append((exc.value.code, captured.out))
+            assert "unrecognized arguments: --threads" in captured.err
+        assert results == [(2, ""), (2, "")]
 
     def test_cap_override_allows_nine_max(self, capsys):
-        code, _, err = run(
-            capsys, "sequences", "--which", "pairings", "--max", "3", "--cap", "9"
-        )
+        # the tables answer past 8 without an override; the stream stops at 8
+        # and --cap is gone
+        code, out, _ = run(capsys, "sequences", "--which", "catalan", "--max", "9")
         assert code == 0
-        code, _, err = run(
-            capsys, "sequences", "--which", "pairings", "--max", "3", "--cap", "10"
-        )
-        assert code == 2
-        assert "ceiling" in err
+        assert out.splitlines()[-1] == "9,4862,4862,true"
+        code, out, err = run(capsys, "sequences", "--which", "pairings", "--max", "9")
+        assert (code, out) == (2, "")
+        assert "enumeration cap 8" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sequences", "--which", "pairings", "--max", "3", "--cap", "9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap" in capsys.readouterr().err
 
 
 class TestMoments:
@@ -206,10 +211,22 @@ class TestRandmat:
     def test_kmax_beyond_cap_checked_before_sampling(self, capsys, monkeypatch):
         monkeypatch.setattr(rm, "sample_markov", _no_sampling)
         code, out, err = run(
-            capsys, "randmat", "--n", "300", "--trials", "2", "--kmax", "18", "--seed", "1",
+            capsys, "randmat", "--n", "300", "--trials", "2", "--kmax", "42", "--seed", "1",
         )
         assert (code, out) == (2, "")
-        assert "error:" in err and "kmax 18" in err
+        assert "error:" in err and "kmax 42" in err and "table cap" in err
+
+    def test_histogram_unwritable_path(self, capsys, tmp_path):
+        # the sidecar is written before the report: a path that cannot be
+        # opened is a usage error with nothing on stdout
+        path = tmp_path / "missing-dir" / "h.csv"
+        code, out, err = run(
+            capsys, "randmat", "--n", "10", "--trials", "2", "--kmax", "2",
+            "--hist", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "missing-dir" in err
+        assert not path.parent.exists()
 
     def test_bad_dist_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -306,13 +323,14 @@ class TestVerify:
 
 
 class TestThreads:
+    # --threads and $PAIRMOMENTS_THREADS had no effect and were removed: the
+    # flag is an unknown argument and the variable is not read
     @pytest.mark.parametrize("value", ["abc", "", "0", "-2", "1.5"])
-    def test_bad_environment_is_usage_error(self, capsys, monkeypatch, value):
+    def test_environment_is_ignored(self, capsys, monkeypatch, value):
         monkeypatch.setenv("PAIRMOMENTS_THREADS", value)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sequences", "--which", "catalan", "--max", "3"])
-        assert exc.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        code, out, _ = run(capsys, "sequences", "--which", "catalan", "--max", "3")
+        assert code == 0
+        assert out.splitlines()[-1] == "3,5,5,true"
 
     @pytest.mark.parametrize("value", ["0", "-1", "x"])
     def test_bad_flag_is_usage_error(self, capsys, value):
@@ -321,13 +339,14 @@ class TestThreads:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_flag_overrides_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("PAIRMOMENTS_THREADS", "abc")
-        code, out, _ = run(
-            capsys, "sequences", "--which", "catalan", "--max", "3", "--threads", "1"
-        )
-        assert code == 0
-        assert out.splitlines()[-1] == "3,5,5,true"
+    def test_flag_unknown_with_environment_set(self, capsys, monkeypatch):
+        monkeypatch.setenv("PAIRMOMENTS_THREADS", "2")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sequences", "--which", "catalan", "--max", "3", "--threads", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --threads 2" in captured.err
 
 
 class TestUsage:
@@ -357,7 +376,7 @@ class TestUsage:
         assert path.read_text() == out
 
     @pytest.mark.parametrize("argv", [
-        ["sequences", "--which", "connected", "--max", "12"],
+        ["sequences", "--which", "connected", "--max", "21"],
         ["randmat", "--n", "10", "--trials", "2", "--kmax", "2", "--bins", "0"],
     ])
     def test_usage_error_keeps_existing_report(self, capsys, tmp_path, argv):
@@ -369,7 +388,7 @@ class TestUsage:
         assert path.read_text() == "an earlier report\n"
 
     @pytest.mark.parametrize("argv", [
-        ["sequences", "--which", "connected", "--max", "12"],
+        ["sequences", "--which", "connected", "--max", "21"],
         ["randmat", "--n", "10", "--trials", "2", "--kmax", "2", "--bins", "0"],
     ])
     def test_usage_error_creates_no_file(self, capsys, tmp_path, argv):

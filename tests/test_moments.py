@@ -125,24 +125,26 @@ class TestEnumerateNcEven:
             mo._nc_even_type_counts(3)
 
     def test_rejects_oversize(self):
+        assert sum(c for _, c in mo._nc_even_type_counts(40)) == math.comb(60, 20) // 41
         with pytest.raises(SizeLimitError):
-            mo._nc_even_type_counts(20)
+            mo._nc_even_type_counts(42)
 
     def test_transform_order_above_hard_cap(self):
-        assert pairings.HARD_MAX_N == 9
-        mo.moments_from_cumulants(CumulantSequence((1,) * 9))
+        assert pairings.TABLE_MAX_N == 20
+        mo.moments_from_cumulants(CumulantSequence((1,) * 20))
         with pytest.raises(SizeLimitError):
-            mo.moments_from_cumulants(CumulantSequence((1,) * 10))
+            mo.moments_from_cumulants(CumulantSequence((1,) * 21))
         with pytest.raises(SizeLimitError):
-            mo.cumulants_from_moments(MomentSequence((1,) * 10))
+            mo.cumulants_from_moments(MomentSequence((1,) * 21))
 
     def test_transform_cap_override(self):
+        # the transforms need no override up to the table cap, and take none
         # all cumulants 1: moments count even NC partitions, the ternary numbers
-        m = mo.moments_from_cumulants(CumulantSequence((1,) * 10), max_n=10)
-        assert m.values == tuple(math.comb(3 * k, k) // (2 * k + 1) for k in range(1, 11))
-        assert mo.cumulants_from_moments(m, max_n=10).values == (1,) * 10
-        with pytest.raises(SizeLimitError):
-            mo.moments_from_cumulants(CumulantSequence((1,) * 11), max_n=10)
+        m = mo.moments_from_cumulants(CumulantSequence((1,) * 20))
+        assert m.values == tuple(math.comb(3 * k, k) // (2 * k + 1) for k in range(1, 21))
+        assert mo.cumulants_from_moments(m).values == (1,) * 20
+        with pytest.raises(TypeError):
+            mo.moments_from_cumulants(CumulantSequence((1,) * 10), max_n=10)
 
     def test_all_noncrossing_even(self):
         for p in brute.nc_even_partitions(range(1, 9)):
@@ -390,6 +392,18 @@ class TestSemicircleMix:
         connected = pairings.riordan_connected(5)
         for n in range(2, 6):
             assert r.cumulant(2 * n) == b ** n * connected[n - 1]
+
+    def test_quarter_mix_at_table_cap(self):
+        # r_2 = 1 and r_2k = b^k c_2k, with Riordan's connected counts
+        # c_2 = 1, c_2(m+1) = m * sum_{i=1..m} c_2i c_2(m+1-i)
+        b, n = Fraction(1, 4), pairings.TABLE_MAX_N
+        c = [0, 1]
+        for m in range(1, n):
+            c.append(m * sum(c[i] * c[m + 1 - i] for i in range(1, m + 1)))
+        mix = mo.semicircle_mix_moments(Constant1(), b, n)
+        assert mix.order == n
+        assert mo.cumulants_from_moments(mix).values == (1,) + tuple(
+            b ** k * c[k] for k in range(2, n + 1))
 
     def test_mismatch_reported(self):
         # a weight that is NOT strongly multiplicative must trip the dual check

@@ -80,7 +80,10 @@ class TestEnumeration:
             next(pairings.enumerate_pairings(9))
 
     def test_cap_override(self):
-        assert sum(1 for _ in pairings.enumerate_pairings(2, max_n=9)) == 3
+        # the stream cap is STREAM_MAX_N for every caller; there is no override
+        assert pairings.STREAM_MAX_N == 8
+        with pytest.raises(TypeError):
+            next(pairings.enumerate_pairings(2, max_n=9))
 
     @pytest.mark.parametrize("stream", ["enumerate_pairings", "iter_statistics"])
     def test_streams_are_generator_functions(self, stream):
@@ -307,8 +310,16 @@ class TestStatisticDistribution:
         )
 
     def test_cap(self):
-        with pytest.raises(SizeLimitError):
-            pairings.statistic_distribution(9)
+        assert pairings.statistic_distribution(9).total() == math.prod(range(1, 18, 2))
+        with pytest.raises(SizeLimitError, match="table cap 20"):
+            pairings.statistic_distribution(21)
+
+    def test_one_pass_gives_every_lower_table(self):
+        tables = pairings._joint_tables(12)
+        assert [d.n for d in tables] == list(range(1, 13))
+        for k in range(1, 13):
+            assert tables[k - 1] == pairings._joint_tables(k)[-1]
+            assert list(tables[k - 1].counts) == list(pairings._joint_tables(k)[-1].counts)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_stream_fold(self, n):
@@ -320,9 +331,9 @@ class TestStatisticDistribution:
         assert dict(d.counts) == fold
         assert list(d.counts) == sorted(fold)
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 21))
     def test_closed_forms_beyond_the_cap(self, n):
-        d = pairings.statistic_distribution(n, max_n=12)
+        d = pairings.statistic_distribution(n)
         assert d.total() == math.prod(range(1, 2 * n, 2))
         cr0 = sum(c for (cr, _, _), c in d.counts.items() if cr == 0)
         assert cr0 == math.comb(2 * n, n) // (n + 1)

@@ -150,8 +150,14 @@ class TestIsolatedSplit:
         assert pg.isolated_fixed_points(Permutation.identity(6)) == 6
 
     def test_size_guard(self):
-        with pytest.raises(SizeLimitError):
-            pg.check_isolated_split(7)
+        # the same degree cap as the metric and embedding checks
+        with pytest.raises(SizeLimitError, match="degree 8"):
+            pg.check_isolated_split(pg.MAX_GROUP_DEGREE)
+
+    def test_answers_at_the_group_cap(self):
+        report = pg.check_isolated_split(pg.MAX_GROUP_DEGREE - 1)
+        assert report.passed
+        assert report.cases == math.factorial(pg.MAX_GROUP_DEGREE)
 
 
 class TestKernelMatrix:
@@ -246,6 +252,14 @@ class TestCnd:
         assert rep.passed
         scale = 1.0 + n  # max entry of the H kernel is at most n
         assert rep.centered_min_eig >= -1e-8 * scale
+
+    def test_size_guard_is_the_kernel_cap(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no work above the kernel cap")
+
+        monkeypatch.setattr(pg, "enumerate_group", refuse)
+        with pytest.raises(SizeLimitError, match="kernel matrices"):
+            pg.check_cnd(pg.MAX_KERNEL_DEGREE + 1)
 
     def test_schoenberg_exponentials_present(self):
         rep = pg.check_cnd(3)

@@ -257,9 +257,9 @@ class TestRunMc:
             rm.McConfig(n=2, trials=2, kmax=2, dist="cauchy")
 
     def test_config_rejects_kmax_beyond_cap(self):
-        rm.McConfig(n=2, trials=2, kmax=17)
-        with pytest.raises(SizeLimitError):
-            rm.McConfig(n=2, trials=2, kmax=18)  # the order-18 target needs half-size 9
+        rm.McConfig(n=2, trials=2, kmax=41)
+        with pytest.raises(SizeLimitError, match="table cap"):
+            rm.McConfig(n=2, trials=2, kmax=42)  # the order-42 target needs half-size 21
 
     def test_config_rejects_dimension_beyond_cap(self):
         rm.McConfig(n=rm.MAX_MATRIX_DIM, trials=2, kmax=2)
