@@ -121,14 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("randmat", help="Monte Carlo spectral moments of Markov matrices")
     p.add_argument("--n", type=int, required=True,
                    help=f"matrix dimension (2..{rm.MAX_MATRIX_DIM})")
-    p.add_argument("--trials", type=int, required=True, help="independent trials (at least 2)")
+    p.add_argument("--trials", type=int, required=True,
+                   help=f"independent trials (2..{rm.MAX_TRIALS})")
     p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--dist", choices=rm.ENTRY_DISTRIBUTIONS, default="rademacher")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hist", default=None, metavar="PATH",
                    help="also write a histogram CSV of trial 0's eigenvalues "
                         "(LAPACK eigvalsh; any --n up to the dimension cap)")
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--bins", type=int, default=50,
+                   help=f"histogram bins (1..{rm.MAX_BINS}, default 50)")
     _add_common(p)
 
     p = sub.add_parser("permcheck", help="positivity and metric suite on S(n)")
@@ -236,8 +238,8 @@ def cmd_moments(args, out) -> int:
 
 
 def cmd_randmat(args, out) -> int:
-    if args.bins < 1:
-        raise ValueError(f"--bins must be at least 1, got {args.bins}")
+    if not 1 <= args.bins <= rm.MAX_BINS:
+        raise ValueError(f"--bins must be in 1..{rm.MAX_BINS}, got {args.bins}")
     cfg = rm.McConfig(n=args.n, trials=args.trials, kmax=args.kmax,
                       dist=args.dist, seed=args.seed)
     report = rm.run_mc(cfg)
@@ -331,7 +333,8 @@ def main(argv=None) -> int:
     out = sys.stdout if args.out == "-" else io.StringIO()
     try:
         status = handler(args, out)
-    except (SizeLimitError, ValueError, OSError) as exc:
+    except (SizeLimitError, ValueError, OSError, OverflowError) as exc:
+        # OverflowError: a float parameter pushed a kernel past the float range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if out is not sys.stdout:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Iterator, Sequence
 
 from . import pairings
@@ -284,6 +284,12 @@ def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
     Zero for odd size; otherwise the weighted sum over pair partitions of the
     products of paired inner products, walked one partition at a time, so
     half-sizes above ``STREAM_MAX_N`` raise.  Entries are indexed 0-based.
+
+    The products are added per (cr, h, cc) key and each key's sum S is
+    weighted once.  A rational matrix with a non-integer entry is first
+    scaled to integers by the lcm D of its denominators, so the sums are
+    of ints and sum(weight * S) / D^n stays exact; an all-int matrix with an
+    int weight gives an int.
     """
     k = gram.size
     if k % 2 == 1:
@@ -291,15 +297,26 @@ def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
     if k == 0:
         return 1
     n = k // 2
-    weight = _WeightMemo(spec)
     rows = gram.entries
-    total = 0
+    entries = [x for row in rows for x in row]
+    denominator = None
+    if all(map(is_exact, entries)) and not all(isinstance(x, int) for x in entries):
+        denominator = Fraction(lcm(*(x.denominator for x in entries)))
+        rows = tuple(tuple(int(x * denominator) for x in row) for row in rows)
+    # 1-based, as the walk's blocks are
+    padded = [(0,) * (k + 1)] + [(0,) + tuple(row) for row in rows]
+    sums: dict[tuple[int, int, int], Number] = {}
     for blocks, cr, h, cc in pairings.iter_statistics(n, with_blocks=True):
-        term = weight[n, cr, h, cc]
+        term = 1
         for i, j in blocks:
-            term = term * rows[i - 1][j - 1]
-        total = total + term
-    return total
+            term *= padded[i][j]
+        key = cr, h, cc
+        sums[key] = sums.get(key, 0) + term
+    weight = _WeightMemo(spec)
+    total = 0
+    for (cr, h, cc), value in sums.items():
+        total = total + weight[n, cr, h, cc] * value
+    return total if denominator is None else total / denominator ** n
 
 
 def semicircle_mix_moments(

@@ -23,13 +23,20 @@ Touchard-Riordan q-Gaussian moments T_k(q) (Bozejko-Speicher, CMP 137
 checks that need each partition.  Both are non-recursive walks over an
 explicit stack, in the same canonical order; :func:`iter_statistics`
 updates (cr, h, cc) incrementally as blocks are placed and taken away.
+
+Everything about a single partition comes from one private kernel,
+``_crossing_graph``: from a blocks tuple sorted by low endpoint it builds
+one int bitmask per block (bit j set when block j crosses it), stopping
+each scan at the first block that starts past the current block's end,
+and finds the components by a bitmask flood.  :func:`statistics`,
+:func:`crossings`, :func:`singleton_blocks`, :func:`connected_components`
+and :func:`rotate` are thin wrappers over it, and the per-partition checks
+in :mod:`pairmoments.weights` call it on the walk's blocks directly.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -209,33 +216,74 @@ def _iter_blocks(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
         placed[d] = placed[d - 1] + ((pts[0], pts[i]),)
 
 
+def _crossing_graph(
+    blocks: tuple[tuple[int, int], ...],
+) -> tuple[list[int], list[int]]:
+    # The one crossing-graph kernel.  blocks must be sorted by lo.  Bit j of
+    # masks[i] is set when blocks i and j cross; comps holds one bitmask of
+    # blocks per component, ordered by lowest block.  Later blocks start
+    # right of lo, so block j crosses block i exactly when it starts inside
+    # it and ends outside; the first block starting past hi ends the scan.
+    m = len(blocks)
+    masks = [0] * m
+    for i, (_, hi) in enumerate(blocks):
+        bit = 1 << i
+        for j in range(i + 1, m):
+            x, y = blocks[j]
+            if x > hi:
+                break
+            if y > hi:
+                masks[i] |= 1 << j
+                masks[j] |= bit
+    comps = []
+    rest = (1 << m) - 1
+    while rest:
+        comp = front = rest & -rest
+        while front:
+            low = front & -front
+            grown = masks[low.bit_length() - 1] & ~comp
+            comp |= grown
+            front = (front ^ low) | grown
+        comps.append(comp)
+        rest ^= comp
+    return masks, comps
+
+
+def _bits(mask: int) -> Iterator[int]:
+    # indices of the set bits of mask, ascending
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _chord_stats(blocks: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
+    # (cr, h, cc) of a blocks tuple sorted by lo
+    masks, comps = _crossing_graph(blocks)
+    return sum(mask.bit_count() for mask in masks) // 2, masks.count(0), len(comps)
+
+
+def _rotate_blocks(
+    blocks: tuple[tuple[int, int], ...], m: int,
+) -> tuple[tuple[int, int], ...]:
+    # k -> 1 + (k mod m).  The block ending at m becomes (1, lo + 1) and goes
+    # first; every other block shifts up by one and keeps its place, so the
+    # output is sorted by lo again.
+    last = next(i for i, (_, b) in enumerate(blocks) if b == m)
+    shifted = [(a + 1, b + 1) for a, b in blocks]
+    del shifted[last]
+    return ((1, blocks[last][0] + 1), *shifted)
+
+
 def crossings(partition: PairPartition) -> int:
     """Number of crossing block pairs: i1 < i2 < j1 < j2."""
-    total = 0
-    blocks = partition.blocks
-    for (a, b), (x, y) in itertools.combinations(blocks, 2):
-        # blocks are sorted by lo, so a < x always
-        if x < b < y:
-            total += 1
-    return total
-
-
-def _crossing_adjacency(blocks: tuple[tuple[int, int], ...]) -> list[set[int]]:
-    m = len(blocks)
-    adj: list[set[int]] = [set() for _ in range(m)]
-    for i, j in itertools.combinations(range(m), 2):
-        _, b = blocks[i]
-        x, y = blocks[j]
-        if x < b < y:
-            adj[i].add(j)
-            adj[j].add(i)
-    return adj
+    return _chord_stats(partition.blocks)[0]
 
 
 def singleton_blocks(partition: PairPartition) -> tuple[list[tuple[int, int]], int]:
     """Blocks that cross no other block, and their count h."""
-    adj = _crossing_adjacency(partition.blocks)
-    singles = [blk for blk, nbrs in zip(partition.blocks, adj) if not nbrs]
+    masks, _ = _crossing_graph(partition.blocks)
+    singles = [blk for blk, mask in zip(partition.blocks, masks) if not mask]
     return singles, len(singles)
 
 
@@ -248,45 +296,13 @@ def connected_components(
     by low endpoint.
     """
     blocks = partition.blocks
-    adj = _crossing_adjacency(blocks)
-    seen: set[int] = set()
-    comps: list[tuple[tuple[int, int], ...]] = []
-    for start in range(len(blocks)):
-        if start in seen:
-            continue
-        stack = [start]
-        members: list[int] = []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            members.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(blocks[i] for i in sorted(members)))
-    return len(comps), tuple(comps)
+    _, comps = _crossing_graph(blocks)
+    return len(comps), tuple(tuple(blocks[i] for i in _bits(comp)) for comp in comps)
 
 
 def statistics(partition: PairPartition) -> ChordStatistics:
     """All chord statistics of one partition in a single pass."""
-    adj = _crossing_adjacency(partition.blocks)
-    cr = sum(len(nbrs) for nbrs in adj) // 2
-    h = sum(1 for nbrs in adj if not nbrs)
-    seen: set[int] = set()
-    cc = 0
-    for start in range(len(adj)):
-        if start in seen:
-            continue
-        cc += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+    cr, h, cc = _chord_stats(partition.blocks)
     return ChordStatistics(cr=cr, h=h, cc=cc, big_h=partition.n - h)
 
 
@@ -310,13 +326,7 @@ def component_support_partition(partition: PairPartition) -> tuple[tuple[int, ..
 
 def rotate(partition: PairPartition) -> PairPartition:
     """Cyclic rotation of the ground set: k -> 1 + (k mod 2n)."""
-    # The block ending at 2n becomes (1, lo + 1) and goes first; every other
-    # block shifts up by one and keeps its place, so the output is canonical.
-    m = 2 * partition.n
-    blocks = partition.blocks
-    wrapped = tuple((1, a + 1) for a, b in blocks if b == m)
-    shifted = tuple((a + 1, b + 1) for a, b in blocks if b != m)
-    return _fast_partition(partition.n, wrapped + shifted)
+    return _fast_partition(partition.n, _rotate_blocks(partition.blocks, 2 * partition.n))
 
 
 def riordan_connected(nmax: int) -> list[int]:
@@ -546,25 +556,33 @@ def _touchard_riordan(n: int) -> list[_Poly]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _joint_tables(n: int) -> tuple[StatisticDistribution, ...]:
-    # The joint tables of P2(2k) for every k = 1..n, all from one transform;
-    # half-sizes above TABLE_MAX_N raise before anything is built.
-    _check_cap(n, TABLE_MAX_N)
-    from .moments import (
-        CumulantSequence,
-        MomentSequence,
-        cumulants_from_moments,
-        moments_from_cumulants,
-    )
+#: The joint tables of P2(2k) for k = 1..len(_JOINT), the longest set built.
+_JOINT: tuple[StatisticDistribution, ...] = ()
 
-    connected = cumulants_from_moments(MomentSequence(tuple(_touchard_riordan(n))))
-    x, y = _Poly({(0, 1, 0): 1}), _Poly({(0, 0, 1): 1})
-    r = CumulantSequence((x * y,) + tuple(y * c for c in connected.values[1:]))
-    return tuple(
-        StatisticDistribution(k, MappingProxyType(dict(sorted(table.terms.items()))))
-        for k, table in enumerate(moments_from_cumulants(r).values, start=1)
-    )
+
+def _joint_tables(n: int) -> tuple[StatisticDistribution, ...]:
+    # The joint tables of P2(2k) for every k = 1..n.  A new largest n builds
+    # all of them in one transform and replaces the kept tuple; a smaller n
+    # is a slice of it.  Half-sizes above TABLE_MAX_N raise before anything
+    # is built.
+    global _JOINT
+    _check_cap(n, TABLE_MAX_N)
+    if n > len(_JOINT):
+        from .moments import (
+            CumulantSequence,
+            MomentSequence,
+            cumulants_from_moments,
+            moments_from_cumulants,
+        )
+
+        connected = cumulants_from_moments(MomentSequence(tuple(_touchard_riordan(n))))
+        x, y = _Poly({(0, 1, 0): 1}), _Poly({(0, 0, 1): 1})
+        r = CumulantSequence((x * y,) + tuple(y * c for c in connected.values[1:]))
+        _JOINT = tuple(
+            StatisticDistribution(k, MappingProxyType(dict(sorted(table.terms.items()))))
+            for k, table in enumerate(moments_from_cumulants(r).values, start=1)
+        )
+    return _JOINT[:n]
 
 
 def statistic_distribution(n: int) -> StatisticDistribution:

@@ -35,6 +35,11 @@ ENTRY_DISTRIBUTIONS = ("rademacher", "gaussian")
 #: peak below 200 MB.
 MAX_MATRIX_DIM = 2000
 
+#: Most trials in one run, and most bins in one histogram.  Both bound the
+#: work and output a single command can start.
+MAX_TRIALS = 10_000
+MAX_BINS = 10_000
+
 
 def _check_dimension(n: int) -> None:
     if n < 2:
@@ -77,6 +82,8 @@ class McConfig:
         _check_dimension(self.n)
         if self.trials < 2:
             raise ValueError("trials must be >= 2 (the standard error needs two)")
+        if self.trials > MAX_TRIALS:
+            raise SizeLimitError(f"trials {self.trials} exceeds the cap MAX_TRIALS = {MAX_TRIALS}")
         if self.kmax < 2:
             raise ValueError("kmax must be >= 2")
         if self.kmax // 2 > TABLE_MAX_N:
@@ -249,6 +256,10 @@ def eigenvalue_histogram(
     eigenvalues come from :func:`spectrum`; at ``MAX_MATRIX_DIM`` they take
     under a second.
     """
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
+    if bins > MAX_BINS:
+        raise SizeLimitError(f"bins {bins} exceeds the cap MAX_BINS = {MAX_BINS}")
     a = _array(m)
     n = a.shape[0]
     lam = np.array(spectrum(a)) / np.sqrt(n)

@@ -180,58 +180,68 @@ class _WeightMemo(dict):
         return value
 
 
-def _standardize(component: tuple[tuple[int, int], ...]) -> PairPartition:
-    # Relabel a component's support to {1..2k} preserving order; the blocks
-    # stay sorted by lo, so the result is canonical.
-    support = sorted(p for blk in component for p in blk)
-    rank = {p: i + 1 for i, p in enumerate(support)}
-    return _fast_partition(len(component), tuple((rank[a], rank[b]) for a, b in component))
-
-
 def check_strong_multiplicativity(spec: WeightSpec, nmax: int) -> CheckReport:
     """Verify the weight factorizes over crossing-graph components.
 
     For every partition with half-size at most nmax, the weight must equal
     the product of the weights of its components, each relabelled to a
     standalone partition on {1..2k} preserving the order of its support.
-    The whole partition's statistics come from :func:`pairings.iter_statistics`,
-    each component's from :func:`pairings.statistics`.  nmax above
+    The whole partition's statistics come from :func:`pairings.iter_statistics`.
+    Relabelling keeps which blocks cross, so a component of k blocks and
+    cr_c crossings has the key (k, cr_c, [k = 1], 1); cr_c is read off the
+    whole partition's crossing masks.  Each distinct case (whole key,
+    component keys in order) is multiplied and compared once.  nmax above
     ``STREAM_MAX_N`` raises before any partition is visited.
     """
     _check_cap(max(nmax, 1), STREAM_MAX_N)
     weight = _WeightMemo(spec)
-    # every one-block component standardizes to {(1,2)}
-    one = pairings.statistics(_fast_partition(1, ((1, 2),)))
-    one_block = (1, one.cr, one.h, one.cc)
+    one_block = (1, 0, 1, 1)
+    passed: set[tuple] = set()
     cases = 0
     for n in range(1, nmax + 1):
         for blocks, cr, h, cc in pairings.iter_statistics(n, with_blocks=True):
             cases += 1
-            whole = weight[n, cr, h, cc]
-            part = _fast_partition(n, blocks)
-            _, comps = pairings.connected_components(part)
+            # no crossing: n one-block components; one component: the whole
+            if cr == 0:
+                parts = (one_block,) * n
+            elif cc == 1:
+                parts = ((n, cr, h, cc),)
+            else:
+                masks, comps = pairings._crossing_graph(blocks)
+                parts = []
+                for comp in comps:
+                    k = comp.bit_count()
+                    if k == 1:
+                        parts.append(one_block)
+                    else:
+                        degrees = sum(masks[i].bit_count() for i in pairings._bits(comp))
+                        parts.append((k, degrees // 2, 0, 1))
+                parts = tuple(parts)
+            case = (n, cr, h, cc), parts
+            if case in passed:
+                continue
+            whole = weight[case[0]]
             split = 1
-            for comp in comps:
-                if len(comp) == 1:
-                    split = split * weight[one_block]
-                    continue
-                st = pairings.statistics(_standardize(comp))
-                split = split * weight[len(comp), st.cr, st.h, st.cc]
+            for key in parts:
+                split = split * weight[key]
             if not numbers_equal(whole, split):
                 return CheckReport(
                     False,
                     cases,
-                    part,
+                    _fast_partition(n, blocks),
                     f"t(V)={whole} but component product is {split}",
                 )
+            passed.add(case)
     return CheckReport(True, cases, None, f"factorization holds on {cases} partitions")
 
 
 def check_traceability(statistic: str, nmax: int) -> CheckReport:
     """Verify a statistic is invariant under cyclic rotation of the ground set.
 
-    Each partition's statistics come from :func:`pairings.iter_statistics`,
-    its rotation's from :func:`pairings.statistics`.  nmax above
+    Each partition's statistics come from :func:`pairings.iter_statistics`;
+    its blocks are rotated as a tuple and the rotation's statistics read
+    from the crossing-graph kernel of :mod:`pairmoments.pairings`, with no
+    partition object built unless a check fails.  nmax above
     ``STREAM_MAX_N`` raises before any partition is visited.
     """
     fields = ("cr", "h", "cc", "H")
@@ -243,13 +253,12 @@ def check_traceability(statistic: str, nmax: int) -> CheckReport:
     for n in range(1, nmax + 1):
         for blocks, cr, h, cc in pairings.iter_statistics(n, with_blocks=True):
             cases += 1
-            part = _fast_partition(n, blocks)
-            b = pairings.statistics(pairings.rotate(part))
+            rcr, rh, rcc = pairings._chord_stats(pairings._rotate_blocks(blocks, 2 * n))
             before = (cr, h, cc, n - h)[index]
-            after = (b.cr, b.h, b.cc, b.big_h)[index]
+            after = (rcr, rh, rcc, n - rh)[index]
             if before != after:
                 return CheckReport(
-                    False, cases, part,
+                    False, cases, _fast_partition(n, blocks),
                     f"{statistic} changed from {before} to {after} under rotation",
                 )
     return CheckReport(True, cases, None, f"{statistic} rotation-invariant on {cases} partitions")

@@ -10,7 +10,11 @@ package's per-partition checks are kept as oracles for the walk-based
 checks: they call the package's single-partition functions (``statistics``,
 ``connected_components``, ``evaluate``) and the validating
 ``PairPartition.from_pairs``, but visit partitions through
-:func:`all_pairings` and use no walk or weight memo.  The element-at-a-time
+:func:`all_pairings` and use no walk or weight memo.  Those functions and
+the checks themselves share one crossing-graph kernel, so it is pinned on
+its own: ``statistics``, ``crossings``, ``singleton_blocks`` and
+``connected_components`` must equal :func:`chord_stats`,
+:func:`singletons` and :func:`components` on every partition with n <= 6.  The element-at-a-time
 bodies of the group kernel, the metric check, Box-Muller and the trace
 powers are kept as oracles for the array code: they compose ``Permutation``
 objects, draw one normal pair at a time and multiply out every power.
@@ -77,6 +81,51 @@ def chord_stats(blocks):
                     seen.add(w)
                     stack.append(w)
     return crossing_count(blocks), h, cc
+
+
+def components(blocks):
+    """Crossing-graph components by DFS over blocks_cross.
+
+    Each component lists its blocks by low endpoint; components are ordered
+    by their smallest block.
+    """
+    blocks = sorted(blocks)
+    seen = set()
+    out = []
+    for start in blocks:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, members = [start], []
+        while stack:
+            v = stack.pop()
+            members.append(v)
+            for w in blocks:
+                if w not in seen and blocks_cross(v, w):
+                    seen.add(w)
+                    stack.append(w)
+        out.append(tuple(sorted(members)))
+    return tuple(out)
+
+
+def singletons(blocks):
+    """Blocks crossing no other block, by low endpoint."""
+    return [p for p in sorted(blocks) if not any(blocks_cross(p, q) for q in blocks)]
+
+
+def mixed_moment(spec, rows):
+    """sum over P2(k) of weight_of(n, cr, h, cc) * prod of rows[i-1][j-1],
+    one term per pairing, with statistics from chord_stats."""
+    k = len(rows)
+    if k % 2:
+        return 0
+    total = 0
+    for blocks in all_pairings(range(1, k + 1)):
+        term = spec.weight_of(k // 2, *chord_stats(blocks))
+        for i, j in blocks:
+            term = term * rows[i - 1][j - 1]
+        total = total + term
+    return total
 
 
 def all_set_partitions(items):

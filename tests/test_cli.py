@@ -196,7 +196,7 @@ class TestRandmat:
         assert len(lines) == 6
         assert sum(int(line.split(",")[2]) for line in lines[1:]) == 401
 
-    @pytest.mark.parametrize("bins", ["0", "-3"])
+    @pytest.mark.parametrize("bins", ["0", "-3", "10001", "10000000000000"])
     def test_bins_checked_before_sampling(self, capsys, tmp_path, monkeypatch, bins):
         monkeypatch.setattr(rm, "sample_markov", _no_sampling)
         path = tmp_path / "h.csv"
@@ -207,6 +207,13 @@ class TestRandmat:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "--bins" in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("trials", ["10001", "10000000000000"])
+    def test_trials_beyond_cap_checked_before_sampling(self, capsys, monkeypatch, trials):
+        monkeypatch.setattr(rm, "sample_markov", _no_sampling)
+        code, out, err = run(capsys, "randmat", "--n", "2", "--trials", trials, "--kmax", "2")
+        assert (code, out) == (2, "")
+        assert "error:" in err and "MAX_TRIALS = 10000" in err
 
     def test_kmax_beyond_cap_checked_before_sampling(self, capsys, monkeypatch):
         monkeypatch.setattr(rm, "sample_markov", _no_sampling)
@@ -255,6 +262,12 @@ class TestPermcheck:
         code, _, err = run(capsys, "permcheck", "--n", "9")
         assert code == 2
         assert "--n" in err
+
+    def test_kernel_past_the_float_range_is_a_usage_error(self, capsys):
+        # exp(1e13 * H) overflows at the first H > 0
+        code, out, err = run(capsys, "permcheck", "--n", "3", "--x", "-10000000000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "range" in err
 
     def test_non_finite_kernel_is_a_usage_error(self, capsys):
         # exp(-inf * H) is NaN at the identity

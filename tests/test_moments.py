@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from pairmoments.weights import (
     ComponentPower,
     Constant1,
     CrossingPower,
+    Product,
     SingletonCountPower,
     SingletonHPower,
 )
@@ -317,7 +319,62 @@ class TestConvolutionDilation:
         assert left.values == right.values
 
 
+def _symmetric(k, entry):
+    rows = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            rows[i][j] = rows[j][i] = entry(i, j)
+    return rows
+
+
+#: Gram matrices by kind, as an entry for i <= j
+GRAMS = {
+    "int": lambda i, j: (3 * i + 5 * j) % 7 - 2,
+    "fraction": lambda i, j: Fraction(i - 2 * j, 1 + (i * j) % 5),
+    "mixed": lambda i, j: Fraction(i + j, 3) if (i + j) % 2 else i * j - 3,
+    "zero-row": lambda i, j: 0 if 1 in (i, j) else Fraction(j - i + 1, 2),
+    "negative": lambda i, j: -Fraction(1 + i + j, 1 + j),
+}
+MIXED_SPECS = [
+    Constant1(),
+    CrossingPower(Fraction(2, 7)),
+    ComponentPower(3),
+    SingletonHPower(HALF),
+    SingletonCountPower(Fraction(3, 2)),
+    Product([CrossingPower(HALF), SingletonHPower(Fraction(1, 3))]),
+]
+
+
 class TestMixedMoment:
+    @pytest.mark.parametrize("kind", GRAMS)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_term_by_term_oracle(self, kind, n):
+        rows = _symmetric(2 * n, GRAMS[kind])
+        for spec in MIXED_SPECS:
+            assert mo.mixed_moment(spec, GramMatrix.from_rows(rows)) == \
+                brute.mixed_moment(spec, rows)
+
+    def test_int_gram_and_int_weight_give_an_int(self):
+        rows = _symmetric(8, GRAMS["int"])
+        for spec in (Constant1(), CrossingPower(2), SingletonCountPower(3)):
+            got = mo.mixed_moment(spec, GramMatrix.from_rows(rows))
+            assert type(got) is int
+            assert got == brute.mixed_moment(spec, rows)
+
+    def test_rational_gram_gives_a_fraction(self):
+        # integral Fractions too: the type follows the entries, as term by term
+        for entry in (GRAMS["fraction"], lambda i, j: Fraction(i + j)):
+            got = mo.mixed_moment(Constant1(), GramMatrix.from_rows(_symmetric(6, entry)))
+            assert type(got) is Fraction
+
+    @pytest.mark.parametrize("spec", [CrossingPower(0.7), SingletonHPower(HALF)])
+    def test_float_gram_within_rounding(self, spec):
+        rng = random.Random(3)
+        rows = _symmetric(10, lambda i, j: rng.uniform(0.1, 1.0))
+        got = mo.mixed_moment(spec, GramMatrix.from_rows(rows))
+        assert type(got) is float
+        assert math.isclose(got, brute.mixed_moment(spec, rows), rel_tol=1e-12)
+
     def test_odd_size_zero(self):
         g = GramMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert mo.mixed_moment(Constant1(), g) == 0

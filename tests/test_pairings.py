@@ -137,17 +137,19 @@ class TestStatistics:
         assert cc == 2
         assert comps == (((1, 2),), ((3, 5), (4, 6)))
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_statistics_match_brute_force(self, n):
         for blocks in brute.all_pairings(range(1, 2 * n + 1)):
             v = PairPartition.from_pairs(blocks)
             st = pairings.statistics(v)
             cr, h, cc = brute.chord_stats(sorted(blocks))
-            assert (st.cr, st.h, st.cc) == (cr, h, cc)
-            assert st.cr == pairings.crossings(v)
-            assert st.h == pairings.singleton_blocks(v)[1]
-            assert st.cc == pairings.connected_components(v)[0]
-            assert st.big_h == n - st.h
+            comps = brute.components(blocks)
+            assert (st.cr, st.h, st.cc, st.big_h) == (cr, h, cc, n - h)
+            assert pairings.crossings(v) == brute.crossing_count(blocks) == cr
+            assert pairings.singleton_blocks(v) == (brute.singletons(blocks), h)
+            # the grouping and both orders, not only the count
+            assert pairings.connected_components(v) == (len(comps), comps)
+            assert len(comps) == cc
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_equivalences(self, n):
@@ -320,6 +322,26 @@ class TestStatisticDistribution:
         for k in range(1, 13):
             assert tables[k - 1] == pairings._joint_tables(k)[-1]
             assert list(tables[k - 1].counts) == list(pairings._joint_tables(k)[-1].counts)
+
+    def test_smaller_tables_are_slices(self, monkeypatch):
+        # only the longest tuple is kept: after n, no k < n is transformed again
+        built = []
+        real = pairings._touchard_riordan
+
+        def once_per_maximum(k):
+            assert all(k > n for n in built), f"rebuilt k={k} after {built}"
+            built.append(k)
+            return real(k)
+
+        monkeypatch.setattr(pairings, "_JOINT", ())
+        monkeypatch.setattr(pairings, "_touchard_riordan", once_per_maximum)
+        tables = pairings._joint_tables(10)
+        for k in range(1, 11):
+            assert pairings._joint_tables(k) == tables[:k]
+            assert pairings.statistic_distribution(k) is tables[k - 1]
+        assert pairings._joint_tables(12)[:10] == tables
+        assert [d.n for d in pairings._joint_tables(11)] == list(range(1, 12))
+        assert built == [10, 12]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_stream_fold(self, n):

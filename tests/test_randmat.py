@@ -266,8 +266,19 @@ class TestRunMc:
         with pytest.raises(SizeLimitError, match="MAX_MATRIX_DIM"):
             rm.McConfig(n=rm.MAX_MATRIX_DIM + 1, trials=2, kmax=2)
 
+    def test_config_rejects_trials_beyond_cap(self):
+        rm.McConfig(n=2, trials=rm.MAX_TRIALS, kmax=2)
+        with pytest.raises(SizeLimitError, match="MAX_TRIALS"):
+            rm.McConfig(n=2, trials=rm.MAX_TRIALS + 1, kmax=2)
+
 
 class TestHistogram:
+    @pytest.mark.parametrize("bins", [0, rm.MAX_BINS + 1])
+    def test_bins_outside_range_rejected(self, bins):
+        m = rm.sample_markov(4, "rademacher", seed=13)
+        with pytest.raises(ValueError, match="bins"):
+            rm.eigenvalue_histogram(m, bins=bins)
+
     def test_counts_sum_to_dimension(self):
         m = rm.sample_markov(40, "rademacher", seed=13)
         rows = rm.eigenvalue_histogram(m, bins=10)
