@@ -272,8 +272,8 @@ def cmd_permcheck(args, out) -> int:
         raise SizeLimitError(
             f"--n must be in 2..{pg.MAX_KERNEL_DEGREE} (kernel order {math.factorial(pg.MAX_KERNEL_DEGREE)} max)"
         )
-    if args.tol <= 0:
-        raise ValueError(f"--tol must be positive, got {args.tol}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     b = parse_rational(args.b)
     x = args.x
     rows = []

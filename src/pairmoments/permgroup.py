@@ -264,14 +264,22 @@ def kernel_matrix(n: int, f: Callable[[Permutation], float]) -> KernelMatrix:
     return KernelMatrix(len(values), values[_quotient_table(n)])
 
 
+def _check_tol(tol: float) -> None:
+    # a NaN tol fails every comparison and an infinite one passes any kernel
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def check_positive_definite(
     n: int, f: Callable[[Permutation], float], tol: float = 1e-8
 ) -> tuple[bool, float]:
     """Gram test: is [f(sigma^-1 tau)] PSD over all of S(n)?
 
     Returns (verdict, minimum eigenvalue); the verdict allows roundoff of
-    ``tol * (1 + max |entry|)`` below zero.
+    ``tol * (1 + max |entry|)`` below zero, so ``tol`` must be finite and
+    positive.
     """
+    _check_tol(tol)
     km = kernel_matrix(n, f)
     min_eig = spectrum(km.entries)[0]
     scale = 1.0 + float(np.abs(km.entries).max())
@@ -300,8 +308,10 @@ def check_cnd(
     be PSD (the quadratic form of K is nonpositive wherever coefficients sum
     to zero).  Certificate two (Schoenberg): exp(-x K) entrywise must be PSD
     for each positive x in ``exponents``.  Degrees above
-    ``MAX_KERNEL_DEGREE`` raise in :func:`kernel_matrix`, before any work.
+    ``MAX_KERNEL_DEGREE`` raise in :func:`kernel_matrix`, before any work;
+    so does a ``tol`` that is not finite and positive.
     """
+    _check_tol(tol)
     km = kernel_matrix(n, lambda s: float(big_h(s)))
     order = km.order
     k = km.entries

@@ -15,9 +15,11 @@ the checks themselves share one crossing-graph kernel, so it is pinned on
 its own: ``statistics``, ``crossings``, ``singleton_blocks`` and
 ``connected_components`` must equal :func:`chord_stats`,
 :func:`singletons` and :func:`components` on every partition with n <= 6.  The element-at-a-time
-bodies of the group kernel, the metric check, Box-Muller and the trace
-powers are kept as oracles for the array code: they compose ``Permutation``
-objects, draw one normal pair at a time and multiply out every power.
+bodies of the group kernel, the metric check, the xorshift64* step,
+Box-Muller, the Markov assembly and the trace powers are kept as oracles
+for the array code: they compose ``Permutation`` objects, step the
+generator one word at a time, draw one normal pair at a time, build X from
+index arrays with temporaries and multiply out every power.
 """
 
 import bisect
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from pairmoments import pairings, permgroup, weights
+from pairmoments import pairings, permgroup, randmat, weights
 from pairmoments.pairings import PairPartition
 from pairmoments.permgroup import MetricReport, Permutation
 from pairmoments.rng import Xorshift64Star
@@ -366,6 +368,27 @@ def metric_report(n, triples=100_000, seed=0):
         True, n, checked, False, None,
         f"{checked} sampled triples pass triangle and left invariance",
     )
+
+
+def xorshift_words(state, count):
+    """count xorshift64* outputs from a raw state, and the state after the last."""
+    mask = (1 << 64) - 1
+    out = []
+    for _ in range(count):
+        state ^= state >> 12
+        state ^= (state << 25) & mask
+        state ^= state >> 27
+        out.append((state * 0x2545F4914F6CDD1D) & mask)
+    return out, state
+
+
+def sample_markov(n, dist, seed):
+    """M = X - diag(row sums) built from triu_indices, X + X^T - diag(X)."""
+    vals = randmat.sample_entries(Xorshift64Star(seed), dist, n * (n + 1) // 2)
+    x = np.zeros((n, n))
+    x[np.triu_indices(n)] = vals
+    x = x + x.T - np.diag(np.diag(x))
+    return x - np.diag(x.sum(axis=1))
 
 
 def normal_pair(rng):

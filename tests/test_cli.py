@@ -275,6 +275,12 @@ class TestPermcheck:
         assert (code, out) == (2, "")
         assert "finite" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_tolerance_not_finite_and_positive_is_a_usage_error(self, capsys, tol):
+        code, out, err = run(capsys, "permcheck", "--n", "2", f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert "--tol must be finite and positive" in err
+
     def test_s5_report_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "permcheck", "--n", "5")
         code2, out2, _ = run(capsys, "permcheck", "--n", "5")

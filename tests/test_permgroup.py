@@ -245,6 +245,22 @@ class TestPositiveDefinite:
         assert min_eig < 0
 
 
+BAD_TOLS = [float("nan"), float("inf"), float("-inf"), 0.0, -1e-8]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_tolerance_must_be_finite_and_positive(tol, monkeypatch):
+    # a NaN tol failed every PSD verdict and an infinite one passed any kernel
+    def refuse(*args):
+        raise AssertionError("no kernel for a rejected tolerance")
+
+    monkeypatch.setattr(pg, "kernel_matrix", refuse)
+    with pytest.raises(ValueError, match="tol"):
+        pg.check_positive_definite(3, lambda s: 1.0, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        pg.check_cnd(3, tol=tol)
+
+
 class TestCnd:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_h_conditionally_negative(self, n):

@@ -1,10 +1,20 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
 from pairmoments import randmat as rm
+from pairmoments import rng as rng_mod
 from pairmoments.exceptions import SizeLimitError
 from pairmoments.rng import Xorshift64Star, mix64, substream_seed
+
+LANE = rng_mod._LANE_STEPS
+BULK = rng_mod._BULK_MIN
 
 
 class TestRng:
@@ -71,7 +81,54 @@ class TestRng:
         assert rng.next_u64() == expect
         assert rng._state == 33554433
 
-    @pytest.mark.parametrize("count", [0, 1, 2, 3, 1001, 8193, 45150])
+    @pytest.mark.parametrize("count", [
+        0, 1, LANE - 1, LANE, 2 * LANE - 1, 2 * LANE, 2 * LANE + 1,
+        BULK - 1, BULK, BULK + 1, 7821, 45150, 90300,
+    ])
+    @pytest.mark.parametrize("seed", [0, 2**40 + 3, 2**64 - 1])
+    def test_words_match_scalar_step(self, seed, count):
+        rng = Xorshift64Star(seed)
+        want, end = brute.xorshift_words(rng._state, count)
+        got = rng._words(count)
+        assert (got.dtype, got.shape) == (np.uint64, (count,))
+        assert got.tolist() == want
+        assert rng._state == end  # same stream position
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 20_000))
+    def test_words_match_scalar_step_property(self, seed, count):
+        rng = Xorshift64Star(seed)
+        want, end = brute.xorshift_words(rng._state, count)
+        assert rng._words(count).tolist() == want
+        assert rng._state == end
+
+    def test_jump_tables_are_lane_steps_of_the_scalar_step(self):
+        tables = rng_mod._jump_tables()
+        for j in range(64):
+            assert tables[j // 8][1 << (j % 8)] == brute.xorshift_words(1 << j, LANE)[1]
+        state = 0xF0E1D2C3B4A59687
+        jumped = 0
+        for b, table in enumerate(tables):
+            jumped ^= table[(state >> (8 * b)) & 255]
+        assert jumped == brute.xorshift_words(state, LANE)[1]
+
+    def test_jump_tables_built_on_first_bulk_draw(self):
+        script = (
+            "from pairmoments import rng\n"
+            "built = rng._jump_tables.cache_info().currsize\n"
+            "rng.Xorshift64Star(1).normals(rng._BULK_MIN - 2)\n"
+            "assert (built, rng._jump_tables.cache_info().currsize) == (0, 0)\n"
+            "rng.Xorshift64Star(1).rademacher(64 * rng._BULK_MIN)\n"
+            "assert rng._jump_tables.cache_info().currsize == 1\n"
+        )
+        src = os.path.dirname(os.path.dirname(rng_mod.__file__))
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+
+    @pytest.mark.parametrize("count", [
+        0, 1, 2, 3, 1001, 8193, 45150,
+        BULK - 1, BULK + 2 * LANE + 1, rng_mod._NORMALS_CHUNK + BULK + 1,
+    ])
     @pytest.mark.parametrize("seed", [0, 9, 2**40 + 3])
     def test_normals_match_scalar_box_muller(self, seed, count):
         fast, scalar = Xorshift64Star(seed), Xorshift64Star(seed)
@@ -89,9 +146,14 @@ class TestRng:
         assert rng.next_u64() == 11324640199624985426
 
     def test_rademacher_stream_position(self):
-        rng, words = Xorshift64Star(4), Xorshift64Star(4)
-        rng.rademacher(130)  # three words
-        assert rng.next_u64() == [words.next_u64() for _ in range(4)][-1]
+        # 3 words, then BULK and BULK + LANE + 2 words, which run in lanes
+        for count in (130, 64 * BULK - 1, 64 * (BULK + LANE) + 65):
+            rng, words = Xorshift64Star(4), Xorshift64Star(4)
+            signs = rng.rademacher(count)
+            drawn = [words.next_u64() for _ in range(-(-count // 64) + 1)]
+            expect = [1.0 if (drawn[k // 64] >> (k % 64)) & 1 else -1.0 for k in range(count)]
+            assert signs.tolist() == expect
+            assert rng.next_u64() == drawn[-1]
 
     def test_randrange_bounds(self):
         rng = Xorshift64Star(3)
@@ -116,6 +178,12 @@ class TestSampleMarkov:
         assert np.array_equal(a.matrix, b.matrix)
         c = rm.sample_markov(12, "rademacher", seed=100)
         assert not np.array_equal(a.matrix, c.matrix)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 300, 1000])
+    @pytest.mark.parametrize("dist", rm.ENTRY_DISTRIBUTIONS)
+    def test_matches_index_assembly(self, dist, n):
+        got = rm.sample_markov(n, dist, seed=n).matrix
+        assert got.tobytes() == brute.sample_markov(n, dist, n).tobytes()
 
     def test_n2_structure(self):
         # M = [[-x, x], [x, -x]] with x the off-diagonal entry of X
