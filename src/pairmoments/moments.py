@@ -18,6 +18,8 @@ from functools import lru_cache
 from math import factorial, lcm
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from . import pairings
 from .exceptions import DualPathMismatchError
 from .pairings import TABLE_MAX_N, _check_cap
@@ -282,14 +284,18 @@ def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
     """Joint moment of a weight against a Gram matrix of inner products.
 
     Zero for odd size; otherwise the weighted sum over pair partitions of the
-    products of paired inner products, walked one partition at a time, so
-    half-sizes above ``STREAM_MAX_N`` raise.  Entries are indexed 0-based.
+    products of paired inner products, over the cached block arrays of
+    :mod:`pairmoments.pairings`, so half-sizes above ``STREAM_MAX_N`` raise.
+    Entries are indexed 0-based.
 
     The products are added per (cr, h, cc) key and each key's sum S is
     weighted once.  A rational matrix with a non-integer entry is first
     scaled to integers by the lcm D of its denominators, so the sums are
     of ints and sum(weight * S) / D^n stays exact; an all-int matrix with an
-    int weight gives an int.
+    int weight gives an int.  Ints run in int64 while max|entry|^n *
+    (2n-1)!! < 2^63, past that as Python ints, all-float matrices in
+    float64, any other mix as Python objects; products go left to right and
+    sums in partition order, so floats round as they did one at a time.
     """
     k = gram.size
     if k % 2 == 1:
@@ -297,24 +303,32 @@ def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
     if k == 0:
         return 1
     n = k // 2
-    rows = gram.entries
-    entries = [x for row in rows for x in row]
+    s = pairings._stream(n)
+    entries = [x for row in gram.entries for x in row]
     denominator = None
     if all(map(is_exact, entries)) and not all(isinstance(x, int) for x in entries):
         denominator = Fraction(lcm(*(x.denominator for x in entries)))
-        rows = tuple(tuple(int(x * denominator) for x in row) for row in rows)
-    # 1-based, as the walk's blocks are
-    padded = [(0,) * (k + 1)] + [(0,) + tuple(row) for row in rows]
-    sums: dict[tuple[int, int, int], Number] = {}
-    for blocks, cr, h, cc in pairings.iter_statistics(n, with_blocks=True):
-        term = 1
-        for i, j in blocks:
-            term *= padded[i][j]
-        key = cr, h, cc
-        sums[key] = sums.get(key, 0) + term
+        entries = [int(x * denominator) for x in entries]
+    dtype = object
+    if all(isinstance(x, int) for x in entries):
+        if max(map(abs, entries)) ** n * pairings.pairing_count(n) < 2 ** 63:
+            dtype = np.int64
+    elif all(isinstance(x, float) for x in entries):
+        dtype = np.float64
+    padded = np.zeros((k + 1, k + 1), dtype=dtype)  # 1-based, as the blocks are
+    padded[1:, 1:] = np.array(entries, dtype=dtype).reshape(k, k)
+    keys: dict[tuple[int, int, int], int] = {}
+    key_of_case = np.array([keys.setdefault(st, len(keys)) for st in s.stats])
+    sums = np.zeros(len(keys), dtype=dtype)
+    for start in range(0, len(s.case), pairings._CHUNK):
+        blocks = s.blocks[start:start + pairings._CHUNK]
+        term = padded[blocks[:, 0, 0], blocks[:, 0, 1]]
+        for j in range(1, n):
+            term = term * padded[blocks[:, j, 0], blocks[:, j, 1]]
+        np.add.at(sums, key_of_case[s.case[start:start + len(blocks)]], term)
     weight = _WeightMemo(spec)
     total = 0
-    for (cr, h, cc), value in sums.items():
+    for (cr, h, cc), value in zip(keys, sums.tolist()):
         total = total + weight[n, cr, h, cc] * value
     return total if denominator is None else total / denominator ** n
 

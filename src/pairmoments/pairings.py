@@ -18,11 +18,13 @@ even non-crossing partition; a singleton is a component with one chord.
 So sum_V q^cr x^h y^cc is the free moment-cumulant transform of r_2 = x*y
 and r_2k = y*C_k(q), where C_k(q) are the free cumulants of the
 Touchard-Riordan q-Gaussian moments T_k(q) (Bozejko-Speicher, CMP 137
-(1991); Lehner, Eur. J. Combin. 23 (2002)).  The per-partition streams
-(:func:`enumerate_pairings`, :func:`iter_statistics`) remain for the
-checks that need each partition.  Both are non-recursive walks over an
-explicit stack, in the same canonical order; :func:`iter_statistics`
-updates (cr, h, cc) incrementally as blocks are placed and taken away.
+(1991); Lehner, Eur. J. Combin. 23 (2002)).
+
+The per-partition streams keep one canonical order.
+:func:`enumerate_pairings` is a non-recursive walk over an explicit stack;
+:func:`iter_statistics`, :func:`pairmoments.moments.mixed_moment` and the
+checks of :mod:`pairmoments.weights` read cached numpy block arrays
+instead (see "The stream as arrays" below).
 
 Everything about a single partition comes from one private kernel,
 ``_crossing_graph``: from a blocks tuple sorted by low endpoint it builds
@@ -30,8 +32,7 @@ one int bitmask per block (bit j set when block j crosses it), stopping
 each scan at the first block that starts past the current block's end,
 and finds the components by a bitmask flood.  :func:`statistics`,
 :func:`crossings`, :func:`singleton_blocks`, :func:`connected_components`
-and :func:`rotate` are thin wrappers over it, and the per-partition checks
-in :mod:`pairmoments.weights` call it on the walk's blocks directly.
+and :func:`rotate` are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -39,12 +40,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 from .exceptions import DualPathMismatchError, SizeLimitError
 
-#: Largest half-size walked one partition at a time (2n = 16 points,
-#: 2,027,025 partitions): :func:`enumerate_pairings`, :func:`iter_statistics`
+#: Largest half-size streamed one partition at a time (2n = 16 points,
+#: 2,027,025 partitions, 32 MB of int8 blocks): every per-partition stream
 #: and every check that visits each partition.
 STREAM_MAX_N = 8
 
@@ -263,18 +266,6 @@ def _chord_stats(blocks: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
     return sum(mask.bit_count() for mask in masks) // 2, masks.count(0), len(comps)
 
 
-def _rotate_blocks(
-    blocks: tuple[tuple[int, int], ...], m: int,
-) -> tuple[tuple[int, int], ...]:
-    # k -> 1 + (k mod m).  The block ending at m becomes (1, lo + 1) and goes
-    # first; every other block shifts up by one and keeps its place, so the
-    # output is sorted by lo again.
-    last = next(i for i, (_, b) in enumerate(blocks) if b == m)
-    shifted = [(a + 1, b + 1) for a, b in blocks]
-    del shifted[last]
-    return ((1, blocks[last][0] + 1), *shifted)
-
-
 def crossings(partition: PairPartition) -> int:
     """Number of crossing block pairs: i1 < i2 < j1 < j2."""
     return _chord_stats(partition.blocks)[0]
@@ -326,7 +317,7 @@ def component_support_partition(partition: PairPartition) -> tuple[tuple[int, ..
 
 def rotate(partition: PairPartition) -> PairPartition:
     """Cyclic rotation of the ground set: k -> 1 + (k mod 2n)."""
-    return _fast_partition(partition.n, _rotate_blocks(partition.blocks, 2 * partition.n))
+    return _fast_partition(partition.n, _row_blocks(_rotate_rows(np.array([partition.blocks]))[0]))
 
 
 def riordan_connected(nmax: int) -> list[int]:
@@ -370,134 +361,138 @@ def total_singletons(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Bulk enumeration with incremental statistics.
-#
-# The walk below is flat: block d is placed at depth d of an explicit stack,
-# and cr / h / cc are maintained while blocks are added and removed (a
-# crossing-degree count per block and a union-find over blocks with undo), so
-# the per-partition cost is O(n) instead of O(n^2).  The blocks already placed
-# all start left of the smallest free point i, so the new block (i, j)
-# crosses exactly the blocks ending strictly between i and j; when j moves on
-# to the next free point, the blocks ending in between are added to what it
-# crosses and nothing is taken away.  Correctness is pinned by exhaustive
-# comparison against the definitional single-partition functions above (see
-# the test suite).
+# The stream as arrays: P2(2n) as one cached, read-only (rows, n, 2) int8
+# array of blocks in canonical order, built from the n - 1 array.  Each row's
+# crossing graph is one uint8 bitmask per block, and Warshall's closure over
+# them gives each block's component.  Rows are filed under cases, the (size,
+# crossings) of each component by lowest block, which fix (cr, h, cc).
 # ---------------------------------------------------------------------------
 
+#: Rows per numpy pass: the temporaries stay under 0.5 MB whatever n.
+_CHUNK = 1 << 11
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        x = parent[x]
-    return x
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int8)
+_LOWEST = np.array([(i & -i).bit_length() - 1 for i in range(256)], dtype=np.int8)
+
+
+class _Stream(NamedTuple):
+    # Row i has blocks[i] and case[i].  Case c first occurs at row first[c];
+    # parts[c] and stats[c] are its components' (size, crossings) and its
+    # (cr, h, cc), all Python ints.
+    blocks: np.ndarray
+    case: np.ndarray
+    first: tuple[int, ...]
+    parts: tuple[tuple[tuple[int, int], ...], ...]
+    stats: tuple[tuple[int, int, int], ...]
+
+
+_STREAMS: dict[int, _Stream] = {}
+
+
+def _crossings(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (n, rows) uint8 masks: bit b of masks[a] when blocks a and b cross, of
+    # reach[a] when they share a component; roots[a] when a is its lowest.
+    # Block b > a crosses a when it starts inside a and ends outside it.
+    n = blocks.shape[1]
+    lo = np.ascontiguousarray(blocks[..., 0].T)
+    hi = np.ascontiguousarray(blocks[..., 1].T)
+    masks = np.zeros(lo.shape, dtype=np.uint8)
+    for a in range(n):
+        for b in range(a + 1, n):
+            x = ((lo[b] < hi[a]) & (hi[a] < hi[b])).view(np.uint8)
+            masks[a] |= x << np.uint8(b)
+            masks[b] |= x << np.uint8(a)
+    reach = masks | (np.uint8(1) << np.arange(n, dtype=np.uint8))[:, None]
+    for k in range(n):
+        reach |= ((reach >> np.uint8(k)) & np.uint8(1)) * reach[k]
+    return masks, reach, _LOWEST[reach] == np.arange(n, dtype=np.int8)[:, None]
+
+
+def _chunk_stats(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    masks, _, roots = _crossings(blocks)
+    return _POPCOUNT[masks].sum(axis=0) // 2, (masks == 0).sum(axis=0), roots.sum(axis=0)
+
+
+def _case_keys(blocks: np.ndarray) -> np.ndarray:
+    # One int64 per row, a byte 1 + ((size - 1) << 5 | crossings) per
+    # component by lowest block (size <= 8, crossings <= 28; 8 bytes only for
+    # 8 singletons).  Byte a of `twice` sums degrees over the component led by a.
+    masks, reach, roots = _crossings(blocks)
+    lanes = (_LOWEST[reach] << 3).astype(np.int64)
+    twice = np.zeros(blocks.shape[0], dtype=np.int64)
+    for mask, lane in zip(masks, lanes):
+        twice += _POPCOUNT[mask].astype(np.int64) << lane
+    keys = np.zeros_like(twice)
+    for a, root in enumerate(roots):
+        crossings = (twice >> (8 * a + 1)) & 127
+        code = (_POPCOUNT[reach[a]].astype(np.int64) - 1) << 5 | crossings
+        keys = np.where(root, keys << 8 | (code + 1), keys)
+    return keys
+
+
+def _stream(n: int) -> _Stream:
+    # Cached; half-sizes above STREAM_MAX_N raise before any array exists.
+    _check_cap(n, STREAM_MAX_N)
+    if n not in _STREAMS:
+        # point 1 pairs with j = 2..2n in turn; the other points carry
+        # P2(2n - 2) relabelled in order, p -> p + 1 below j, p + 2 from j on
+        prev = _stream(n - 1).blocks + np.int8(1) if n > 1 else np.empty((1, 0, 2), np.int8)
+        blocks = np.empty(((2 * n - 1) * len(prev), n, 2), dtype=np.int8)
+        for t, j in enumerate(range(2, 2 * n + 1)):
+            part = blocks[t * len(prev):(t + 1) * len(prev)]
+            part[:, 0] = (1, j)
+            np.add(prev, prev >= j, out=part[:, 1:], casting="unsafe")
+        index: dict[int, int] = {}  # key -> case, cases numbered by first row
+        first = []
+        case = np.empty(len(blocks), dtype=np.int16)  # 497 cases at n = 8
+        for start in range(0, len(blocks), _CHUNK):
+            keys = _case_keys(blocks[start:start + _CHUNK]).tolist()
+            for key in dict.fromkeys(keys):
+                if key not in index:
+                    index[key] = len(index)
+                    first.append(start + keys.index(key))
+            case[start:start + len(keys)] = np.fromiter(
+                map(index.__getitem__, keys), dtype=np.int16, count=len(keys))
+        parts = tuple(tuple((code // 32 + 1, code % 32) for code in
+                            (b - 1 for b in key.to_bytes(8, "big") if b)) for key in index)
+        blocks.flags.writeable = case.flags.writeable = False
+        _STREAMS[n] = _Stream(blocks, case, tuple(first), parts, tuple(
+            (sum(c for _, c in p), sum(k == 1 for k, _ in p), len(p)) for p in parts))
+    return _STREAMS[n]
+
+
+def _row_blocks(row: np.ndarray) -> tuple[tuple[int, int], ...]:
+    return tuple(map(tuple, row.tolist()))
+
+
+def _rotate_rows(blocks: np.ndarray) -> np.ndarray:
+    # k -> 1 + (k mod 2n) on every row.  The block ending at 2n becomes
+    # (1, lo + 1) and goes first; the others shift up by one in place, so
+    # each row stays sorted by lo.
+    rows, n, _ = blocks.shape
+    ends = blocks[..., 1] == 2 * n
+    out = np.empty_like(blocks)
+    out[:, 0, 0] = 1
+    out[:, 0, 1] = blocks[..., 0][ends] + np.int8(1)
+    out[:, 1:] = (blocks[~ends] + np.int8(1)).reshape(rows, n - 1, 2)
+    return out
 
 
 def iter_statistics(n: int, *, with_blocks: bool = False) -> Iterator:
     """Yield (cr, h, cc) triples, or (blocks, cr, h, cc) tuples, over P2(2n).
 
-    Enumeration order and the ``STREAM_MAX_N`` cap match
-    :func:`enumerate_pairings`.
+    Order and ``STREAM_MAX_N`` cap match :func:`enumerate_pairings`, whose
+    walk gives the blocks tuples (faster than converting array rows); the
+    statistics come from the cached arrays.
     """
-    _check_cap(n, STREAM_MAX_N)
-    m = 2 * n
-    last = n - 1
-    owner = [-1] * (m + 1)         # block holding each point; -1 while free
-    deg = [0] * n                  # crossing degree of each block
-    parent = list(range(n))
-    size = [1] * n
-    # per depth d, i.e. block d: its lo point, the partner tried last (lo
-    # itself before the first), the blocks it crosses, the unions it made in
-    # the order made, and the blocks placed above it
-    lo = [0] * n
-    hi = [0] * n
-    crossed: list[list[int]] = [[] for _ in range(n)]
-    merged: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    placed: list[tuple[tuple[int, int], ...]] = [()] * n
-    cr = zero = merges = 0         # zero counts the blocks of degree 0
-
-    d = 0
-    lo[0] = hi[0] = 1
-    owner[1] = 0
-    while d >= 0:
-        i = lo[d]
-        if d == last:
-            # two free points remain: read the statistics off without
-            # placing the last block
-            j = i + 1
-            while owner[j] >= 0:
-                j += 1
-            h = zero + (j == i + 1)
-            roots = set()
-            for b in owner[i + 1:j]:
-                if not deg[b]:
-                    h -= 1
-                while parent[b] != b:
-                    b = parent[b]
-                roots.add(b)
-            if with_blocks:
-                yield placed[d] + ((i, j),), cr + j - i - 1, h, n - merges - len(roots)
-            else:
-                yield cr + j - i - 1, h, n - merges - len(roots)
-            owner[i] = -1
-            d -= 1
-            continue
-        j = hi[d]
-        first = j == i
-        if not first:
-            owner[j] = -1
-        new = []
-        j += 1
-        while j <= m and owner[j] >= 0:
-            new.append(owner[j])
-            j += 1
-        if j > m:
-            # every partner tried: take block d away, in reverse order
-            for rb, ra in reversed(merged[d]):
-                parent[rb] = rb
-                size[ra] -= size[rb]
-            merges -= len(merged[d])
-            for b in crossed[d]:
-                deg[b] -= 1
-                if not deg[b]:
-                    zero += 1
-            cr -= deg[d]
-            if not deg[d]:
-                zero -= 1
-            deg[d] = 0
-            crossed[d] = []
-            merged[d] = []
-            owner[i] = -1
-            d -= 1
-            continue
-        hi[d] = j
-        owner[j] = d
-        if first:
-            zero += 1
-        if new:
-            if not deg[d]:
-                zero -= 1
-            deg[d] += len(new)
-            cr += len(new)
-            crossed[d] += new
-            for b in new:
-                deg[b] += 1
-                if deg[b] == 1:
-                    zero -= 1
-                ra, rb = _find(parent, d), _find(parent, b)
-                if ra != rb:
-                    if size[ra] < size[rb]:
-                        ra, rb = rb, ra
-                    parent[rb] = ra
-                    size[ra] += size[rb]
-                    merged[d].append((rb, ra))
-                    merges += 1
-        if with_blocks:
-            placed[d + 1] = placed[d] + ((i, j),)
-        k = i + 1
-        while owner[k] >= 0:
-            k += 1
-        d += 1
-        lo[d] = hi[d] = k
-        owner[k] = d
+    s = _stream(n)
+    stats = (s.stats[c] for i in range(0, len(s.case), _CHUNK)
+             for c in s.case[i:i + _CHUNK].tolist())
+    if not with_blocks:
+        yield from stats
+        return
+    for blocks, (cr, h, cc) in zip(_iter_blocks(n), stats):
+        yield blocks, cr, h, cc
 
 
 # ---------------------------------------------------------------------------

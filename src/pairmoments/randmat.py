@@ -68,6 +68,14 @@ class SymMatrix:
         return self.matrix.shape[0]
 
 
+def _symmetric(a: np.ndarray) -> SymMatrix:
+    # Internal constructor for square arrays that are symmetric by
+    # construction; skips the O(n^2) check and its n x n bool temporary.
+    obj = object.__new__(SymMatrix)
+    obj.__dict__.update(matrix=a)
+    return obj
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Parameters of one Monte Carlo run."""
@@ -145,7 +153,7 @@ def sample_markov(n: int, dist: str = "rademacher", seed: int = 0) -> SymMatrix:
     x[upper] = vals
     x.T[upper] = vals  # the mirror image; the diagonal is written twice
     x.flat[::n + 1] -= x.sum(axis=1)
-    return SymMatrix(x)
+    return _symmetric(x)
 
 
 def _array(m: SymMatrix | np.ndarray) -> np.ndarray:

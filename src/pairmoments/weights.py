@@ -18,6 +18,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Optional, Union
 
+import numpy as np
+
 from . import pairings
 from .pairings import STREAM_MAX_N, PairPartition, _check_cap, _fast_partition
 
@@ -186,63 +188,38 @@ def check_strong_multiplicativity(spec: WeightSpec, nmax: int) -> CheckReport:
     For every partition with half-size at most nmax, the weight must equal
     the product of the weights of its components, each relabelled to a
     standalone partition on {1..2k} preserving the order of its support.
-    The whole partition's statistics come from :func:`pairings.iter_statistics`.
     Relabelling keeps which blocks cross, so a component of k blocks and
-    cr_c crossings has the key (k, cr_c, [k = 1], 1); cr_c is read off the
-    whole partition's crossing masks.  Each distinct case (whole key,
-    component keys in order) is multiplied and compared once.  nmax above
-    ``STREAM_MAX_N`` raises before any partition is visited.
+    cr_c crossings has the key (k, cr_c, [k = 1], 1).  Partitions with the
+    same component keys in order of lowest block form one case of the
+    cached arrays of :mod:`pairmoments.pairings`; each case is checked once,
+    in order of its first partition, which is the witness if it fails.  nmax
+    above ``STREAM_MAX_N`` raises before any array is built.
     """
     _check_cap(max(nmax, 1), STREAM_MAX_N)
     weight = _WeightMemo(spec)
-    one_block = (1, 0, 1, 1)
-    passed: set[tuple] = set()
     cases = 0
     for n in range(1, nmax + 1):
-        for blocks, cr, h, cc in pairings.iter_statistics(n, with_blocks=True):
-            cases += 1
-            # no crossing: n one-block components; one component: the whole
-            if cr == 0:
-                parts = (one_block,) * n
-            elif cc == 1:
-                parts = ((n, cr, h, cc),)
-            else:
-                masks, comps = pairings._crossing_graph(blocks)
-                parts = []
-                for comp in comps:
-                    k = comp.bit_count()
-                    if k == 1:
-                        parts.append(one_block)
-                    else:
-                        degrees = sum(masks[i].bit_count() for i in pairings._bits(comp))
-                        parts.append((k, degrees // 2, 0, 1))
-                parts = tuple(parts)
-            case = (n, cr, h, cc), parts
-            if case in passed:
-                continue
-            whole = weight[case[0]]
+        s = pairings._stream(n)
+        for stats, parts, row in zip(s.stats, s.parts, s.first):
+            whole = weight[(n, *stats)]
             split = 1
-            for key in parts:
-                split = split * weight[key]
+            for k, cr in parts:
+                split = split * weight[k, cr, int(k == 1), 1]
             if not numbers_equal(whole, split):
-                return CheckReport(
-                    False,
-                    cases,
-                    _fast_partition(n, blocks),
-                    f"t(V)={whole} but component product is {split}",
-                )
-            passed.add(case)
+                return CheckReport(False, cases + row + 1,
+                                   _fast_partition(n, pairings._row_blocks(s.blocks[row])),
+                                   f"t(V)={whole} but component product is {split}")
+        cases += len(s.case)
     return CheckReport(True, cases, None, f"factorization holds on {cases} partitions")
 
 
 def check_traceability(statistic: str, nmax: int) -> CheckReport:
     """Verify a statistic is invariant under cyclic rotation of the ground set.
 
-    Each partition's statistics come from :func:`pairings.iter_statistics`;
-    its blocks are rotated as a tuple and the rotation's statistics read
-    from the crossing-graph kernel of :mod:`pairmoments.pairings`, with no
-    partition object built unless a check fails.  nmax above
-    ``STREAM_MAX_N`` raises before any partition is visited.
+    The rows of the cached block arrays of :mod:`pairmoments.pairings` are
+    rotated in bulk and each rotated row's statistic compared with its own;
+    the first row that differs is the witness.  nmax above ``STREAM_MAX_N``
+    raises before any array is built.
     """
     fields = ("cr", "h", "cc", "H")
     if statistic not in fields:
@@ -251,14 +228,18 @@ def check_traceability(statistic: str, nmax: int) -> CheckReport:
     index = fields.index(statistic)
     cases = 0
     for n in range(1, nmax + 1):
-        for blocks, cr, h, cc in pairings.iter_statistics(n, with_blocks=True):
-            cases += 1
-            rcr, rh, rcc = pairings._chord_stats(pairings._rotate_blocks(blocks, 2 * n))
-            before = (cr, h, cc, n - h)[index]
-            after = (rcr, rh, rcc, n - rh)[index]
-            if before != after:
+        s = pairings._stream(n)
+        of_case = np.array([(cr, h, cc, n - h)[index] for cr, h, cc in s.stats], dtype=np.int64)
+        for start in range(0, len(s.case), pairings._CHUNK):
+            blocks = s.blocks[start:start + pairings._CHUNK]
+            cr, h, cc = pairings._chunk_stats(pairings._rotate_rows(blocks))
+            before, after = of_case[s.case[start:start + len(blocks)]], (cr, h, cc, n - h)[index]
+            changed = np.flatnonzero(before != after)
+            if changed.size:
+                i = int(changed[0])
                 return CheckReport(
-                    False, cases, _fast_partition(n, blocks),
-                    f"{statistic} changed from {before} to {after} under rotation",
-                )
+                    False, cases + start + i + 1,
+                    _fast_partition(n, pairings._row_blocks(blocks[i])),
+                    f"{statistic} changed from {before[i]} to {after[i]} under rotation")
+        cases += len(s.case)
     return CheckReport(True, cases, None, f"{statistic} rotation-invariant on {cases} partitions")

@@ -5,24 +5,26 @@ with the package: pairings via itertools-style recursion on element lists,
 crossings by quadruple inspection, components by DFS over an explicit
 adjacency dict, set partitions by direct recursive construction.
 
-The exceptions are the last two sections.  The definitional bodies of the
-package's per-partition checks are kept as oracles for the walk-based
-checks: they call the package's single-partition functions (``statistics``,
-``connected_components``, ``evaluate``) and the validating
-``PairPartition.from_pairs``, but visit partitions through
-:func:`all_pairings` and use no walk or weight memo.  Those functions and
-the checks themselves share one crossing-graph kernel, so it is pinned on
-its own: ``statistics``, ``crossings``, ``singleton_blocks`` and
+The exceptions are the later sections.  An incremental union-find walk
+over P2(2n) is kept as :func:`walk_statistics`, with
+:func:`mixed_moment_by_keys` on top of it: the package's array stream must
+equal it row for row and its mixed moment bit for bit.  The per-partition
+check bodies are kept as oracles for the array checks: they visit every
+partition in walk order and read its rotation and each of its components,
+both built by the validating ``PairPartition.from_pairs``, with the
+package's single-partition kernel.  That kernel is pinned on its own:
+``statistics``, ``crossings``, ``singleton_blocks`` and
 ``connected_components`` must equal :func:`chord_stats`,
-:func:`singletons` and :func:`components` on every partition with n <= 6.  The element-at-a-time
-bodies of the group kernel, the metric check, the xorshift64* step,
-Box-Muller, the Markov assembly and the trace powers are kept as oracles
-for the array code: they compose ``Permutation`` objects, step the
-generator one word at a time, draw one normal pair at a time, build X from
-index arrays with temporaries and multiply out every power.
+:func:`singletons` and :func:`components` on every partition with n <= 6.
+The element-at-a-time bodies of the group kernel, the metric check, the
+xorshift64* step, Box-Muller, the Markov assembly and the trace powers are
+kept as oracles for the array code: they compose ``Permutation`` objects,
+step the generator one word at a time, draw one normal pair at a time,
+build X from index arrays with temporaries and multiply out every power.
 """
 
 import bisect
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -128,6 +130,149 @@ def mixed_moment(spec, rows):
             term = term * rows[i - 1][j - 1]
         total = total + term
     return total
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def walk_statistics(n, with_blocks=False):
+    """(cr, h, cc), or (blocks, cr, h, cc), over P2(2n) in canonical order,
+    by an incremental walk.
+
+    Block d is placed at depth d of an explicit stack, and cr / h / cc are
+    maintained while blocks are added and removed: a crossing-degree count
+    per block and a union-find over blocks with undo.  The blocks already
+    placed all start left of the smallest free point i, so the new block
+    (i, j) crosses exactly the blocks ending strictly between i and j; when
+    j moves on to the next free point, the blocks ending in between are
+    added to what it crosses and nothing is taken away.
+    """
+    m = 2 * n
+    last = n - 1
+    owner = [-1] * (m + 1)  # block holding each point; -1 while free
+    deg = [0] * n  # crossing degree of each block
+    parent = list(range(n))
+    size = [1] * n
+    # per depth d, i.e. block d: its lo point, the partner tried last (lo
+    # itself before the first), the blocks it crosses, the unions it made in
+    # the order made, and the blocks placed above it
+    lo = [0] * n
+    hi = [0] * n
+    crossed: list[list[int]] = [[] for _ in range(n)]
+    merged: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    placed: list[tuple[tuple[int, int], ...]] = [()] * n
+    cr = zero = merges = 0  # zero counts the blocks of degree 0
+
+    d = 0
+    lo[0] = hi[0] = 1
+    owner[1] = 0
+    while d >= 0:
+        i = lo[d]
+        if d == last:
+            # two free points remain: read the statistics off without
+            # placing the last block
+            j = i + 1
+            while owner[j] >= 0:
+                j += 1
+            h = zero + (j == i + 1)
+            roots = set()
+            for b in owner[i + 1:j]:
+                if not deg[b]:
+                    h -= 1
+                while parent[b] != b:
+                    b = parent[b]
+                roots.add(b)
+            if with_blocks:
+                yield placed[d] + ((i, j),), cr + j - i - 1, h, n - merges - len(roots)
+            else:
+                yield cr + j - i - 1, h, n - merges - len(roots)
+            owner[i] = -1
+            d -= 1
+            continue
+        j = hi[d]
+        first = j == i
+        if not first:
+            owner[j] = -1
+        new = []
+        j += 1
+        while j <= m and owner[j] >= 0:
+            new.append(owner[j])
+            j += 1
+        if j > m:
+            # every partner tried: take block d away, in reverse order
+            for rb, ra in reversed(merged[d]):
+                parent[rb] = rb
+                size[ra] -= size[rb]
+            merges -= len(merged[d])
+            for b in crossed[d]:
+                deg[b] -= 1
+                if not deg[b]:
+                    zero += 1
+            cr -= deg[d]
+            if not deg[d]:
+                zero -= 1
+            deg[d] = 0
+            crossed[d] = []
+            merged[d] = []
+            owner[i] = -1
+            d -= 1
+            continue
+        hi[d] = j
+        owner[j] = d
+        if first:
+            zero += 1
+        if new:
+            if not deg[d]:
+                zero -= 1
+            deg[d] += len(new)
+            cr += len(new)
+            crossed[d] += new
+            for b in new:
+                deg[b] += 1
+                if deg[b] == 1:
+                    zero -= 1
+                ra, rb = _find(parent, d), _find(parent, b)
+                if ra != rb:
+                    if size[ra] < size[rb]:
+                        ra, rb = rb, ra
+                    parent[rb] = ra
+                    size[ra] += size[rb]
+                    merged[d].append((rb, ra))
+                    merges += 1
+        if with_blocks:
+            placed[d + 1] = placed[d] + ((i, j),)
+        k = i + 1
+        while owner[k] >= 0:
+            k += 1
+        d += 1
+        lo[d] = hi[d] = k
+        owner[k] = d
+
+
+def mixed_moment_by_keys(spec, rows):
+    """mixed_moment one partition at a time over walk_statistics: each
+    product left to right over the blocks, each (cr, h, cc) key's sum in
+    partition order, keys weighted in order of first partition."""
+    k = len(rows)
+    n = k // 2
+    entries = [x for row in rows for x in row]
+    denominator = None
+    if all(map(weights.is_exact, entries)) and not all(isinstance(x, int) for x in entries):
+        denominator = Fraction(math.lcm(*(x.denominator for x in entries)))
+        rows = [[int(x * denominator) for x in row] for row in rows]
+    sums = {}
+    for blocks, cr, h, cc in walk_statistics(n, with_blocks=True):
+        term = 1
+        for i, j in blocks:
+            term *= rows[i - 1][j - 1]
+        sums[cr, h, cc] = sums.get((cr, h, cc), 0) + term
+    total = 0
+    for (cr, h, cc), value in sums.items():
+        total = total + spec.weight_of(n, cr, h, cc) * value
+    return total if denominator is None else total / denominator ** n
 
 
 def all_set_partitions(items):
@@ -241,10 +386,31 @@ def blocks_even(blocks):
 # --- definitional check bodies ------------------------------------------------
 
 
-def _partitions_up_to(nmax):
-    for n in range(1, nmax + 1):
-        for pairs in all_pairings(range(1, 2 * n + 1)):
-            yield PairPartition.from_pairs(pairs)
+@functools.lru_cache(maxsize=None)
+def _records(n):
+    """Per partition of P2(2n), in the order of walk_statistics: its (cr, h,
+    cc) from the walk, and the (cr, h, cc) of its rotation and the (k, cr,
+    h, cc) of each component standardized to {1..2k}, both built by
+    from_pairs and read by the package's single-partition kernel.  Equal
+    records are shared, so n = 7 holds one reference per partition."""
+    shared = {}
+    out = []
+    for blocks, cr, h, cc in walk_statistics(n, with_blocks=True):
+        part = pairings._fast_partition(n, blocks)
+        rotated = pairings._chord_stats(rotate_by_pairs(part).blocks)
+        if cc == n:
+            comps = ((1, 0, 1, 1),) * n
+        else:
+            comps = tuple((len(comp), *pairings._chord_stats(standardize_by_pairs(comp).blocks))
+                          for comp in pairings.connected_components(part)[1])
+        record = (cr, h, cc), rotated, comps
+        out.append(shared.setdefault(record, record))
+    return out
+
+
+def _partition(n, index):
+    blocks = next(itertools.islice(walk_statistics(n, with_blocks=True), index, None))[0]
+    return PairPartition.from_pairs(blocks)
 
 
 def rotate_by_pairs(partition):
@@ -261,32 +427,37 @@ def standardize_by_pairs(component):
 
 
 def strong_multiplicativity_report(spec, nmax):
-    """check_strong_multiplicativity, evaluating every partition and component."""
+    """check_strong_multiplicativity, multiplying out every partition; equal
+    records (the same shared object) are multiplied once."""
     cases = 0
-    for part in _partitions_up_to(nmax):
-        cases += 1
-        whole = weights.evaluate(spec, part)
-        _, comps = pairings.connected_components(part)
-        split = 1
-        for comp in comps:
-            split = split * weights.evaluate(spec, standardize_by_pairs(comp))
-        if not weights.numbers_equal(whole, split):
-            return weights.CheckReport(
-                False, cases, part, f"t(V)={whole} but component product is {split}")
+    products = {}
+    for n in range(1, nmax + 1):
+        for i, record in enumerate(_records(n)):
+            cases += 1
+            if id(record) not in products:
+                stats, _, comps = record
+                split = 1
+                for key in comps:
+                    split = split * spec.weight_of(*key)
+                products[id(record)] = spec.weight_of(n, *stats), split
+            whole, split = products[id(record)]
+            if not weights.numbers_equal(whole, split):
+                return weights.CheckReport(False, cases, _partition(n, i),
+                                           f"t(V)={whole} but component product is {split}")
     return weights.CheckReport(True, cases, None, f"factorization holds on {cases} partitions")
 
 
 def traceability_report(statistic, nmax):
-    """check_traceability, with both sides from pairings.statistics."""
-    field = {"cr": "cr", "h": "h", "cc": "cc", "H": "big_h"}[statistic]
+    """check_traceability, comparing every partition with its rotation."""
+    index = ("cr", "h", "cc", "H").index(statistic)
     cases = 0
-    for part in _partitions_up_to(nmax):
-        cases += 1
-        a = getattr(pairings.statistics(part), field)
-        b = getattr(pairings.statistics(rotate_by_pairs(part)), field)
-        if a != b:
-            return weights.CheckReport(
-                False, cases, part, f"{statistic} changed from {a} to {b} under rotation")
+    for n in range(1, nmax + 1):
+        for i, (stats, rotated, _) in enumerate(_records(n)):
+            cases += 1
+            a, b = ((*s, n - s[1])[index] for s in (stats, rotated))
+            if a != b:
+                return weights.CheckReport(False, cases, _partition(n, i),
+                                           f"{statistic} changed from {a} to {b} under rotation")
     return weights.CheckReport(
         True, cases, None, f"{statistic} rotation-invariant on {cases} partitions")
 

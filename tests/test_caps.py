@@ -5,8 +5,8 @@ moment-cumulant transforms and the weighted sums over them) stops at
 ``TABLE_MAX_N = 20``; everything that walks partitions one at a time stops
 at ``STREAM_MAX_N = 8``.  Each entry point answers at its cap and raises
 :class:`SizeLimitError` one past it.  Past the cap, stand-ins for the table
-builders and the walks fail the test if any work starts, which shows that
-the refusal comes first.
+builders, the walks and numpy itself fail the test if any work starts,
+which shows that the refusal comes first.
 """
 
 from fractions import Fraction as F
@@ -109,22 +109,38 @@ def test_cli_table_command_refuses_past_cap(argv, capsys, no_tables):
 
 
 class _Started(Exception):
-    """The walk at the half-size under test produced its first partition."""
+    """The stream at the half-size under test was asked for."""
 
 
-def _stub_walks(monkeypatch, top):
-    # Walks below half-size `top` are recorded and yield nothing, so a check
-    # over n = 1..top stays fast; the walk at `top` runs the real stream up to
-    # its first partition (its cap check fires there) and stops.
+def _stub_streams(monkeypatch, top):
+    # Streams below half-size `top` are recorded and empty, so a check over
+    # n = 1..top stays fast.  At `top`, the array stream stops the call as
+    # soon as it is asked for, and the enumerate_pairings walk runs the real
+    # stream up to its first partition (its cap check fires there).
     below = []
-    for name in ("enumerate_pairings", "iter_statistics"):
-        def walk(n, *args, real=getattr(pa, name), **kwargs):
-            if n < top:
-                below.append(n)
-                return iter(())
-            raise _Started(n, next(real(n, *args, **kwargs)))
-        monkeypatch.setattr(pa, name, walk)
+
+    def stream(n):
+        pa._check_cap(n, STREAM)  # as the real _stream does first
+        if n < top:
+            below.append(n)
+            blocks = pa.np.empty((0, n, 2), dtype=pa.np.int8)
+            return pa._Stream(blocks, pa.np.empty(0, dtype=pa.np.int16), (), (), ())
+        raise _Started(n)
+
+    def walk(n, real=pa.enumerate_pairings):
+        if n < top:
+            below.append(n)
+            return iter(())
+        raise _Started(n, next(real(n)))
+
+    monkeypatch.setattr(pa, "_stream", stream)
+    monkeypatch.setattr(pa, "enumerate_pairings", walk)
     return below
+
+
+class _NoArrays:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used above the cap")
 
 
 def _gram(n):
@@ -133,7 +149,7 @@ def _gram(n):
 
 STREAM_ENTRIES = {
     "enumerate_pairings": lambda n: pa.enumerate_pairings(n),
-    "iter_statistics": lambda n: pa.iter_statistics(n),
+    "iter_statistics": lambda n: next(pa.iter_statistics(n)),
     "mixed_moment": lambda n: mo.mixed_moment(we.Constant1(), _gram(n)),
     "check_traceability": lambda n: we.check_traceability("cr", n),
     "check_strong_multiplicativity":
@@ -145,16 +161,17 @@ STREAM_ENTRIES = {
 
 @pytest.mark.parametrize("entry", STREAM_ENTRIES)
 def test_stream_entry_walks_at_cap(entry, monkeypatch):
-    _stub_walks(monkeypatch, STREAM)
+    _stub_streams(monkeypatch, STREAM)
     with pytest.raises(_Started):
         STREAM_ENTRIES[entry](STREAM)
 
 
 @pytest.mark.parametrize("entry", STREAM_ENTRIES)
 def test_stream_entry_refuses_past_cap(entry, monkeypatch, capsys):
-    below = _stub_walks(monkeypatch, STREAM + 1)
+    below = _stub_streams(monkeypatch, STREAM + 1)
     monkeypatch.setattr(pa, "_iter_blocks", _no_work)
-    monkeypatch.setattr(pa, "_find", _no_work)
+    for module in (pa, mo, we):
+        monkeypatch.setattr(module, "np", _NoArrays())
     if entry.startswith("sequences"):
         assert STREAM_ENTRIES[entry](STREAM + 1) == 2
         out, err = capsys.readouterr()
@@ -163,3 +180,10 @@ def test_stream_entry_refuses_past_cap(entry, monkeypatch, capsys):
         with pytest.raises(SizeLimitError, match="enumeration cap"):
             STREAM_ENTRIES[entry](STREAM + 1)
     assert below == []
+
+
+def test_stream_arrays_refused_before_allocation(monkeypatch):
+    monkeypatch.setattr(pa, "np", _NoArrays())
+    with pytest.raises(SizeLimitError, match="enumeration cap"):
+        pa._stream(STREAM + 1)
+    assert STREAM + 1 not in pa._STREAMS

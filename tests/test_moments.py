@@ -22,6 +22,7 @@ from pairmoments.weights import (
     Product,
     SingletonCountPower,
     SingletonHPower,
+    WeightSpec,
 )
 
 HALF = Fraction(1, 2)
@@ -397,6 +398,73 @@ class TestMixedMoment:
         # Gram of (e, -e): entries (+1, -1; -1, +1); single pairing gives -1
         g = GramMatrix.from_rows([[1, -1], [-1, 1]])
         assert mo.mixed_moment(Constant1(), g) == -1
+
+    def test_weight_sees_python_ints(self):
+        # 2 ** np.int64(3) is an np.int64, and int8 arithmetic wraps silently
+        class Strict(WeightSpec):
+            def weight_of(self, n, cr, h, cc):
+                assert all(type(x) is int for x in (n, cr, h, cc))
+                return 2 ** cr
+
+        rows = _symmetric(10, GRAMS["int"])
+        got = mo.mixed_moment(Strict(), GramMatrix.from_rows(rows))
+        assert type(got) is int
+        assert got == brute.mixed_moment(CrossingPower(2), rows)
+        got = mo.mixed_moment(Strict(), GramMatrix.from_rows(_symmetric(6, GRAMS["fraction"])))
+        assert type(got) is Fraction
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("past", [False, True])
+    def test_int64_guard_edge(self, n, past):
+        # max|entry|^n * (2n-1)!! < 2^63 runs in int64; one more and the
+        # sums would overflow it, so Python ints take over, exactly
+        def fits(m):
+            return m ** n * pairings.pairing_count(n) < 2 ** 63
+
+        top = int((2 ** 63 / pairings.pairing_count(n)) ** (1 / n))
+        while fits(top + 1):
+            top += 1
+        while not fits(top):
+            top -= 1
+        top += past
+        rows = _symmetric(2 * n, lambda i, j: top if (i + j) % 3 else -top + i)
+        for spec in (Constant1(), CrossingPower(3)):
+            got = mo.mixed_moment(spec, GramMatrix.from_rows(rows))
+            assert type(got) is int
+            assert got == brute.mixed_moment(spec, rows)
+            assert got == brute.mixed_moment_by_keys(spec, rows)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_float_gram_bit_identical(self, n):
+        # left-to-right products, in-order sums per key, keys by first partition
+        rng = random.Random(n)
+        rows = _symmetric(2 * n, lambda i, j: rng.uniform(-1.0, 1.0) * 10 ** rng.randint(-3, 3))
+        for spec in (Constant1(), CrossingPower(0.7), SingletonHPower(HALF),
+                     Product([ComponentPower(1.5), SingletonCountPower(Fraction(2, 3))])):
+            got = mo.mixed_moment(spec, GramMatrix.from_rows(rows))
+            assert type(got) is float
+            assert got == brute.mixed_moment_by_keys(spec, rows)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_mixed_kinds_bit_identical(self, n):
+        # ints, Fractions and floats in one matrix take Python's arithmetic
+        rng = random.Random(10 + n)
+        kinds = (lambda: rng.randint(-3, 3), lambda: Fraction(rng.randint(-5, 5), 3),
+                 lambda: rng.uniform(-2.0, 2.0))
+        rows = _symmetric(2 * n, lambda i, j: kinds[(i + 2 * j) % 3]())
+        for spec in (Constant1(), CrossingPower(Fraction(1, 3))):
+            got = mo.mixed_moment(spec, GramMatrix.from_rows(rows))
+            want = brute.mixed_moment_by_keys(spec, rows)
+            assert type(got) is type(want) and got == want
+
+    def test_chunk_boundaries(self, monkeypatch):
+        rows = _symmetric(10, GRAMS["mixed"])
+        float_rows = _symmetric(10, lambda i, j: 1.0 / (1 + i + 3 * j))
+        want = [mo.mixed_moment(CrossingPower(0.3), GramMatrix.from_rows(r))
+                for r in (rows, float_rows)]
+        monkeypatch.setattr(pairings, "_CHUNK", 7)
+        assert want == [mo.mixed_moment(CrossingPower(0.3), GramMatrix.from_rows(r))
+                        for r in (rows, float_rows)]
 
     def test_cap_exceeded(self):
         from pairmoments.exceptions import SizeLimitError

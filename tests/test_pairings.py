@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import brute
@@ -215,6 +216,12 @@ class TestRotate:
             assert w == brute.rotate_by_pairs(v)
             assert PairPartition(w.n, w.blocks) == w  # passes __post_init__
 
+    def test_large_labels(self):
+        # past int8: 2n = 200 points
+        v = PairPartition.from_pairs((k, 201 - k) for k in range(1, 101))
+        assert pairings.rotate(v) == brute.rotate_by_pairs(v)
+        assert all(type(x) is int for b in pairings.rotate(v).blocks for x in b)
+
     def test_orbit_returns_to_start(self):
         v = P((1, 4), (2, 6), (3, 5))
         w = v
@@ -398,3 +405,61 @@ class TestIterStatistics:
             for blocks, cr, h, cc in got:
                 ref = brute.chord_stats(list(blocks))
                 assert (cr, h, cc) == ref
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_walk_oracle(self, n):
+        # in order and value, against the incremental union-find walk
+        assert list(pairings.iter_statistics(n)) == list(brute.walk_statistics(n))
+        got = pairings.iter_statistics(n, with_blocks=True)
+        assert [b for b, *_ in got] == [v.blocks for v in pairings.enumerate_pairings(n)]
+
+    def test_yields_python_ints(self):
+        for n in range(1, 7):
+            for blocks, *stats in pairings.iter_statistics(n, with_blocks=True):
+                assert all(type(x) is int for x in stats)
+                assert type(blocks) is tuple
+                assert all(type(b) is tuple and all(type(x) is int for x in b) for b in blocks)
+            assert all(type(t) is tuple and all(type(x) is int for x in t)
+                       for t in pairings.iter_statistics(n))
+
+
+class TestStreamArrays:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rows_are_the_walk_in_order(self, n):
+        blocks = pairings._stream(n).blocks
+        assert blocks.dtype == np.int8 and blocks.shape == (DOUBLE_FACTORIALS[n - 1], n, 2)
+        assert not blocks.flags.writeable
+        assert [tuple(map(tuple, row)) for row in blocks.tolist()] == \
+            list(pairings._iter_blocks(n))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rotated_rows_match_rotate_by_pairs(self, n):
+        blocks = pairings._stream(n).blocks
+        got = pairings._rotate_rows(blocks)
+        assert got.dtype == np.int8
+        assert [tuple(map(tuple, row)) for row in got.tolist()] == [
+            brute.rotate_by_pairs(PairPartition(n, b)).blocks for b in pairings._iter_blocks(n)]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cases_are_component_keys(self, n):
+        s = pairings._stream(n)
+        case = s.case.tolist()
+        assert list(s.first) == sorted(set(s.first))
+        assert [case.index(c) for c in range(len(s.parts))] == list(s.first)
+        for blocks, c in zip(brute.all_pairings(range(1, 2 * n + 1)), case):
+            comps = brute.components(blocks)
+            assert s.parts[c] == tuple((len(comp), brute.crossing_count(comp)) for comp in comps)
+            assert s.stats[c] == brute.chord_stats(blocks)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        # rows split across chunks of 7 give the same stream as one chunk
+        want = {n: pairings._stream(n) for n in range(1, 7)}
+        monkeypatch.setattr(pairings, "_STREAMS", {})
+        monkeypatch.setattr(pairings, "_CHUNK", 7)
+        for n in range(1, 7):
+            got = pairings._stream(n)
+            assert np.array_equal(got.blocks, want[n].blocks)
+            assert np.array_equal(got.case, want[n].case)
+            assert (got.first, got.parts, got.stats) == \
+                (want[n].first, want[n].parts, want[n].stats)
+            assert list(pairings.iter_statistics(n)) == list(brute.walk_statistics(n))

@@ -185,6 +185,26 @@ class TestSampleMarkov:
         got = rm.sample_markov(n, dist, seed=n).matrix
         assert got.tobytes() == brute.sample_markov(n, dist, n).tobytes()
 
+    @pytest.mark.parametrize("n", [2, 3, 17, 300])
+    @pytest.mark.parametrize("dist", rm.ENTRY_DISTRIBUTIONS)
+    def test_symmetric_without_the_check(self, dist, n, monkeypatch):
+        # sample_markov skips SymMatrix's symmetry check; its output still
+        # passes it, exactly, and is the oracle's matrix byte for byte
+        def no_check(self):
+            raise AssertionError("symmetry checked on a matrix symmetric by construction")
+
+        monkeypatch.setattr(rm.SymMatrix, "__post_init__", no_check)
+        got = rm.sample_markov(n, dist, seed=3 * n)
+        assert type(got) is rm.SymMatrix and got.n == n
+        assert np.array_equal(got.matrix, got.matrix.T)
+        assert got.matrix.tobytes() == brute.sample_markov(n, dist, 3 * n).tobytes()
+        monkeypatch.undo()
+        rm.SymMatrix(got.matrix)  # the public constructor accepts it
+
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            rm.SymMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
     def test_n2_structure(self):
         # M = [[-x, x], [x, -x]] with x the off-diagonal entry of X
         m = rm.sample_markov(2, "rademacher", seed=7).matrix

@@ -188,22 +188,27 @@ ORACLE_SPECS = [
     Product([CrossingPower(HALF), SingletonHPower(Fraction(1, 3))]),
     CrossingPower(0.7),
     _CrossingCountPlusOne(),
+    CrossingPower(2.0),
+    SingletonHPower(0),
 ]
 
 
 class TestChecksMatchDefinitionalBodies:
-    """The walk-based checks give the same CheckReport, field for field, as
-    the definitional check bodies kept in brute.py."""
+    """The array checks give the same CheckReport, field for field, as the
+    per-partition check bodies kept in brute.py, at every nmax up to 7."""
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=[
-        "const", "qcr", "scc", "bH", "betah", "product", "qcr-float", "cr-plus-one"])
+        "const", "qcr", "scc", "bH", "betah", "product", "qcr-float", "cr-plus-one",
+        "qcr-2.0", "bH-0"])
     def test_strong_multiplicativity(self, spec):
-        assert weights.check_strong_multiplicativity(spec, 6) == \
-            brute.strong_multiplicativity_report(spec, 6)
+        for nmax in range(8):
+            assert weights.check_strong_multiplicativity(spec, nmax) == \
+                brute.strong_multiplicativity_report(spec, nmax)
 
     @pytest.mark.parametrize("stat", ["cr", "h", "cc", "H"])
     def test_traceability(self, stat):
-        assert weights.check_traceability(stat, 6) == brute.traceability_report(stat, 6)
+        for nmax in range(8):
+            assert weights.check_traceability(stat, nmax) == brute.traceability_report(stat, nmax)
 
     def test_weight_of_called_once_per_key(self):
         calls = []
@@ -218,6 +223,31 @@ class TestChecksMatchDefinitionalBodies:
         keys = {(n, *key) for n in range(1, 6)
                 for key in pairings.statistic_distribution(n).counts}
         assert set(calls) == keys
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 11])
+    def test_first_changed_row_is_the_witness(self, monkeypatch, chunk):
+        # a rotated row that starts (1, 3), i.e. a partition holding the
+        # block (2, 2n), is made to gain a crossing; the report must name
+        # the first such partition whatever the chunk size
+        real = pairings._chunk_stats
+
+        def broken(blocks):
+            cr, h, cc = real(blocks)
+            return cr + (blocks[:, 0, 1] == 3), h, cc
+
+        monkeypatch.setattr(pairings, "_CHUNK", chunk)
+        monkeypatch.setattr(pairings, "_chunk_stats", broken)
+        cases, want = 0, None
+        for n in range(1, 5):
+            for blocks in brute.all_pairings(range(1, 2 * n + 1)):
+                cases += 1
+                if want is None and (2, 2 * n) in blocks:
+                    cr = brute.crossing_count(blocks)
+                    want = weights.CheckReport(
+                        False, cases, PairPartition.from_pairs(blocks),
+                        f"cr changed from {cr} to {cr + 1} under rotation")
+        assert want.cases == 3
+        assert weights.check_traceability("cr", 4) == want
 
 
 class TestTraceability:
