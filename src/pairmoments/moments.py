@@ -284,7 +284,7 @@ def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
     """Joint moment of a weight against a Gram matrix of inner products.
 
     Zero for odd size; otherwise the weighted sum over pair partitions of the
-    products of paired inner products, over the cached block arrays of
+    products of paired inner products, over the block arrays of
     :mod:`pairmoments.pairings`, so half-sizes above ``STREAM_MAX_N`` raise.
     Entries are indexed 0-based.
 
@@ -293,9 +293,9 @@ def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
     scaled to integers by the lcm D of its denominators, so the sums are
     of ints and sum(weight * S) / D^n stays exact; an all-int matrix with an
     int weight gives an int.  Ints run in int64 while max|entry|^n *
-    (2n-1)!! < 2^63, past that as Python ints, all-float matrices in
-    float64, any other mix as Python objects; products go left to right and
-    sums in partition order, so floats round as they did one at a time.
+    (2n-1)!! < 2^63; past that, and for floats or any mix of kinds, the
+    entries stay Python objects, multiplied left to right and added in
+    partition order, so floats round as they did one at a time.
     """
     k = gram.size
     if k % 2 == 1:
@@ -313,15 +313,12 @@ def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
     if all(isinstance(x, int) for x in entries):
         if max(map(abs, entries)) ** n * pairings.pairing_count(n) < 2 ** 63:
             dtype = np.int64
-    elif all(isinstance(x, float) for x in entries):
-        dtype = np.float64
     padded = np.zeros((k + 1, k + 1), dtype=dtype)  # 1-based, as the blocks are
     padded[1:, 1:] = np.array(entries, dtype=dtype).reshape(k, k)
     keys: dict[tuple[int, int, int], int] = {}
     key_of_case = np.array([keys.setdefault(st, len(keys)) for st in s.stats])
     sums = np.zeros(len(keys), dtype=dtype)
-    for start in range(0, len(s.case), pairings._CHUNK):
-        blocks = s.blocks[start:start + pairings._CHUNK]
+    for start, blocks in pairings._chunks(n):
         term = padded[blocks[:, 0, 0], blocks[:, 0, 1]]
         for j in range(1, n):
             term = term * padded[blocks[:, j, 0], blocks[:, j, 1]]

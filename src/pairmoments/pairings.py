@@ -23,8 +23,8 @@ Touchard-Riordan q-Gaussian moments T_k(q) (Bozejko-Speicher, CMP 137
 The per-partition streams keep one canonical order.
 :func:`enumerate_pairings` is a non-recursive walk over an explicit stack;
 :func:`iter_statistics`, :func:`pairmoments.moments.mixed_moment` and the
-checks of :mod:`pairmoments.weights` read cached numpy block arrays
-instead (see "The stream as arrays" below).
+checks of :mod:`pairmoments.weights` read numpy block arrays and cached
+per-row cases instead (see "The stream as arrays" below).
 
 Everything about a single partition comes from one private kernel,
 ``_crossing_graph``: from a blocks tuple sorted by low endpoint it builds
@@ -47,8 +47,8 @@ import numpy as np
 from .exceptions import DualPathMismatchError, SizeLimitError
 
 #: Largest half-size streamed one partition at a time (2n = 16 points,
-#: 2,027,025 partitions, 32 MB of int8 blocks): every per-partition stream
-#: and every check that visits each partition.
+#: 2,027,025 partitions): every per-partition stream and every check that
+#: visits each partition.
 STREAM_MAX_N = 8
 
 #: Largest half-size answered from tables, which visit no partition: the
@@ -361,11 +361,12 @@ def total_singletons(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The stream as arrays: P2(2n) as one cached, read-only (rows, n, 2) int8
-# array of blocks in canonical order, built from the n - 1 array.  Each row's
-# crossing graph is one uint8 bitmask per block, and Warshall's closure over
-# them gives each block's component.  Rows are filed under cases, the (size,
-# crossings) of each component by lowest block, which fix (cr, h, cc).
+# The stream as arrays: P2(2n) as (rows, n, 2) int8 blocks in canonical
+# order, built per call from the rows of P2(2n - 2).  Each row's crossing
+# graph is one uint8 bitmask per block, and Warshall's closure over them
+# gives each block's component.  Rows are filed under cases, the (size,
+# crossings) of each component by lowest block, which fix (cr, h, cc); only
+# the cases are cached (4 MB at n = 8, where the blocks would take 32 MB).
 # ---------------------------------------------------------------------------
 
 #: Rows per numpy pass: the temporaries stay under 0.5 MB whatever n.
@@ -376,12 +377,10 @@ _LOWEST = np.array([(i & -i).bit_length() - 1 for i in range(256)], dtype=np.int
 
 
 class _Stream(NamedTuple):
-    # Row i has blocks[i] and case[i].  Case c first occurs at row first[c];
-    # parts[c] and stats[c] are its components' (size, crossings) and its
-    # (cr, h, cc), all Python ints.
-    blocks: np.ndarray
+    # Row i has case[i]; cases are numbered in order of their first row.
+    # parts[c] and stats[c] are case c's components' (size, crossings) and
+    # its (cr, h, cc), all Python ints.
     case: np.ndarray
-    first: tuple[int, ...]
     parts: tuple[tuple[tuple[int, int], ...], ...]
     stats: tuple[tuple[int, int, int], ...]
 
@@ -430,33 +429,37 @@ def _case_keys(blocks: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _chunks(n: int) -> Iterator[tuple[int, np.ndarray]]:
+    # (first row, rows) over P2(2n) in canonical order, at most _CHUNK rows
+    # each.  Point 1 pairs with j = 2..2n in turn; the other points carry the
+    # rows of P2(2n - 2), built afresh, relabelled in order: p -> p + 1 below
+    # j, p + 2 from j on.  No array outlives the call.
+    prev = (np.concatenate([rows for _, rows in _chunks(n - 1)]) + np.int8(1)
+            if n > 1 else np.empty((1, 0, 2), np.int8))
+    for t, j in enumerate(range(2, 2 * n + 1)):
+        part = np.empty((len(prev), n, 2), dtype=np.int8)
+        part[:, 0] = (1, j)
+        np.add(prev, prev >= j, out=part[:, 1:], casting="unsafe")
+        for i in range(0, len(part), _CHUNK):
+            yield t * len(prev) + i, part[i:i + _CHUNK]
+
+
 def _stream(n: int) -> _Stream:
     # Cached; half-sizes above STREAM_MAX_N raise before any array exists.
     _check_cap(n, STREAM_MAX_N)
     if n not in _STREAMS:
-        # point 1 pairs with j = 2..2n in turn; the other points carry
-        # P2(2n - 2) relabelled in order, p -> p + 1 below j, p + 2 from j on
-        prev = _stream(n - 1).blocks + np.int8(1) if n > 1 else np.empty((1, 0, 2), np.int8)
-        blocks = np.empty(((2 * n - 1) * len(prev), n, 2), dtype=np.int8)
-        for t, j in enumerate(range(2, 2 * n + 1)):
-            part = blocks[t * len(prev):(t + 1) * len(prev)]
-            part[:, 0] = (1, j)
-            np.add(prev, prev >= j, out=part[:, 1:], casting="unsafe")
-        index: dict[int, int] = {}  # key -> case, cases numbered by first row
-        first = []
-        case = np.empty(len(blocks), dtype=np.int16)  # 497 cases at n = 8
-        for start in range(0, len(blocks), _CHUNK):
-            keys = _case_keys(blocks[start:start + _CHUNK]).tolist()
+        index: dict[int, int] = {}  # key -> case
+        case = np.empty(pairing_count(n), dtype=np.int16)  # 497 cases at n = 8
+        for start, blocks in _chunks(n):
+            keys = _case_keys(blocks).tolist()
             for key in dict.fromkeys(keys):
-                if key not in index:
-                    index[key] = len(index)
-                    first.append(start + keys.index(key))
+                index.setdefault(key, len(index))
             case[start:start + len(keys)] = np.fromiter(
                 map(index.__getitem__, keys), dtype=np.int16, count=len(keys))
         parts = tuple(tuple((code // 32 + 1, code % 32) for code in
                             (b - 1 for b in key.to_bytes(8, "big") if b)) for key in index)
-        blocks.flags.writeable = case.flags.writeable = False
-        _STREAMS[n] = _Stream(blocks, case, tuple(first), parts, tuple(
+        case.flags.writeable = False
+        _STREAMS[n] = _Stream(case, parts, tuple(
             (sum(c for _, c in p), sum(k == 1 for k, _ in p), len(p)) for p in parts))
     return _STREAMS[n]
 
@@ -483,7 +486,7 @@ def iter_statistics(n: int, *, with_blocks: bool = False) -> Iterator:
 
     Order and ``STREAM_MAX_N`` cap match :func:`enumerate_pairings`, whose
     walk gives the blocks tuples (faster than converting array rows); the
-    statistics come from the cached arrays.
+    statistics come from the cached cases.
     """
     s = _stream(n)
     stats = (s.stats[c] for i in range(0, len(s.case), _CHUNK)

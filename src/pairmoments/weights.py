@@ -191,7 +191,7 @@ def check_strong_multiplicativity(spec: WeightSpec, nmax: int) -> CheckReport:
     Relabelling keeps which blocks cross, so a component of k blocks and
     cr_c crossings has the key (k, cr_c, [k = 1], 1).  Partitions with the
     same component keys in order of lowest block form one case of the
-    cached arrays of :mod:`pairmoments.pairings`; each case is checked once,
+    cached stream of :mod:`pairmoments.pairings`; each case is checked once,
     in order of its first partition, which is the witness if it fails.  nmax
     above ``STREAM_MAX_N`` raises before any array is built.
     """
@@ -200,14 +200,16 @@ def check_strong_multiplicativity(spec: WeightSpec, nmax: int) -> CheckReport:
     cases = 0
     for n in range(1, nmax + 1):
         s = pairings._stream(n)
-        for stats, parts, row in zip(s.stats, s.parts, s.first):
+        for case, (stats, parts) in enumerate(zip(s.stats, s.parts)):
             whole = weight[(n, *stats)]
             split = 1
             for k, cr in parts:
                 split = split * weight[k, cr, int(k == 1), 1]
             if not numbers_equal(whole, split):
+                row = int(np.flatnonzero(s.case == case)[0])
+                start, blocks = next(c for c in pairings._chunks(n) if row < c[0] + len(c[1]))
                 return CheckReport(False, cases + row + 1,
-                                   _fast_partition(n, pairings._row_blocks(s.blocks[row])),
+                                   _fast_partition(n, pairings._row_blocks(blocks[row - start])),
                                    f"t(V)={whole} but component product is {split}")
         cases += len(s.case)
     return CheckReport(True, cases, None, f"factorization holds on {cases} partitions")
@@ -216,7 +218,7 @@ def check_strong_multiplicativity(spec: WeightSpec, nmax: int) -> CheckReport:
 def check_traceability(statistic: str, nmax: int) -> CheckReport:
     """Verify a statistic is invariant under cyclic rotation of the ground set.
 
-    The rows of the cached block arrays of :mod:`pairmoments.pairings` are
+    The rows of the block arrays of :mod:`pairmoments.pairings` are
     rotated in bulk and each rotated row's statistic compared with its own;
     the first row that differs is the witness.  nmax above ``STREAM_MAX_N``
     raises before any array is built.
@@ -230,8 +232,7 @@ def check_traceability(statistic: str, nmax: int) -> CheckReport:
     for n in range(1, nmax + 1):
         s = pairings._stream(n)
         of_case = np.array([(cr, h, cc, n - h)[index] for cr, h, cc in s.stats], dtype=np.int64)
-        for start in range(0, len(s.case), pairings._CHUNK):
-            blocks = s.blocks[start:start + pairings._CHUNK]
+        for start, blocks in pairings._chunks(n):
             cr, h, cc = pairings._chunk_stats(pairings._rotate_rows(blocks))
             before, after = of_case[s.case[start:start + len(blocks)]], (cr, h, cc, n - h)[index]
             changed = np.flatnonzero(before != after)

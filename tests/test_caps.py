@@ -113,19 +113,23 @@ class _Started(Exception):
 
 
 def _stub_streams(monkeypatch, top):
-    # Streams below half-size `top` are recorded and empty, so a check over
-    # n = 1..top stays fast.  At `top`, the array stream stops the call as
-    # soon as it is asked for, and the enumerate_pairings walk runs the real
-    # stream up to its first partition (its cap check fires there).
+    # Streams below half-size `top` are recorded and empty, with no chunks,
+    # so a check over n = 1..top stays fast.  At `top`, the array stream
+    # stops the call as soon as it is asked for, and the enumerate_pairings
+    # walk runs the real stream up to its first partition (its cap check
+    # fires there).
     below = []
 
     def stream(n):
         pa._check_cap(n, STREAM)  # as the real _stream does first
         if n < top:
             below.append(n)
-            blocks = pa.np.empty((0, n, 2), dtype=pa.np.int8)
-            return pa._Stream(blocks, pa.np.empty(0, dtype=pa.np.int16), (), (), ())
+            return pa._Stream(pa.np.empty(0, dtype=pa.np.int16), (), ())
         raise _Started(n)
+
+    def chunks(n):
+        assert n < top  # the stream of n was asked for first
+        return iter(())
 
     def walk(n, real=pa.enumerate_pairings):
         if n < top:
@@ -134,6 +138,7 @@ def _stub_streams(monkeypatch, top):
         raise _Started(n, next(real(n)))
 
     monkeypatch.setattr(pa, "_stream", stream)
+    monkeypatch.setattr(pa, "_chunks", chunks)
     monkeypatch.setattr(pa, "enumerate_pairings", walk)
     return below
 

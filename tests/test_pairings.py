@@ -423,18 +423,39 @@ class TestIterStatistics:
                        for t in pairings.iter_statistics(n))
 
 
+def _array(n):
+    return np.concatenate([blocks for _, blocks in pairings._chunks(n)])
+
+
 class TestStreamArrays:
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_rows_are_the_walk_in_order(self, n):
-        blocks = pairings._stream(n).blocks
-        assert blocks.dtype == np.int8 and blocks.shape == (DOUBLE_FACTORIALS[n - 1], n, 2)
-        assert not blocks.flags.writeable
+    def test_rows_are_the_walk_in_order(self, n, monkeypatch):
+        monkeypatch.setattr(pairings, "_CHUNK", 100)
+        chunks = list(pairings._chunks(n))
+        assert all(blocks.dtype == np.int8 and len(blocks) <= 100 for _, blocks in chunks)
+        assert [start for start, _ in chunks] == list(itertools.accumulate(
+            [0] + [len(blocks) for _, blocks in chunks[:-1]]))
+        blocks = _array(n)
+        assert blocks.shape == (DOUBLE_FACTORIALS[n - 1], n, 2)
         assert [tuple(map(tuple, row)) for row in blocks.tolist()] == \
             list(pairings._iter_blocks(n))
 
+    def test_rows_at_the_cap(self):
+        # n = 8 chunks follow one another and start as the walk does
+        top = pairings.STREAM_MAX_N
+        head = list(itertools.islice(pairings._iter_blocks(top), 3 * 2048))
+        end = 0
+        for start, blocks in pairings._chunks(top):
+            assert start == end
+            end += len(blocks)
+            if start < len(head):
+                assert [tuple(map(tuple, row)) for row in blocks.tolist()] == \
+                    head[start:end]
+        assert end == DOUBLE_FACTORIALS[top - 1]
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rotated_rows_match_rotate_by_pairs(self, n):
-        blocks = pairings._stream(n).blocks
+        blocks = _array(n)
         got = pairings._rotate_rows(blocks)
         assert got.dtype == np.int8
         assert [tuple(map(tuple, row)) for row in got.tolist()] == [
@@ -444,8 +465,9 @@ class TestStreamArrays:
     def test_cases_are_component_keys(self, n):
         s = pairings._stream(n)
         case = s.case.tolist()
-        assert list(s.first) == sorted(set(s.first))
-        assert [case.index(c) for c in range(len(s.parts))] == list(s.first)
+        assert not s.case.flags.writeable
+        first = [case.index(c) for c in range(len(s.parts))]
+        assert first == sorted(first) and set(case) == set(range(len(s.parts)))
         for blocks, c in zip(brute.all_pairings(range(1, 2 * n + 1)), case):
             comps = brute.components(blocks)
             assert s.parts[c] == tuple((len(comp), brute.crossing_count(comp)) for comp in comps)
@@ -458,8 +480,6 @@ class TestStreamArrays:
         monkeypatch.setattr(pairings, "_CHUNK", 7)
         for n in range(1, 7):
             got = pairings._stream(n)
-            assert np.array_equal(got.blocks, want[n].blocks)
             assert np.array_equal(got.case, want[n].case)
-            assert (got.first, got.parts, got.stats) == \
-                (want[n].first, want[n].parts, want[n].stats)
+            assert (got.parts, got.stats) == (want[n].parts, want[n].stats)
             assert list(pairings.iter_statistics(n)) == list(brute.walk_statistics(n))

@@ -210,6 +210,19 @@ class TestChecksMatchDefinitionalBodies:
         for nmax in range(8):
             assert weights.check_traceability(stat, nmax) == brute.traceability_report(stat, nmax)
 
+    @pytest.mark.parametrize("chunk", [1, 5])
+    @pytest.mark.parametrize("top", range(4, 7))
+    def test_witness_row_in_a_later_chunk(self, monkeypatch, top, chunk):
+        # the first case that fails starts past the first chunk and segment
+        class SplitAtTop(weights.WeightSpec):
+            def weight_of(self, n, cr, h, cc):
+                return 2 if n == top and h == 0 and cc > 1 else 1
+
+        monkeypatch.setattr(pairings, "_CHUNK", chunk)
+        want = brute.strong_multiplicativity_report(SplitAtTop(), top)
+        assert weights.check_strong_multiplicativity(SplitAtTop(), top) == want
+        assert not want.passed and want.counterexample.blocks[0] == (1, 3)
+
     def test_weight_of_called_once_per_key(self):
         calls = []
 
