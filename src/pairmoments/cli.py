@@ -238,6 +238,8 @@ def cmd_moments(args, out) -> int:
 
 
 def cmd_randmat(args, out) -> int:
+    if args.hist == "-":
+        raise ValueError("--hist needs a file path: stdout ('-') carries the report")
     if not 1 <= args.bins <= rm.MAX_BINS:
         raise ValueError(f"--bins must be in 1..{rm.MAX_BINS}, got {args.bins}")
     cfg = rm.McConfig(n=args.n, trials=args.trials, kmax=args.kmax,

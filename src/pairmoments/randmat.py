@@ -9,12 +9,15 @@ semicircle and standard normal laws, with moments 2, 9, 56, ... at orders
 2, 4, 6.
 
 Empirical moments are taken from traces of matrix powers, of which only
-the lower half is formed: the higher traces are entrywise inner products
-of two formed powers.  :func:`spectrum` is the package's one eigenvalue
-routine: LAPACK's symmetric solver (``numpy.linalg.eigvalsh``) behind an
-explicit symmetry check.  It serves the Hankel and group-kernel positivity
-tests, the eigenvalue cross-check of the trace path and the histogram
-export.  Matrix dimensions stop at ``MAX_MATRIX_DIM``.
+about half are formed.  The matrices are symmetric, and so are their
+powers: each even power is one product of its half power with its own
+transpose, which numpy hands to BLAS syrk at half the cost of a general
+product, and the higher traces are entrywise inner products of two formed
+powers.  :func:`spectrum` is the package's one eigenvalue routine:
+LAPACK's symmetric solver (``numpy.linalg.eigvalsh``) behind an explicit
+symmetry check, which the trace path shares.  It serves the Hankel and
+group-kernel positivity tests and the histogram export.  Matrix
+dimensions stop at ``MAX_MATRIX_DIM``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ ENTRY_DISTRIBUTIONS = ("rademacher", "gaussian")
 
 #: Largest Markov matrix dimension sampled; at 2000 one dense float matrix
 #: is 32 MB, and a ``randmat --n 2000 --kmax 6 --hist`` run (sampling,
-#: trace powers and the spectrum) peaks below 180 MB of resident memory.
+#: trace powers and the spectrum) peaks below 180 MB of resident memory;
+#: with ``--kmax 41``, which holds eight powers at once, it peaks at 330 MB.
 MAX_MATRIX_DIM = 2000
 
 #: Most trials in one run, and most bins in one histogram.  Both bound the
@@ -157,35 +161,69 @@ def sample_markov(n: int, dist: str = "rademacher", seed: int = 0) -> SymMatrix:
 
 
 def _array(m: SymMatrix | np.ndarray) -> np.ndarray:
-    return m.matrix if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
+    return m.matrix if isinstance(m, SymMatrix) else np.asanyarray(m, dtype=float)
+
+
+def _checked_symmetric(m: SymMatrix | np.ndarray) -> np.ndarray:
+    a = _array(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    if not np.allclose(a, a.T, rtol=1e-12, atol=1e-12):
+        raise ValueError("matrix must be symmetric")
+    return a
 
 
 def empirical_moments(m: SymMatrix | np.ndarray, kmax: int) -> list[float]:
     """Moments of the empirical spectral law of M / sqrt(n), orders 1..kmax.
 
-    Computed as (1/n) trace(A^k) with A = M/sqrt(n), forming A^j only for
-    j <= J = ceil(kmax/2), one product each as A^(j-1) @ A.  Orders k <= J
-    are the traces of those powers; higher orders are inner products,
-    tr(A^(2j-1)) = <A^(j-1), A^j> and tr(A^(2j)) = <A^j, A^j> with
-    <X, Y> = trace(X Y) summed entrywise.  kmax = 6 takes two products
-    instead of five, and the identities hold for any square matrix.
+    Computed as (1/n) trace(A^k) with A = M/sqrt(n).  With J = ceil(kmax/2),
+    the powers A^1..A^J are formed, except that for odd J >= 3 A^(J+1)
+    takes the place of A^J.  An even power is P @ P.T for its half power P,
+    which numpy sends to BLAS syrk (one triangle, half a general product);
+    an odd power is A^(j-1) @ A.  A formed order is the trace of its power;
+    any other order k is the entrywise inner product <A^i, A^(k-i)> of two
+    formed powers, i as close to k/2 as they allow, which equals the trace
+    because the powers are symmetric.  kmax = 6 forms A^2 and A^4, two
+    syrk products and no general one.  Each power is dropped once nothing
+    still to come reads it, so kmax <= 10 holds at most three n x n powers
+    at once and kmax = 41 eight.
+
+    A plain array must be square, finite and symmetric within
+    ``rtol = atol = 1e-12``, as for :func:`spectrum`, or :class:`ValueError`
+    is raised before any product; a :class:`SymMatrix` is symmetric already.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    a = _array(m)
+    a = m.matrix if isinstance(m, SymMatrix) else _checked_symmetric(m)
     n = a.shape[0]
-    scaled = a / np.sqrt(n)
-    top = (kmax + 1) // 2
+    half = (kmax + 1) // 2
+    formed = list(range(1, half + 1))
+    if half >= 3 and half % 2:
+        formed[-1] += 1
+    # order -> (i, j): <A^i, A^j> with i + j = k, taken once A^j is formed
+    pairs = {k: next((i, k - i) for i in range(k // 2, 0, -1)
+                     if i in formed and k - i in formed)
+             for k in range(1, kmax + 1) if k not in formed}
+    reads = [(q, j) for j in formed[1:] for q in ((j // 2,) if j % 2 == 0 else (j - 1, 1))]
+    reads += [(q, j) for i, j in pairs.values() for q in (i, j)]
+    last = {}  # power -> the step after which nothing reads it
+    for q, j in reads:
+        last[q] = max(last.get(q, 0), j)
+    powers = {1: a / np.sqrt(n)}
     traces = [0.0] * kmax
-    previous = power = scaled
-    for j in range(1, top + 1):
-        if j > 1:
-            previous = power
-            power = power @ scaled
-        traces[j - 1] = np.trace(power)
-        for k, x in ((2 * j - 1, previous), (2 * j, power)):
-            if top < k <= kmax:
-                traces[k - 1] = np.einsum("ij,ji->", x, power)
+    for j in formed:
+        if j % 2 == 0:
+            powers[j] = powers[j // 2] @ powers[j // 2].T
+        elif j > 1:
+            powers[j] = powers[j - 1] @ powers[1]
+        traces[j - 1] = np.trace(powers[j])
+        for k, (i, later) in pairs.items():
+            if later == j:
+                traces[k - 1] = np.vdot(powers[i], powers[j])
+        for q in [q for q in powers if last.get(q, 0) <= j]:
+            del powers[q]
     return [float(t) / n for t in traces]
 
 
@@ -197,22 +235,7 @@ def spectrum(m: SymMatrix | np.ndarray) -> list[float]:
     rather than getting the spectrum of a matrix it is not; so does a NaN or
     infinite entry.  Integer input is accepted; a 0 x 0 matrix gives ``[]``.
     """
-    a = _array(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    if not np.allclose(a, a.T, rtol=1e-12, atol=1e-12):
-        raise ValueError("matrix must be symmetric")
-    return np.linalg.eigvalsh(a).tolist()
-
-
-def spectral_moments(m: SymMatrix | np.ndarray, kmax: int) -> list[float]:
-    """Eigenvalue-based oracle for :func:`empirical_moments`."""
-    a = _array(m)
-    n = a.shape[0]
-    lam = np.array(spectrum(a)) / np.sqrt(n)
-    return [float(np.mean(lam ** k)) for k in range(1, kmax + 1)]
+    return np.linalg.eigvalsh(_checked_symmetric(m)).tolist()
 
 
 def target_moment(k: int) -> float:

@@ -20,7 +20,9 @@ The element-at-a-time bodies of the group kernel, the metric check, the
 xorshift64* step, Box-Muller, the Markov assembly and the trace powers are
 kept as oracles for the array code: they compose ``Permutation`` objects,
 step the generator one word at a time, draw one normal pair at a time,
-build X from index arrays with temporaries and multiply out every power.
+build X from index arrays with temporaries and multiply out every power;
+:func:`spectral_moments` checks the trace powers a second way, from the
+eigenvalues.
 """
 
 import bisect
@@ -589,3 +591,10 @@ def empirical_moments_by_products(a, kmax):
         power = power @ scaled
         out.append(float(np.trace(power)) / n)
     return out
+
+
+def spectral_moments(a, kmax):
+    """mean(lambda^k) for k = 1..kmax over the eigenvalues of A/sqrt(n)."""
+    a = np.asarray(a, dtype=float)
+    lam = np.linalg.eigvalsh(a) / np.sqrt(a.shape[0])
+    return [float(np.mean(lam ** k)) for k in range(1, kmax + 1)]

@@ -235,6 +235,18 @@ class TestRandmat:
         assert err.startswith("error:") and "missing-dir" in err
         assert not path.parent.exists()
 
+    def test_histogram_dash_refused(self, capsys, tmp_path, monkeypatch):
+        # '-' means stdout for --out, and stdout carries the report, so
+        # --hist - is refused before any sampling instead of naming a file
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(rm, "sample_markov", _no_sampling)
+        code, out, err = run(
+            capsys, "randmat", "--n", "10", "--trials", "2", "--kmax", "2", "--hist", "-",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--hist" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_dist_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "randmat", "--n", "10", "--trials", "1", "--dist", "cauchy")

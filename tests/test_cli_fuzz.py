@@ -25,8 +25,9 @@ PARAMS = ["1/3", "1/2", "2", "0.5", "1"]
 PATHS = ["-", "{tmp}/report.txt", "{tmp}/missing/report.txt", "{tmp}", ""]
 
 #: subcommand -> flag -> values; a flag's value is drawn from these or from
-#: these and BAD, half the time each.  Path flags draw only from PATHS, all
-#: inside a fresh directory, so no example writes anywhere else.
+#: these and BAD, half the time each.  Path flags draw only from PATHS, and
+#: each example runs with a fresh directory as its working directory, so
+#: absolute and relative paths alike stay inside it.
 FLAGS = {
     "sequences": {
         "--which": ["pairings", "catalan", "connected", "singletons", "moments", "primes"],
@@ -75,10 +76,22 @@ def argvs(draw):
     return argv
 
 
+@contextlib.contextmanager
+def _inside(path):
+    # the working directory, so that a relative path ("-" given to --hist)
+    # lands in the example's directory and is seen by the check on it
+    before = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
 @settings(max_examples=60, deadline=None)
 @given(argvs())
 def test_no_traceback_and_a_known_exit_code(argv):
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, _inside(tmp):
         argv = [arg.replace("{tmp}", tmp) for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

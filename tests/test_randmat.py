@@ -241,7 +241,7 @@ class TestEmpiricalMoments:
     def test_agrees_with_eigenvalue_oracle(self, n):
         m = rm.sample_markov(n, "gaussian", seed=n)
         trace_path = rm.empirical_moments(m, 6)
-        eig_path = rm.spectral_moments(m, 6)
+        eig_path = brute.spectral_moments(m.matrix, 6)
         assert np.allclose(trace_path, eig_path, atol=1e-8)
 
     def test_numpy_eigvalsh_oracle(self):
@@ -255,21 +255,81 @@ class TestEmpiricalMoments:
     def test_matches_iterated_products(self, kmax):
         # |difference| <= 1e-12 * ||A^floor(k/2)||_F ||A^ceil(k/2)||_F / n, the
         # size of the terms of the inner product; for even k on a symmetric
-        # matrix that is the moment itself
-        generator = np.random.default_rng(kmax)
+        # matrix that is the moment itself.  The formed powers come from
+        # syrk, whose rounding is not gemm's, so no order is pinned bit for bit.
+        g = np.random.default_rng(kmax).standard_normal((70, 70))
         for a in (rm.sample_markov(90, "rademacher", seed=kmax).matrix,
-                  generator.standard_normal((70, 70))):
+                  rm.sample_markov(80, "gaussian", seed=kmax).matrix,
+                  (g + g.T) / 2):
             n = len(a)
             got = rm.empirical_moments(a, kmax)
             ref = brute.empirical_moments_by_products(a, kmax)
             norms = [np.linalg.norm(np.linalg.matrix_power(a / np.sqrt(n), j))
                      for j in range(kmax + 1)]
             assert len(got) == kmax
-            # the formed powers are the same products, so their traces agree
-            assert got[:(kmax + 1) // 2] == ref[:(kmax + 1) // 2]
             for k in range(1, kmax + 1):
                 scale = norms[k // 2] * norms[k - k // 2] / n
                 assert abs(got[k - 1] - ref[k - 1]) <= 1e-12 * scale, k
+
+    @pytest.mark.parametrize("kmax, products", [
+        (6, [True, True]), (8, [True, False, True]),
+    ])
+    def test_product_count(self, kmax, products):
+        # kmax = 6 forms A^2 and A^4, each an array times its own transpose
+        # (BLAS syrk); kmax = 8 adds one general product, A^3 = A^2 @ A
+        m = rm.sample_markov(40, "gaussian", seed=kmax)
+        log = []
+        got = rm.empirical_moments(m.matrix.view(_Recorder).setup(log), kmax)
+        assert log == products
+        assert got == rm.empirical_moments(m, kmax)
+
+    def test_non_symmetric_refused_before_any_product(self):
+        products = []
+        a = np.arange(16.0).reshape(4, 4).view(_Recorder).setup(products)
+        with pytest.raises(ValueError, match="symmetric"):
+            rm.empirical_moments(a, 6)
+        assert products == []
+        with pytest.raises(ValueError, match="square"):
+            rm.empirical_moments(np.ones((2, 3)), 2)
+        with pytest.raises(ValueError, match="finite"):
+            rm.empirical_moments(np.array([[np.inf, 0.0], [0.0, 1.0]]), 2)
+
+    def test_symmetric_within_tolerance_accepted(self):
+        near = np.array([[1.0, 0.5 + 1e-13], [0.5, 1.0]])
+        assert rm.empirical_moments(near, 2) == pytest.approx([2 ** -0.5, 0.625])
+
+    @pytest.mark.parametrize("kmax", [1, 6, 9])
+    def test_python_floats_and_input_unchanged(self, kmax):
+        m = rm.sample_markov(30, "rademacher", seed=5)
+        before = m.matrix.copy()
+        for arg in (m, m.matrix):
+            got = rm.empirical_moments(arg, kmax)
+            assert len(got) == kmax and all(type(x) is float for x in got)
+        assert m.matrix.tobytes() == before.tobytes()
+
+
+class _Recorder(np.ndarray):
+    """An array that appends one entry per np.matmul it takes part in:
+    True when the product is of an array with its own transpose."""
+
+    def setup(self, log):
+        self.log = log
+        return self
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        log = next(x.log for x in inputs if isinstance(x, _Recorder))
+        plain = [x.view(np.ndarray) if isinstance(x, _Recorder) else x for x in inputs]
+        if ufunc is np.matmul:
+            x, y = plain
+            log.append(np.may_share_memory(x, y) and y.strides == x.strides[::-1])
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        if isinstance(out, np.ndarray):
+            out = out.view(_Recorder)
+            out.log = log
+        return out
 
 
 class TestSpectrum:
