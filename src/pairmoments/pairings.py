@@ -20,11 +20,15 @@ and r_2k = y*C_k(q), where C_k(q) are the free cumulants of the
 Touchard-Riordan q-Gaussian moments T_k(q) (Bozejko-Speicher, CMP 137
 (1991); Lehner, Eur. J. Combin. 23 (2002)).
 
-The per-partition streams keep one canonical order.
-:func:`enumerate_pairings` is a non-recursive walk over an explicit stack;
+The per-partition streams keep one canonical order.  There is one walk: a
+non-recursive depth-first walk over an explicit stack that stops six free
+points early and yields, per leaf, a tuple of its 15 completions written
+out in canonical order.  :func:`enumerate_pairings` builds each
+:class:`PairPartition` inside that loop, and the blocks tuples of
+:func:`iter_statistics` are the same batches flattened.  The statistics of
 :func:`iter_statistics`, :func:`pairmoments.moments.mixed_moment` and the
-checks of :mod:`pairmoments.weights` read numpy block arrays and cached
-per-row cases instead (see "The stream as arrays" below).
+checks of :mod:`pairmoments.weights` come from numpy block arrays and
+cached per-row cases instead (see "The stream as arrays" below).
 
 Everything about a single partition comes from one private kernel,
 ``_crossing_graph``: from a blocks tuple sorted by low endpoint it builds
@@ -38,6 +42,7 @@ and :func:`rotate` are thin wrappers over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
@@ -69,7 +74,7 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairPartition:
     """A canonical pair partition of {1..2n}.
 
@@ -114,10 +119,12 @@ class PairPartition:
 
 
 def _fast_partition(n: int, blocks: tuple[tuple[int, int], ...]) -> PairPartition:
-    # Internal constructor for enumeration output that is canonical by
-    # construction; skips __post_init__ validation.
+    # Internal constructor for blocks canonical by construction (rotations,
+    # witnesses): sets the slots directly, past the frozen __setattr__ and
+    # __post_init__ validation.
     obj = object.__new__(PairPartition)
-    obj.__dict__.update(n=n, blocks=blocks)
+    PairPartition.n.__set__(obj, n)
+    PairPartition.blocks.__set__(obj, blocks)
     return obj
 
 
@@ -180,19 +187,36 @@ def enumerate_pairings(n: int) -> Iterator[PairPartition]:
     raise :class:`SizeLimitError` on the first ``next()``.
     """
     _check_cap(n, STREAM_MAX_N)
-    for blocks in _iter_blocks(n):
-        yield _fast_partition(n, blocks)
+    # _fast_partition written out, so no call per partition
+    new = object.__new__
+    set_n, set_blocks = PairPartition.n.__set__, PairPartition.blocks.__set__
+    for batch in _block_batches(n):
+        for blocks in batch:
+            obj = new(PairPartition)
+            set_n(obj, n)
+            set_blocks(obj, blocks)
+            yield obj
 
 
 def _iter_blocks(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    # Non-recursive walk in canonical order.  Depth d holds the free points
-    # left after d blocks, the index of the partner last tried for the
-    # smallest of them, and the blocks placed above it.  The last four free
-    # points pair in three ways, written out.
+    # The blocks tuples of P2(2n) in canonical order, one by one.
+    return chain.from_iterable(_block_batches(n))
+
+
+def _block_batches(n: int) -> Iterator[tuple[tuple[tuple[int, int], ...], ...]]:
+    # The one walk: non-recursive, depth first, in canonical order.  Depth d
+    # holds the free points left after d blocks, the index of the partner
+    # last tried for the smallest of them, and the blocks placed above it.
+    # The walk stops at six free points a < b < c < e < f < g (d is the
+    # depth) and yields their 15 completions as one tuple, written out in
+    # canonical order; the completions share their pair tuples.
     if n == 1:
-        yield ((1, 2),)
+        yield (((1, 2),),)
         return
-    last = n - 2
+    if n == 2:
+        yield (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
+        return
+    last = n - 3
     free: list[tuple[int, ...]] = [()] * (last + 1)
     pick = [0] * (last + 1)
     placed: list[tuple[tuple[int, int], ...]] = [()] * (last + 1)
@@ -201,11 +225,18 @@ def _iter_blocks(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     while d >= 0:
         pts = free[d]
         if d == last:
-            a, b, c, e = pts
+            a, b, c, e, f, g = pts
+            ab, ac, ae, af, ag = (a, b), (a, c), (a, e), (a, f), (a, g)
+            bc, be, bf, bg = (b, c), (b, e), (b, f), (b, g)
+            ce, cf, cg, ef, eg, fg = (c, e), (c, f), (c, g), (e, f), (e, g), (f, g)
             head = placed[d]
-            yield head + ((a, b), (c, e))
-            yield head + ((a, c), (b, e))
-            yield head + ((a, e), (b, c))
+            yield (
+                head + (ab, ce, fg), head + (ab, cf, eg), head + (ab, cg, ef),
+                head + (ac, be, fg), head + (ac, bf, eg), head + (ac, bg, ef),
+                head + (ae, bc, fg), head + (ae, bf, cg), head + (ae, bg, cf),
+                head + (af, bc, eg), head + (af, be, cg), head + (af, bg, ce),
+                head + (ag, bc, ef), head + (ag, be, cf), head + (ag, bf, ce),
+            )
             d -= 1
             continue
         i = pick[d] + 1
@@ -484,9 +515,9 @@ def _rotate_rows(blocks: np.ndarray) -> np.ndarray:
 def iter_statistics(n: int, *, with_blocks: bool = False) -> Iterator:
     """Yield (cr, h, cc) triples, or (blocks, cr, h, cc) tuples, over P2(2n).
 
-    Order and ``STREAM_MAX_N`` cap match :func:`enumerate_pairings`, whose
-    walk gives the blocks tuples (faster than converting array rows); the
-    statistics come from the cached cases.
+    Order and ``STREAM_MAX_N`` cap match :func:`enumerate_pairings`.  The
+    blocks tuples are the batches of its walk, flattened (faster than
+    converting array rows); the statistics come from the cached cases.
     """
     s = _stream(n)
     stats = (s.stats[c] for i in range(0, len(s.case), _CHUNK)

@@ -193,11 +193,15 @@ def empirical_moments(m: SymMatrix | np.ndarray, kmax: int) -> list[float]:
     A plain array must be square, finite and symmetric within
     ``rtol = atol = 1e-12``, as for :func:`spectrum`, or :class:`ValueError`
     is raised before any product; a :class:`SymMatrix` is symmetric already.
+    Either must be at least 1 x 1: a 0 x 0 matrix, for which :func:`spectrum`
+    gives ``[]``, raises :class:`ValueError` too.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     a = m.matrix if isinstance(m, SymMatrix) else _checked_symmetric(m)
     n = a.shape[0]
+    if n == 0:
+        raise ValueError("matrix must be at least 1 x 1: a 0 x 0 spectrum has no moments")
     half = (kmax + 1) // 2
     formed = list(range(1, half + 1))
     if half >= 3 and half % 2:

@@ -174,7 +174,7 @@ def test_stream_entry_walks_at_cap(entry, monkeypatch):
 @pytest.mark.parametrize("entry", STREAM_ENTRIES)
 def test_stream_entry_refuses_past_cap(entry, monkeypatch, capsys):
     below = _stub_streams(monkeypatch, STREAM + 1)
-    monkeypatch.setattr(pa, "_iter_blocks", _no_work)
+    monkeypatch.setattr(pa, "_block_batches", _no_work)
     for module in (pa, mo, we):
         monkeypatch.setattr(module, "np", _NoArrays())
     if entry.startswith("sequences"):

@@ -1,6 +1,10 @@
+import collections
+import copy
+import dataclasses
 import inspect
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -41,6 +45,40 @@ class TestPairPartition:
     def test_hashable_equality(self):
         assert P((1, 2), (3, 4)) == P((3, 4), (1, 2))
         assert len({P((1, 2), (3, 4)), P((2, 1), (4, 3))}) == 1
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_fast_constructor_equals_public(self, n):
+        for pairs in brute.all_pairings(range(1, 2 * n + 1)):
+            fast = pairings._fast_partition(n, tuple(pairs))
+            public = PairPartition(n, tuple(pairs))
+            assert fast == public and hash(fast) == hash(public)
+            assert type(fast) is PairPartition
+
+    def test_slotted_and_frozen(self):
+        for v in (P((1, 3), (2, 4)), next(pairings.enumerate_pairings(3))):
+            assert not hasattr(v, "__dict__")
+            before = (v.n, v.blocks)
+            for name, value in (("n", 5), ("blocks", ())):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(v, name, value)
+            assert (v.n, v.blocks) == before
+
+    def test_pickle_and_deepcopy_round_trips(self):
+        for v in (P((1, 4), (2, 3)), *pairings.enumerate_pairings(3)):
+            for twin in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+                assert twin == v and hash(twin) == hash(v)
+                assert type(twin) is PairPartition and twin.blocks == v.blocks
+
+    @pytest.mark.parametrize("n, blocks", [
+        (3, ((1, 2), (3, 4))),  # n disagrees with the block count
+        (2, ((2, 1), (3, 4))),  # lo > hi
+        (2, ((1, 2), (1, 3))),  # lo repeated
+        (2, ((0, 1), (2, 3))),  # index below 1
+        (1, ((1, 3),)),  # index above 2n
+    ])
+    def test_invalid_input_refused(self, n, blocks):
+        with pytest.raises(ValueError):
+            PairPartition(n, blocks)
 
 
 class TestEnumeration:
@@ -441,17 +479,29 @@ class TestStreamArrays:
             list(pairings._iter_blocks(n))
 
     def test_rows_at_the_cap(self):
-        # n = 8 chunks follow one another and start as the walk does
-        top = pairings.STREAM_MAX_N
-        head = list(itertools.islice(pairings._iter_blocks(top), 3 * 2048))
+        # at n = 8 the walk yields all 2,027,025 partitions, and its first and
+        # last 3 * 2048 blocks tuples are the rows built by relabelling P2(14)
+        top, edge = pairings.STREAM_MAX_N, 3 * 2048
+        total = DOUBLE_FACTORIALS[top - 1]
+        walk = pairings.enumerate_pairings(top)
+        walk_head = [v.blocks for v in itertools.islice(walk, edge)]
+        walk_tail = collections.deque(maxlen=edge)
+        count = edge
+        for count, v in enumerate(walk, start=edge + 1):
+            walk_tail.append(v.blocks)
+        assert count == total
+        head, tail = [], collections.deque(maxlen=edge)
         end = 0
         for start, blocks in pairings._chunks(top):
             assert start == end
             end += len(blocks)
-            if start < len(head):
-                assert [tuple(map(tuple, row)) for row in blocks.tolist()] == \
-                    head[start:end]
-        assert end == DOUBLE_FACTORIALS[top - 1]
+            if start < edge:
+                head += [tuple(map(tuple, row)) for row in blocks.tolist()]
+            if end > total - edge:
+                tail.extend(tuple(map(tuple, row)) for row in blocks.tolist())
+        assert end == total
+        assert head[:edge] == walk_head
+        assert list(tail) == list(walk_tail)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rotated_rows_match_rotate_by_pairs(self, n):

@@ -294,6 +294,16 @@ class TestEmpiricalMoments:
         with pytest.raises(ValueError, match="finite"):
             rm.empirical_moments(np.array([[np.inf, 0.0], [0.0, 1.0]]), 2)
 
+    def test_empty_matrix_refused_before_any_product(self):
+        # spectrum takes 0 x 0 as valid, but its empty law has no moments
+        assert rm.spectrum(np.zeros((0, 0))) == []
+        products = []
+        a = np.zeros((0, 0)).view(_Recorder).setup(products)
+        for arg in (a, rm.SymMatrix(a)):
+            with pytest.raises(ValueError, match="1 x 1"):
+                rm.empirical_moments(arg, 6)
+        assert products == []
+
     def test_symmetric_within_tolerance_accepted(self):
         near = np.array([[1.0, 0.5 + 1e-13], [0.5, 1.0]])
         assert rm.empirical_moments(near, 2) == pytest.approx([2 ** -0.5, 0.625])
