@@ -171,9 +171,9 @@ def _table_sums(
 def moments_from_cumulants(r: CumulantSequence) -> MomentSequence:
     """m_{2n} = sum over even non-crossing partitions of prod_B r_{|B|}.
 
-    Runs over any ring with +, - and * (Fraction, float, integer
-    polynomials); orders above 2 * ``TABLE_MAX_N`` raise
-    :class:`SizeLimitError` before any term is computed.
+    Runs over any ring with +, - and * (Fraction, float, int); orders above
+    2 * ``TABLE_MAX_N`` raise :class:`SizeLimitError` before any term is
+    computed.
     """
     if r.order:
         _check_cap(r.order, TABLE_MAX_N)

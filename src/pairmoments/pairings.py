@@ -15,10 +15,12 @@ that anything narrower would overflow almost immediately.
 The joint (cr, h, cc) table is not enumerated.  A pair partition splits
 uniquely into its crossing-graph components, which sit on the blocks of an
 even non-crossing partition; a singleton is a component with one chord.
-So sum_V q^cr x^h y^cc is the free moment-cumulant transform of r_2 = x*y
-and r_2k = y*C_k(q), where C_k(q) are the free cumulants of the
+So the (h, cc) cell of sum_V q^cr sums, over the even non-crossing
+partitions with cc blocks, h of them of size 2, the product over the larger
+blocks B of C_(|B|/2)(q), where C_k(q) are the free cumulants of the
 Touchard-Riordan q-Gaussian moments T_k(q) (Bozejko-Speicher, CMP 137
-(1991); Lehner, Eur. J. Combin. 23 (2002)).
+(1991); Lehner, Eur. J. Combin. 23 (2002)).  Partitions of one block-size
+type give equal products, so each type is one term, times Kreweras' count.
 
 The per-partition streams keep one canonical order.  There is one walk: a
 non-recursive depth-first walk over an explicit stack that stops six free
@@ -58,7 +60,7 @@ STREAM_MAX_N = 8
 
 #: Largest half-size answered from tables, which visit no partition: the
 #: joint (cr, h, cc) table (3,401 cells at n = 20, every k <= 20 in about
-#: 1 s), the moment-cumulant transforms up to order 2 * TABLE_MAX_N and the
+#: 0.1 s), the moment-cumulant transforms up to order 2 * TABLE_MAX_N and the
 #: weighted sums over them.
 TABLE_MAX_N = 20
 
@@ -74,7 +76,7 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PairPartition:
     """A canonical pair partition of {1..2n}.
 
@@ -82,6 +84,9 @@ class PairPartition:
     Instances are immutable and hashable; equality is block-wise.
     """
 
+    # Slots declared here, not by slots=True: that rebuilds the class, and
+    # the frozen __setattr__ would name the discarded one.
+    __slots__ = ("n", "blocks")
     n: int
     blocks: tuple[tuple[int, int], ...]
 
@@ -103,6 +108,10 @@ class PairPartition:
                 if seen & bit:
                     raise ValueError(f"index {k} occurs twice")
                 seen |= bit
+
+    def __reduce__(self):
+        # pickle and copy go through the validating constructor
+        return PairPartition, (self.n, self.blocks)
 
     @classmethod
     def from_pairs(cls, pairs) -> "PairPartition":
@@ -530,56 +539,35 @@ def iter_statistics(n: int, *, with_blocks: bool = False) -> Iterator:
 
 
 # ---------------------------------------------------------------------------
-# The joint (cr, h, cc) table, from the Touchard-Riordan moments and the free
-# moment-cumulant transform over integer polynomials (see the module
-# docstring).  Pinned against a fold of the stream above for n <= 8.
+# The joint (cr, h, cc) table, from the Touchard-Riordan moments and the even
+# non-crossing type tables (see the module docstring).  A polynomial in q is
+# one int: the coefficient of q^i is digit i in base 2^W, where
+# W = 8 * _digit_bytes(n).  Pinned against a fold of the stream above for
+# n <= 8.
 # ---------------------------------------------------------------------------
 
 
-class _Poly:
-    # Integer polynomial in q, x, y: ``terms`` maps exponents (cr, h, cc) to
-    # nonzero coefficients.  Supports +, - and * with itself and with ints,
-    # which is all the free moment-cumulant transforms use.
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, int, int], int]) -> None:
-        self.terms = {key: c for key, c in terms.items() if c}
-
-    @staticmethod
-    def _terms(other) -> dict[tuple[int, int, int], int]:
-        return other.terms if isinstance(other, _Poly) else {(0, 0, 0): other}
-
-    def __add__(self, other) -> "_Poly":
-        out = dict(self.terms)
-        for key, c in _Poly._terms(other).items():
-            out[key] = out.get(key, 0) + c
-        return _Poly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "_Poly":
-        return self + other * -1
-
-    def __mul__(self, other) -> "_Poly":
-        out: dict[tuple[int, int, int], int] = {}
-        for (a, b, c), u in self.terms.items():
-            for (d, e, f), v in _Poly._terms(other).items():
-                key = (a + d, b + e, c + f)
-                out[key] = out.get(key, 0) + u * v
-        return _Poly(out)
-
-    __rmul__ = __mul__
+def _digit_bytes(n: int) -> int:
+    # Bytes per digit.  Every coefficient packed for half-size n, partial
+    # products and sums included, counts diagrams on at most 2n points, so it
+    # is below (2n-1)!! and never carries; each difference taken removes a
+    # subset of what it is taken from, so none borrows.
+    return (pairing_count(n).bit_length() + 7) // 8
 
 
-def _touchard_riordan(n: int) -> list[_Poly]:
-    # T_1(q), ..., T_n(q) with T_k = sum over P2(2k) of q^cr: Dyck paths of
-    # length 2k whose down step from height j has weight [j]_q = 1 + ... + q^(j-1).
-    q_int = [_Poly({(i, 0, 0): 1 for i in range(j)}) for j in range(n + 1)]
-    level = [_Poly({(0, 0, 0): 1})] + [0] * n  # paths so far, by current height
+def _touchard_riordan(n: int) -> list[int]:
+    # T_1(q), ..., T_n(q) packed, with T_k = sum over P2(2k) of q^cr: Dyck
+    # paths of length 2k whose down step from height j has weight [j]_q =
+    # 1 + q + ... + q^(j-1), packed as (2^(Wj) - 1) / (2^W - 1).  Heights above
+    # 2n - step cannot return to 0 by step 2n and are dropped.
+    w = 8 * _digit_bytes(n)
+    q_int = [((1 << w * j) - 1) // ((1 << w) - 1) for j in range(n + 1)]
+    level = [1]  # paths so far, by current height
     out = []
     for step in range(1, 2 * n + 1):
-        level = [(level[j - 1] if j else 0) + (level[j + 1] * q_int[j + 1] if j < n else 0)
-                 for j in range(n + 1)]
+        level = [(level[j - 1] if j else 0)
+                 + (level[j + 1] * q_int[j + 1] if j + 1 < len(level) else 0)
+                 for j in range(min(step, 2 * n - step) + 1)]
         if step % 2 == 0:
             out.append(level[0])
     return out
@@ -591,34 +579,44 @@ _JOINT: tuple[StatisticDistribution, ...] = ()
 
 def _joint_tables(n: int) -> tuple[StatisticDistribution, ...]:
     # The joint tables of P2(2k) for every k = 1..n.  A new largest n builds
-    # all of them in one transform and replaces the kept tuple; a smaller n
-    # is a slice of it.  Half-sizes above TABLE_MAX_N raise before anything
-    # is built.
+    # all of them in one pass and replaces the kept tuple; a smaller n is a
+    # slice of it.  Half-sizes above TABLE_MAX_N raise before anything is
+    # built.
     global _JOINT
     _check_cap(n, TABLE_MAX_N)
     if n > len(_JOINT):
-        from .moments import (
-            CumulantSequence,
-            MomentSequence,
-            cumulants_from_moments,
-            moments_from_cumulants,
-        )
+        from . import moments
 
-        connected = cumulants_from_moments(MomentSequence(tuple(_touchard_riordan(n))))
-        x, y = _Poly({(0, 1, 0): 1}), _Poly({(0, 0, 1): 1})
-        r = CumulantSequence((x * y,) + tuple(y * c for c in connected.values[1:]))
-        _JOINT = tuple(
-            StatisticDistribution(k, MappingProxyType(dict(sorted(table.terms.items()))))
-            for k, table in enumerate(moments_from_cumulants(r).values, start=1)
-        )
+        size = _digit_bytes(n)
+        connected = moments.cumulants_from_moments(
+            moments.MomentSequence(tuple(_touchard_riordan(n)))).values
+        tables = []
+        for k in range(1, n + 1):
+            # An even non-crossing type with b blocks, h of size 2, gives
+            # count * prod_s C_(s/2)(q) to the cell (h, cc = b); C_1 = 1.
+            cells: dict[tuple[int, int], int] = {}
+            for sizes, count in moments._nc_even_types(2 * k):
+                for s in sizes:
+                    count *= connected[s // 2 - 1]
+                key = sizes.count(2), len(sizes)
+                cells[key] = cells.get(key, 0) + count
+            counts = {}
+            for (h, cc), packed in cells.items():
+                raw = packed.to_bytes(-(-packed.bit_length() // 8), "little")
+                for at in range(0, len(raw), size):
+                    count = int.from_bytes(raw[at:at + size], "little")
+                    if count:
+                        counts[at // size, h, cc] = count
+            tables.append(StatisticDistribution(k, MappingProxyType(dict(sorted(counts.items())))))
+        _JOINT = tuple(tables)
     return _JOINT[:n]
 
 
 def statistic_distribution(n: int) -> StatisticDistribution:
     """Exact joint (cr, h, cc) counts over P2(2n), cells in sorted key order.
 
-    Built from the Touchard-Riordan moments and the free moment-cumulant
-    transform (see the module docstring), without visiting any partition.
+    Built from the free cumulants of the Touchard-Riordan moments and the
+    even non-crossing types (see the module docstring), visiting no partition.
     Half-sizes above ``TABLE_MAX_N`` raise :class:`SizeLimitError`.
     """
     return _joint_tables(n)[-1]

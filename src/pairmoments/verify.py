@@ -3,7 +3,7 @@
 Two levels are exposed.  ``quick`` keeps every enumeration small and
 finishes in well under a second; ``full`` pushes the caps (2n = 16 pairing
 count, the n = 1000 Monte Carlo, sampled metric triples on S(6)) and takes
-about 5 s on two cores, most of it the n = 8 pairing stream and the
+about 3 s on two cores, most of it the n = 8 pairing stream and the
 Monte Carlo.  Each check reports pass/fail plus a
 one-line detail; the CLI prints one line per check and exits nonzero on
 any failure.

@@ -58,9 +58,11 @@ class TestPairPartition:
         for v in (P((1, 3), (2, 4)), next(pairings.enumerate_pairings(3))):
             assert not hasattr(v, "__dict__")
             before = (v.n, v.blocks)
-            for name, value in (("n", 5), ("blocks", ())):
+            for name, value in (("n", 5), ("blocks", ()), ("other", 1)):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(v, name, value)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(v, name)
             assert (v.n, v.blocks) == before
 
     def test_pickle_and_deepcopy_round_trips(self):
@@ -414,10 +416,46 @@ class TestStatisticDistribution:
         assert sum(h * v for (_, h, _), v in d.counts.items()) == singletons
         assert d.marginal("cr") == touchard_riordan(n)
 
+    @pytest.mark.parametrize("n", range(1, pairings.TABLE_MAX_N + 1))
+    def test_singleton_component_split_beyond_the_stream(self, n, monkeypatch):
+        # Summed over cr, a cell (h, cc) counts the pairings whose components
+        # sit on an even non-crossing partition with cc blocks, h of them of
+        # size 2, each larger block B holding one of the c_|B| connected
+        # pairings.  Built cold, so every n packs its polynomials at its own
+        # digit width.
+        monkeypatch.setattr(pairings, "_JOINT", ())
+        c = [0, 1]  # Riordan: c[m] = c_2m
+        for m in range(1, n):
+            c.append(m * sum(c[i] * c[m + 1 - i] for i in range(1, m + 1)))
+        expected = collections.Counter()
+        for halves in integer_partitions(n):
+            # Kreweras: k! / ((k - b + 1)! * prod_j m_j!) non-crossing
+            # partitions of {1..k} with b blocks, m_j of them of size j
+            k, b = 2 * n, len(halves)
+            denominator = math.factorial(k - b + 1)
+            for half in set(halves):
+                denominator *= math.factorial(halves.count(half))
+            count, rest = divmod(math.factorial(k), denominator)
+            assert rest == 0
+            expected[halves.count(1), b] += count * math.prod(c[half] for half in halves)
+        got = collections.Counter()
+        for (_, h, cc), count in pairings.statistic_distribution(n).counts.items():
+            got[h, cc] += count
+        assert got == expected
+
     def test_touchard_riordan_small(self):
         assert touchard_riordan(1) == {0: 1}
         assert touchard_riordan(2) == {0: 2, 1: 1}
         assert touchard_riordan(3) == {0: 5, 1: 6, 2: 3, 3: 1}
+
+
+def integer_partitions(total, least=1):
+    """Partitions of total into parts >= least, as ascending tuples."""
+    if total == 0:
+        yield ()
+    for part in range(least, total + 1):
+        for rest in integer_partitions(total - part, part):
+            yield (part,) + rest
 
 
 def touchard_riordan(n):
