@@ -8,6 +8,15 @@ The central transform pair runs over non-crossing set partitions with all
 blocks of even size: moments are sums over such partitions of products of
 cumulants, and cumulants are recovered by recursive subtraction.  Everything
 is exact when inputs are rational.
+
+Exact inputs are graded integer arithmetic.  The order-2k entry of a
+product over an even non-crossing type has total weight k, so with D the
+lcm of the denominators, a_k = x_2k * D^k is an int; the transforms run
+over the a_k in Python ints and divide each output by D^k once.  The
+weighted sums over the joint (cr, h, cc) table add count * numerator in
+ints, one group per denominator, and put the groups over their lcm once
+per order.  Floats, and anything that is not an int or a Fraction, take
+the same loops term by term, so they round as before.
 """
 
 from __future__ import annotations
@@ -46,7 +55,9 @@ class MomentSequence:
         return len(self.values)
 
     def moment(self, k: int) -> Number:
-        """Moment of any order k <= 2N; odd orders are structurally zero."""
+        """Moment of any order 0 <= k <= 2N; odd orders are structurally zero."""
+        if k < 0:
+            raise ValueError(f"moment order must be >= 0, got {k}")
         if k == 0:
             return 1
         if k % 2 == 1:
@@ -56,6 +67,7 @@ class MomentSequence:
         return self.values[k // 2 - 1]
 
     def truncate(self, n: int) -> "MomentSequence":
+        _check_order(n)
         if n > self.order:
             raise ValueError(f"cannot extend to N={n} (have {self.order})")
         return MomentSequence(self.values[:n])
@@ -72,6 +84,8 @@ class CumulantSequence:
         return len(self.values)
 
     def cumulant(self, k: int) -> Number:
+        if k < 0:
+            raise ValueError(f"cumulant order must be >= 0, got {k}")
         if k % 2 == 1:
             return 0
         if k == 0 or k > 2 * self.order:
@@ -79,6 +93,7 @@ class CumulantSequence:
         return self.values[k // 2 - 1]
 
     def truncate(self, n: int) -> "CumulantSequence":
+        _check_order(n)
         if n > self.order:
             raise ValueError(f"cannot extend to N={n} (have {self.order})")
         return CumulantSequence(self.values[:n])
@@ -148,24 +163,112 @@ def _nc_even_types(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(sorted(table))
 
 
+def _check_order(n: int) -> None:
+    # A half-order N counts entries, so N = 0 is the empty sequence.
+    if n < 0:
+        raise ValueError(f"order N must be >= 0, got {n}")
+
+
+#: The kinds of number the graded paths take.  They must give what the
+#: term-by-term loops give, value and type, and that is known for these two.
+_EXACT = frozenset((int, Fraction))
+
+
+def _on_one_scale(values: tuple, transform: Callable[[tuple], tuple]) -> tuple:
+    # Run a graded transform, one whose order-2k output is a sum of
+    # products of total weight k, over ints.  With D the lcm of the
+    # denominators, a_k = x_2k * D^k is an int; transform maps the a_k to the
+    # outputs times D^k, and each is divided by D^k once.  Output k is a
+    # Fraction when one of x_2..x_2k is, as in the Fraction loop, and an int
+    # otherwise.  All ints, or any other kind, run transform as given.
+    kinds = set(map(type, values))
+    if Fraction not in kinds or not kinds <= _EXACT:
+        return transform(values)
+    d = lcm(*(x.denominator for x in values))
+    scaled = transform(tuple(
+        x.numerator * (d // x.denominator) * d ** k for k, x in enumerate(values)))
+    first = next(k for k, x in enumerate(values) if type(x) is Fraction)
+    out = []
+    for k, a in enumerate(scaled):
+        scale = d ** (k + 1)
+        out.append(Fraction(a, scale) if k >= first else a // scale)
+    return tuple(out)
+
+
 def _table_sums(
     n: int,
-    summand: Callable[[int, int, int, int, int], Number],
+    spec: WeightSpec,
     *,
     connected_only: bool = False,
+    mix: Number = 1,
 ) -> tuple[Number, ...]:
-    # For k = 1..n, the sum of summand(k, cr, h, cc, count) over the cells of
-    # the exact joint (cr, h, cc) table of P2(2k) (only cc = 1 cells when
-    # connected_only), in sorted cell order; n above TABLE_MAX_N raises.
+    # For k = 1..n, the sum of count * mix ** (k - h) * spec.weight_of(k, cr,
+    # h, cc) over the cells of the exact joint (cr, h, cc) table of P2(2k)
+    # (only cc = 1 cells when connected_only).  When mix and every weight are
+    # ints or Fractions, the numerators are added in ints, one group per
+    # denominator, and the groups are put over their lcm once per k.
+    # Otherwise the terms are added as written, in sorted cell order.  n
+    # above TABLE_MAX_N raises.
+    _check_order(n)
+    tables = pairings._joint_tables(n) if n > 0 else ()
+    if type(mix) in _EXACT:
+        mix_num = [mix.numerator ** j for j in range(n + 1)]
+        mix_den = [mix.denominator ** j for j in range(n + 1)]
     values = []
-    for dist in pairings._joint_tables(n) if n > 0 else ():
+    for dist in tables:
         k = dist.n
+        cells = [(h, count, spec.weight_of(k, cr, h, cc))
+                 for (cr, h, cc), count in dist.counts.items()
+                 if cc == 1 or not connected_only]
+        kinds = {type(mix)}.union(type(w) for *_, w in cells)
+        if kinds <= _EXACT:
+            groups: dict[int, int] = {}
+            for h, count, w in cells:
+                den = w.denominator * mix_den[k - h]
+                groups[den] = groups.get(den, 0) + count * w.numerator * mix_num[k - h]
+            if Fraction in kinds:
+                scale = lcm(*groups)
+                values.append(Fraction(
+                    sum(v * (scale // den) for den, v in groups.items()), scale))
+            else:
+                values.append(groups[1])
+        else:
+            total = 0
+            for h, count, w in cells:
+                total = total + count * mix ** (k - h) * w
+            values.append(total)
+    return tuple(values)
+
+
+def _moments_of(r: tuple) -> tuple:
+    # The forward transform as written, over any ring with + and *.
+    values = []
+    for n in range(1, len(r) + 1):
         total = 0
-        for (cr, h, cc), count in dist.counts.items():
-            if cc == 1 or not connected_only:
-                total = total + summand(k, cr, h, cc, count)
+        for sizes, count in _nc_even_type_counts(2 * n):
+            prod = count
+            for s in sizes:
+                prod = prod * r[s // 2 - 1]
+            total = total + prod
         values.append(total)
     return tuple(values)
+
+
+def _cumulants_of(m: tuple) -> tuple:
+    # The inverse by recursive subtraction, over any ring with +, - and *;
+    # multi-block partitions of 2n only need cumulants of orders < 2n.
+    r: list = []
+    for n in range(1, len(m) + 1):
+        rest = 0
+        for sizes, count in _nc_even_type_counts(2 * n):
+            if len(sizes) == 1:
+                continue
+            prod = count
+            for s in sizes:
+                prod = prod * r[s // 2 - 1]
+            rest = rest + prod
+        r.append(m[n - 1] - rest)
+    return tuple(r)
 
 
 def moments_from_cumulants(r: CumulantSequence) -> MomentSequence:
@@ -173,20 +276,15 @@ def moments_from_cumulants(r: CumulantSequence) -> MomentSequence:
 
     Runs over any ring with +, - and * (Fraction, float, int); orders above
     2 * ``TABLE_MAX_N`` raise :class:`SizeLimitError` before any term is
-    computed.
+    computed.  Rational input runs in ints on one scale: with D the lcm of
+    the denominators, r_2k * D^k is an int, and m_2n * D^n is the same sum
+    over those ints, divided by D^n once.  Output n is a Fraction when one
+    of r_2..r_2n is and an int when all are ints; any float runs the sum
+    term by term.
     """
     if r.order:
         _check_cap(r.order, TABLE_MAX_N)
-    values = []
-    for n in range(1, r.order + 1):
-        total = 0
-        for sizes, count in _nc_even_type_counts(2 * n):
-            prod = count
-            for s in sizes:
-                prod = prod * r.cumulant(s)
-            total = total + prod
-        values.append(total)
-    return MomentSequence(tuple(values))
+    return MomentSequence(_on_one_scale(r.values, _moments_of))
 
 
 def cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
@@ -194,23 +292,12 @@ def cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
 
     r_{2n} is m_{2n} minus the contribution of every even non-crossing
     partition with more than one block; those involve cumulants of strictly
-    lower order only.  Same rings and cap as :func:`moments_from_cumulants`.
+    lower order only.  Same rings, cap, graded integer scaling and result
+    types as :func:`moments_from_cumulants`.
     """
     if m.order:
         _check_cap(m.order, TABLE_MAX_N)
-    r: list[Number] = []
-    for n in range(1, m.order + 1):
-        rest = 0
-        lower = CumulantSequence(tuple(r))  # multi-block partitions only need orders < 2n
-        for sizes, count in _nc_even_type_counts(2 * n):
-            if len(sizes) == 1:
-                continue
-            prod = count
-            for s in sizes:
-                prod = prod * lower.cumulant(s)
-            rest = rest + prod
-        r.append(m.moment(2 * n) - rest)
-    return CumulantSequence(tuple(r))
+    return CumulantSequence(_on_one_scale(m.values, _cumulants_of))
 
 
 def free_convolve(a: MomentSequence, b: MomentSequence, n: int | None = None) -> MomentSequence:
@@ -245,11 +332,13 @@ def dilate_sq(m: MomentSequence, lam_sq: Number) -> MomentSequence:
 
 def semicircle_moments(n: int) -> MomentSequence:
     """Even moments of the standard semicircle law: the Catalan numbers."""
+    _check_order(n)
     return MomentSequence(tuple(pairings.count_nc_pairings(k) for k in range(1, n + 1)))
 
 
 def gaussian_moments(n: int) -> MomentSequence:
     """Even moments of the standard normal law: (2k-1)!!."""
+    _check_order(n)
     return MomentSequence(tuple(pairings.pairing_count(k) for k in range(1, n + 1)))
 
 
@@ -258,17 +347,15 @@ def moments_of_weight(spec: WeightSpec, n: int) -> MomentSequence:
 
     Weights depend on partitions only through (cr, h, cc), so the sum runs
     over the cached exact joint distributions rather than the raw stream;
-    n is capped at ``TABLE_MAX_N``.
+    n is capped at ``TABLE_MAX_N``.  Int and Fraction weights are added in
+    ints, one group per denominator, and divided once per order.
     """
-    return MomentSequence(_table_sums(
-        n, lambda k, cr, h, cc, count: count * spec.weight_of(k, cr, h, cc)))
+    return MomentSequence(_table_sums(n, spec))
 
 
 def cumulants_from_connected(spec: WeightSpec, n: int) -> CumulantSequence:
     """r_{2k} = sum of the weight over pair partitions with connected crossing graph."""
-    return CumulantSequence(_table_sums(
-        n, lambda k, cr, h, cc, count: count * spec.weight_of(k, cr, h, cc),
-        connected_only=True))
+    return CumulantSequence(_table_sums(n, spec, connected_only=True))
 
 
 def markov_limit_moments(n: int) -> MomentSequence:
@@ -351,9 +438,7 @@ def semicircle_mix_moments(
     """
     if not 0 <= b <= 1:
         raise ValueError(f"mixing parameter b must lie in [0, 1], got {b}")
-    path_a = MomentSequence(_table_sums(
-        n,
-        lambda k, cr, h, cc, count: count * b ** (k - h) * spec.weight_of(k, cr, h, cc)))
+    path_a = MomentSequence(_table_sums(n, spec, mix=b))
 
     base = moments_of_weight(spec, n)
     one = Fraction(1) if is_exact(b) else 1.0

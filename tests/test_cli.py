@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +127,23 @@ class TestMoments:
         assert doc["mix"] == "1/2"
         assert doc["mix_paths_agree"] is True
         assert doc["rows"][1]["mix_moment"] == "9/4"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenStdout:
+    """Exact-table reports, byte for byte as first recorded (tests/golden)."""
+
+    @pytest.mark.parametrize("argv,name", [
+        ("moments --weight qcr --param 1/3 --N 20 --mix 1/4", "moments-qcr-1_3-N20-mix-1_4.csv"),
+        ("moments --weight qcr --param 0.3 --N 8 --mix 1/4", "moments-qcr-0.3-N8-mix-1_4.csv"),
+        ("sequences --which connected --max 20", "sequences-connected-max20.csv"),
+    ])
+    def test_golden_stdout(self, capsys, argv, name):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert out == (GOLDEN / name).read_text()
 
 
 class TestRandmat:

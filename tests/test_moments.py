@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -188,6 +189,275 @@ class TestMomentCumulantTransforms:
         assert back.values == m.values
 
 
+def _typed(values):
+    # value and kind of every entry; floats by their bits
+    return tuple((type(v).__name__, v.hex() if isinstance(v, float) else v) for v in values)
+
+
+def _random_rationals(rng, n, ints=True):
+    # mixed denominators, negatives and zeros; with ints, some plain ints
+    out = []
+    for _ in range(n):
+        kind = rng.randrange(4 if ints else 2)
+        if kind == 0:
+            out.append(Fraction(rng.randint(-20, 20), rng.randint(1, 30)))
+        elif kind == 1:
+            out.append(Fraction(0) if rng.random() < 0.3 else Fraction(rng.randint(-5, 5), 7))
+        else:
+            out.append(rng.randint(-9, 9) if kind == 2 else 0)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _nc_block_sizes(n):
+    # block sizes of every even non-crossing partition of {1..2n}, by enumeration
+    return tuple(tuple(len(b) for b in p) for p in brute.nc_even_partitions(range(1, 2 * n + 1)))
+
+
+def _definitional_moments(r):
+    # m_2n = sum over even non-crossing partitions of prod_B r_|B|, one term per partition
+    out = []
+    for n in range(1, len(r) + 1):
+        total = Fraction(0)
+        for sizes in _nc_block_sizes(n):
+            term = Fraction(1)
+            for s in sizes:
+                term *= r[s // 2 - 1]
+            total += term
+        out.append(total)
+    return tuple(out)
+
+
+def _loop_moments(r):
+    # the forward transform term by term, as first written: the reference
+    # for value, type and rounding
+    out = []
+    for n in range(1, len(r) + 1):
+        total = 0
+        for sizes, count in mo._nc_even_type_counts(2 * n):
+            prod = count
+            for s in sizes:
+                prod = prod * r[s // 2 - 1]
+            total = total + prod
+        out.append(total)
+    return tuple(out)
+
+
+def _loop_cumulants(m):
+    # the inverse term by term, as first written
+    r = []
+    for n in range(1, len(m) + 1):
+        rest = 0
+        for sizes, count in mo._nc_even_type_counts(2 * n):
+            if len(sizes) > 1:
+                prod = count
+                for s in sizes:
+                    prod = prod * r[s // 2 - 1]
+                rest = rest + prod
+        r.append(m[n - 1] - rest)
+    return tuple(r)
+
+
+def _riordan_connected(n):
+    # c_2 = 1, c_2(m+1) = m * sum_{i=1..m} c_2i c_2(m+1-i)
+    c = [0, 1]
+    for m in range(1, n):
+        c.append(m * sum(c[i] * c[m + 1 - i] for i in range(1, m + 1)))
+    return c[1:]
+
+
+class TestGradedTransforms:
+    """Exact input runs in ints on one scale; checked against oracles that
+    share no code with it: the sum over enumerated partitions and closed forms."""
+
+    @pytest.mark.parametrize("seed,n", [(0, 8), (1, 7), (2, 6), (3, 5), (4, 3)])
+    def test_forward_matches_partition_sum(self, seed, n):
+        r = _random_rationals(random.Random(seed), n)
+        assert mo.moments_from_cumulants(CumulantSequence(r)).values == _definitional_moments(r)
+
+    @pytest.mark.parametrize("seed,n", [(5, 8), (6, 7), (7, 4)])
+    def test_inverse_matches_partition_sum(self, seed, n):
+        m = _random_rationals(random.Random(seed), n)
+        r = mo.cumulants_from_moments(MomentSequence(m)).values
+        assert _definitional_moments(r) == m
+
+    def test_ternary_numbers_at_cap(self):
+        n = pairings.TABLE_MAX_N
+        m = mo.moments_from_cumulants(CumulantSequence((Fraction(1),) * n)).values
+        assert m == tuple(math.comb(3 * k, k) // (2 * k + 1) for k in range(1, n + 1))
+        assert all(type(v) is Fraction for v in m)
+
+    @pytest.mark.parametrize("lam_sq", [Fraction(9, 14), Fraction(5, 3), Fraction(1, 30)])
+    def test_dilated_catalan_and_double_factorials_at_cap(self, lam_sq):
+        n = pairings.TABLE_MAX_N
+        catalan = tuple(math.comb(2 * k, k) // (k + 1) for k in range(1, n + 1))
+        double_factorial = tuple(math.prod(range(1, 2 * k, 2)) for k in range(1, n + 1))
+        connected = _riordan_connected(n)
+        for moments, cumulants in (
+            (catalan, (lam_sq,) + (0,) * (n - 1)),
+            (double_factorial, tuple(lam_sq ** k * c for k, c in enumerate(connected, 1))),
+        ):
+            r = mo.cumulants_from_moments(mo.dilate_sq(MomentSequence(moments), lam_sq))
+            assert r.values == cumulants
+            back = mo.dilate_sq(mo.moments_from_cumulants(r), 1 / lam_sq)
+            assert back.values == moments
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_round_trip_at_cap(self, seed):
+        rng = random.Random(seed)
+        n = pairings.TABLE_MAX_N
+        for ints in (True, False):
+            x = _random_rationals(rng, n, ints)
+            back_r = mo.cumulants_from_moments(mo.moments_from_cumulants(CumulantSequence(x)))
+            back_m = mo.moments_from_cumulants(mo.cumulants_from_moments(MomentSequence(x)))
+            assert back_r.values == x and back_m.values == x
+            if not ints:
+                assert _typed(back_r.values) == _typed(x) == _typed(back_m.values)
+
+
+class TestGradedTypes:
+    """Result types are those of the term-by-term loop."""
+
+    def test_all_ints_give_ints(self):
+        x = (1, 2, -5, 0, 14, 3)
+        m = mo.moments_from_cumulants(CumulantSequence(x)).values
+        r = mo.cumulants_from_moments(MomentSequence(x)).values
+        assert all(type(v) is int for v in m + r)
+        assert m == _definitional_moments(x)
+        assert _definitional_moments(r) == x
+
+    @pytest.mark.parametrize("x", [
+        (Fraction(1), Fraction(2), Fraction(-3), Fraction(0)),
+        (Fraction(1, 2), Fraction(0), Fraction(-3, 4), Fraction(5, 6), Fraction(7)),
+    ])
+    def test_all_fractions_give_fractions(self, x):
+        # also when every denominator is 1, so the common scale is D = 1
+        m = mo.moments_from_cumulants(CumulantSequence(x)).values
+        r = mo.cumulants_from_moments(MomentSequence(x)).values
+        assert all(type(v) is Fraction for v in m + r)
+        assert _typed(m) == _typed(_loop_moments(x))
+        assert _typed(r) == _typed(_loop_cumulants(x))
+
+    def test_mixed_ints_and_fractions_pinned(self):
+        # an entry is a Fraction once one of the inputs up to its order is
+        x = (1, 2, Fraction(1, 3), 5)
+        assert _typed(mo.moments_from_cumulants(CumulantSequence(x)).values) == _typed(
+            (1, 4, Fraction(52, 3), Fraction(281, 3)))
+        assert _typed(mo.cumulants_from_moments(MomentSequence(x)).values) == _typed(
+            (1, 0, Fraction(-14, 3), Fraction(85, 3)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_ints_and_fractions_match_the_loop(self, seed):
+        x = _random_rationals(random.Random(100 + seed), 9)
+        assert _typed(mo.moments_from_cumulants(CumulantSequence(x)).values) == _typed(
+            _loop_moments(x))
+        assert _typed(mo.cumulants_from_moments(MomentSequence(x)).values) == _typed(
+            _loop_cumulants(x))
+
+    def test_any_float_keeps_the_loop(self):
+        x = (1, Fraction(1, 3), 0.5, 2)
+        assert _typed(mo.moments_from_cumulants(CumulantSequence(x)).values) == (
+            ("int", 1), ("Fraction", Fraction(7, 3)),
+            ("float", "0x1.e000000000000p+2"), ("float", "0x1.dc71c71c71c71p+4"))
+        assert _typed(mo.cumulants_from_moments(MomentSequence(x)).values) == (
+            ("int", 1), ("Fraction", Fraction(-5, 3)),
+            ("float", "0x1.6000000000000p+2"), ("float", "-0x1.471c71c71c71dp+4"))
+
+
+class CellDenominators(WeightSpec):
+    """An exact weight with a different denominator in (almost) every cell."""
+
+    def weight_of(self, n, cr, h, cc):
+        return Fraction(cc - cr, cr + h + 2)
+
+
+class IntsOrFractions(WeightSpec):
+    """Ints in some cells and Fractions in others."""
+
+    def weight_of(self, n, cr, h, cc):
+        return cr + cc if h % 2 else Fraction(h + 1, cr + 2)
+
+
+def _loop_table_sums(spec, n, connected_only=False, mix=None):
+    # the weighted sums term by term in sorted cell order, as first written
+    out = []
+    for k in range(1, n + 1):
+        total = 0
+        for (cr, h, cc), count in pairings.statistic_distribution(k).counts.items():
+            if cc == 1 or not connected_only:
+                term = count if mix is None else count * mix ** (k - h)
+                total = total + term * spec.weight_of(k, cr, h, cc)
+        out.append(total)
+    return tuple(out)
+
+
+EXACT_SPECS = [CellDenominators(), IntsOrFractions(), Constant1(),
+               CrossingPower(Fraction(1, 3)), ComponentPower(2)]
+
+
+class TestTableSumsExact:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cell_denominators_match_enumeration(self, n):
+        spec, b = CellDenominators(), Fraction(2, 7)
+        weight = spec.weight_of
+        assert mo.moments_of_weight(spec, n).moment(2 * n) == brute.weighted_sum(
+            n, lambda cr, h, cc: weight(n, cr, h, cc))
+        assert mo.cumulants_from_connected(spec, n).cumulant(2 * n) == brute.weighted_sum(
+            n, lambda cr, h, cc: weight(n, cr, h, cc) if cc == 1 else 0)
+        assert mo._table_sums(n, spec, mix=b)[-1] == brute.weighted_sum(
+            n, lambda cr, h, cc: b ** (n - h) * weight(n, cr, h, cc))
+
+    @pytest.mark.parametrize("spec", EXACT_SPECS)
+    def test_value_and_type_of_the_loop(self, spec):
+        n = 9
+        assert _typed(mo.moments_of_weight(spec, n).values) == _typed(_loop_table_sums(spec, n))
+        assert _typed(mo.cumulants_from_connected(spec, n).values) == _typed(
+            _loop_table_sums(spec, n, connected_only=True))
+
+    @pytest.mark.parametrize("spec", EXACT_SPECS)
+    @pytest.mark.parametrize("mix", [0, 1, Fraction(1, 4), Fraction(0), Fraction(1)])
+    def test_mixed_value_and_type_of_the_loop(self, spec, mix):
+        n = 9
+        assert _typed(mo._table_sums(n, spec, mix=mix)) == _typed(
+            _loop_table_sums(spec, n, mix=mix))
+
+    def test_fraction_times_float_takes_the_float_path(self):
+        spec, b, n = Product([CrossingPower(Fraction(1, 3)), SingletonHPower(0.3)]), HALF, 7
+        assert _typed(mo.moments_of_weight(spec, n).values) == _typed(_loop_table_sums(spec, n))
+        assert _typed(mo.cumulants_from_connected(spec, n).values) == _typed(
+            _loop_table_sums(spec, n, connected_only=True))
+        assert _typed(mo.semicircle_mix_moments(spec, b, n).values) == _typed(
+            _loop_table_sums(spec, n, mix=b))
+        assert _typed(mo.semicircle_mix_moments(CrossingPower(HALF), 0.25, n).values) == _typed(
+            _loop_table_sums(CrossingPower(HALF), n, mix=0.25))
+
+
+class TestNegativeOrders:
+    def test_accessors_refuse_negative_orders(self):
+        m = MomentSequence((1, 2, 5))
+        r = CumulantSequence((1, 0, 0))
+        for call in (lambda: m.moment(-2), lambda: m.moment(-1), lambda: r.cumulant(-4),
+                     lambda: r.cumulant(-3), lambda: m.truncate(-1), lambda: r.truncate(-1)):
+            with pytest.raises(ValueError, match=">= 0"):
+                call()
+
+    @pytest.mark.parametrize("call", [
+        lambda n: mo.free_convolve(MomentSequence((1, 2, 5)), MomentSequence((1, 2, 5)), n),
+        lambda n: mo.moments_of_weight(Constant1(), n),
+        lambda n: mo.cumulants_from_connected(Constant1(), n),
+        lambda n: mo.markov_limit_moments(n),
+        lambda n: mo.semicircle_mix_moments(Constant1(), HALF, n),
+        lambda n: mo.check_mix_semigroup(HALF, HALF, n),
+        mo.semicircle_moments,
+        mo.gaussian_moments,
+    ])
+    def test_negative_order_raises_and_zero_is_empty(self, call):
+        with pytest.raises(ValueError, match=">= 0"):
+            call(-2)
+        got = call(0)
+        assert (got.lhs if isinstance(got, mo.SemigroupReport) else got).values == ()
+
+
 class TestWeightMoments:
     def test_constant_weight_double_factorials(self):
         assert mo.moments_of_weight(Constant1(), 4).values == (1, 3, 15, 105)
@@ -213,6 +483,23 @@ class TestWeightMoments:
         assert [v.hex() for v in mo.semicircle_mix_moments(spec, b, n).values] == [
             "0x1.0000000000000p+0", "0x1.0810624dd2f1bp+1", "0x1.5b532a497fa5ep+2",
             "0x1.03b0d32829c19p+4", "0x1.a53c52e56b2ccp+5", "0x1.69c5978e3ee37p+7",
+        ]
+        # the transforms keep their term-by-term loop for floats
+        r = CumulantSequence((0.7, -0.3, 1.1, 0.25, -0.6, 0.9))
+        assert [v.hex() for v in mo.moments_from_cumulants(r).values] == [
+            "0x1.6666666666666p-1", "0x1.5c28f5c28f5c2p-1", "0x1.8e147ae147ae1p+0",
+            "0x1.80fc504816f01p+2", "0x1.3a6a400fba881p+4", "0x1.c538f8a4c1ebdp+5",
+        ]
+        m = MomentSequence((1.0, 2.3, 7.1, 25.5, 101.2, 426.8))
+        assert [v.hex() for v in mo.cumulants_from_moments(m).values] == [
+            "0x1.0000000000000p+0", "0x1.3333333333330p-2", "0x1.3333333333340p-2",
+            "0x1.5c28f5c28f5c0p-2", "0x1.59999999999c0p+0", "-0x1.2395810624f00p+1",
+        ]
+        conv = mo.free_convolve(mo.dilate_sq(mo.semicircle_moments(n), 0.3),
+                                mo.dilate_sq(mo.gaussian_moments(n), 0.7))
+        assert [v.hex() for v in conv.values] == [
+            "0x1.0000000000000p+0", "0x1.3eb851eb851ebp+1", "0x1.29fbe76c8b439p+3",
+            "0x1.711ce075f6fd2p+5", "0x1.1e935e74299d8p+8", "0x1.0dab127f5e84ep+11",
         ]
 
     def test_connected_cumulants_constant(self):
