@@ -100,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sequences", help="integer sequences with dual computation paths")
-    p.add_argument("--which", required=True,
-                   choices=("pairings", "catalan", "connected", "singletons", "moments"))
+    p.add_argument("--which", required=True, choices=tuple(ve.SEQUENCES))
     p.add_argument("--max", type=int, required=True, metavar="N",
                    help=f"largest half-size n: at most {pa.STREAM_MAX_N} for pairings "
                         f"(a stream), {pa.TABLE_MAX_N} otherwise (tables)")
@@ -148,45 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sequence_rows(which: str, nmax: int) -> list[dict]:
-    rows = []
-    if which == "pairings":
-        for n in range(1, nmax + 1):
-            streamed = sum(1 for _ in pa.enumerate_pairings(n))
-            rows.append({"n": n, "value": streamed,
-                         "oracle": pa.pairing_count(n),
-                         "agree": streamed == pa.pairing_count(n)})
-    elif which == "catalan":
-        for n, dist in enumerate(pa._joint_tables(nmax), start=1):
-            cr0 = sum(v for (cr, _, _), v in dist.counts.items() if cr == 0)
-            formula = pa.count_nc_pairings(n)
-            rows.append({"n": n, "value": formula, "oracle": cr0,
-                         "agree": formula == cr0})
-    elif which == "connected":
-        recur = pa.riordan_connected(nmax)
-        for n, dist in enumerate(pa._joint_tables(nmax), start=1):
-            brute = sum(v for (_, _, cc), v in dist.counts.items() if cc == 1)
-            rows.append({"n": n, "value": recur[n - 1], "oracle": brute,
-                         "agree": recur[n - 1] == brute})
-    elif which == "singletons":
-        for n, dist in enumerate(pa._joint_tables(nmax), start=1):
-            brute = sum(h * v for (_, h, _), v in dist.counts.items())
-            p = [pa.pairing_count(k) for k in range(n)]
-            closed = n * sum(p[k] * p[n - 1 - k] for k in range(n))
-            rows.append({"n": n, "value": closed, "oracle": brute,
-                         "agree": closed == brute})
-    elif which == "moments":
-        direct = mo.markov_limit_moments(nmax)
-        conv = mo.free_convolve(mo.semicircle_moments(nmax), mo.gaussian_moments(nmax))
-        for n in range(1, nmax + 1):
-            a, b = direct.moment(2 * n), conv.moment(2 * n)
-            rows.append({"n": n, "value": a, "oracle": b, "agree": a == b})
-    return rows
-
-
 def cmd_sequences(args, out) -> int:
-    pa._check_cap(args.max, pa.STREAM_MAX_N if args.which == "pairings" else pa.TABLE_MAX_N)
-    rows = _sequence_rows(args.which, args.max)
+    rows = ve.sequence_rows(args.which, args.max)
     emit(rows, {"command": "sequences", "which": args.which, "max": args.max},
          args.format, out)
     return EXIT_OK if all(r["agree"] for r in rows) else EXIT_CHECK_FAILED

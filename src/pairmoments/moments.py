@@ -44,15 +44,25 @@ from .weights import (
 
 
 @dataclass(frozen=True)
-class MomentSequence:
-    """Even moments m_2, m_4, ..., m_{2N} of a symmetric law."""
-
+class _EvenSequence:
+    # The stored values and their length; subclasses add only accessors, so
+    # they inherit the frozen dataclass's __init__, repr, equality and hash.
     values: tuple[Number, ...]
 
     @property
     def order(self) -> int:
         """Largest half-order N."""
         return len(self.values)
+
+    def truncate(self, n: int):
+        _check_order(n)
+        if n > self.order:
+            raise ValueError(f"cannot extend to N={n} (have {self.order})")
+        return type(self)(self.values[:n])
+
+
+class MomentSequence(_EvenSequence):
+    """Even moments m_2, m_4, ..., m_{2N} of a symmetric law."""
 
     def moment(self, k: int) -> Number:
         """Moment of any order 0 <= k <= 2N; odd orders are structurally zero."""
@@ -66,22 +76,9 @@ class MomentSequence:
             raise ValueError(f"moment of order {k} not stored (max {2 * self.order})")
         return self.values[k // 2 - 1]
 
-    def truncate(self, n: int) -> "MomentSequence":
-        _check_order(n)
-        if n > self.order:
-            raise ValueError(f"cannot extend to N={n} (have {self.order})")
-        return MomentSequence(self.values[:n])
 
-
-@dataclass(frozen=True)
-class CumulantSequence:
+class CumulantSequence(_EvenSequence):
     """Even free cumulants r_2, r_4, ..., r_{2N} of a symmetric law."""
-
-    values: tuple[Number, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
 
     def cumulant(self, k: int) -> Number:
         if k < 0:
@@ -91,12 +88,6 @@ class CumulantSequence:
         if k == 0 or k > 2 * self.order:
             raise ValueError(f"cumulant of order {k} not stored (max {2 * self.order})")
         return self.values[k // 2 - 1]
-
-    def truncate(self, n: int) -> "CumulantSequence":
-        _check_order(n)
-        if n > self.order:
-            raise ValueError(f"cannot extend to N={n} (have {self.order})")
-        return CumulantSequence(self.values[:n])
 
 
 @dataclass(frozen=True)
@@ -323,8 +314,11 @@ def dilate_sq(m: MomentSequence, lam_sq: Number) -> MomentSequence:
     """Same as :func:`dilate` with the squared factor given directly.
 
     Only lam**2 ever enters even moments, so passing it as an exact rational
-    keeps the whole pipeline exact (e.g. dilation by sqrt(b)).
+    keeps the whole pipeline exact (e.g. dilation by sqrt(b)).  0 gives the
+    point mass at 0; a negative value is no square and raises ValueError.
     """
+    if lam_sq < 0:
+        raise ValueError(f"squared dilation factor must be >= 0, got {lam_sq}")
     return MomentSequence(
         tuple(lam_sq ** n * v for n, v in enumerate(m.values, start=1))
     )
@@ -417,13 +411,19 @@ def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
     return total if denominator is None else total / denominator ** n
 
 
-def semicircle_mix_moments(
-    spec: WeightSpec,
-    b: Number,
-    n: int,
-    *,
-    tol: float = 1e-9,
-) -> MomentSequence:
+#: Absolute tolerance of the mixture comparisons; it matters only for floats,
+#: as exact values compare equal or not.
+_MIX_TOL = 1e-9
+
+
+def _mix_with_semicircle(m: MomentSequence, b: Number, n: int) -> MomentSequence:
+    # The sqrt(b)-dilation of m freely convolved with the sqrt(1 - b)-dilated
+    # semicircle, to order 2n.
+    one = Fraction(1) if is_exact(b) else 1.0
+    return free_convolve(dilate_sq(m, b), dilate_sq(semicircle_moments(n), one - b), n)
+
+
+def semicircle_mix_moments(spec: WeightSpec, b: Number, n: int) -> MomentSequence:
     """Moments of sqrt(b) * X + sqrt(1-b) * S with S a free semicircle.
 
     Two independent paths are always computed and compared: the direct sum
@@ -439,16 +439,9 @@ def semicircle_mix_moments(
     if not 0 <= b <= 1:
         raise ValueError(f"mixing parameter b must lie in [0, 1], got {b}")
     path_a = MomentSequence(_table_sums(n, spec, mix=b))
-
-    base = moments_of_weight(spec, n)
-    one = Fraction(1) if is_exact(b) else 1.0
-    path_b = free_convolve(
-        dilate_sq(base, b),
-        dilate_sq(semicircle_moments(n), one - b),
-        n,
-    )
+    path_b = _mix_with_semicircle(moments_of_weight(spec, n), b, n)
     for va, vb in zip(path_a.values, path_b.values):
-        if not numbers_equal(va, vb, rel_tol=0, abs_tol=tol):
+        if not numbers_equal(va, vb, rel_tol=0, abs_tol=_MIX_TOL):
             raise DualPathMismatchError(
                 f"mixture moment paths disagree: {va} vs {vb}",
                 path_a=path_a,
@@ -472,9 +465,7 @@ class SemigroupReport:
         return self.passed
 
 
-def check_mix_semigroup(
-    b: Number, c: Number, n: int, *, tol: float = 1e-9
-) -> SemigroupReport:
+def check_mix_semigroup(b: Number, c: Number, n: int) -> SemigroupReport:
     """Check that mixing by b then by c equals mixing once by b*c.
 
     lhs: moments of the (b*c)-mixture of the normal law with the semicircle.
@@ -485,15 +476,9 @@ def check_mix_semigroup(
         if not 0 <= val <= 1:
             raise ValueError(f"{name} must lie in [0, 1], got {val}")
     lhs = semicircle_mix_moments(Constant1(), b * c, n)
-    rho_b = semicircle_mix_moments(Constant1(), b, n)
-    one = Fraction(1) if is_exact(c) else 1.0
-    rhs = free_convolve(
-        dilate_sq(rho_b, c),
-        dilate_sq(semicircle_moments(n), one - c),
-        n,
-    )
+    rhs = _mix_with_semicircle(semicircle_mix_moments(Constant1(), b, n), c, n)
     pairs = list(zip(lhs.values, rhs.values))
-    passed = all(numbers_equal(x, y, rel_tol=0, abs_tol=tol) for x, y in pairs)
+    passed = all(numbers_equal(x, y, rel_tol=0, abs_tol=_MIX_TOL) for x, y in pairs)
     diffs = [abs(x - y) for x, y in pairs]
     return SemigroupReport(passed, b, c, lhs, rhs, float(max(diffs, default=0)))
 

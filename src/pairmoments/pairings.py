@@ -26,8 +26,7 @@ The per-partition streams keep one canonical order.  There is one walk: a
 non-recursive depth-first walk over an explicit stack that stops six free
 points early and yields, per leaf, a tuple of its 15 completions written
 out in canonical order.  :func:`enumerate_pairings` builds each
-:class:`PairPartition` inside that loop, and the blocks tuples of
-:func:`iter_statistics` are the same batches flattened.  The statistics of
+:class:`PairPartition` inside that loop.  The statistics of
 :func:`iter_statistics`, :func:`pairmoments.moments.mixed_moment` and the
 checks of :mod:`pairmoments.weights` come from numpy block arrays and
 cached per-row cases instead (see "The stream as arrays" below).
@@ -44,7 +43,6 @@ and :func:`rotate` are thin wrappers over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import comb
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
@@ -205,11 +203,6 @@ def enumerate_pairings(n: int) -> Iterator[PairPartition]:
             set_n(obj, n)
             set_blocks(obj, blocks)
             yield obj
-
-
-def _iter_blocks(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    # The blocks tuples of P2(2n) in canonical order, one by one.
-    return chain.from_iterable(_block_batches(n))
 
 
 def _block_batches(n: int) -> Iterator[tuple[tuple[tuple[int, int], ...], ...]]:
@@ -376,6 +369,12 @@ def riordan_connected(nmax: int) -> list[int]:
     return c[1:]
 
 
+def _singleton_total(n: int) -> int:
+    # T_2n = n * sum_{k=0..n-1} p_2k * p_2(n-1-k), with p_2k = (2k-1)!!
+    p = [pairing_count(k) for k in range(n)]
+    return n * sum(p[k] * p[n - 1 - k] for k in range(n))
+
+
 def total_singletons(n: int) -> int:
     """T_{2n} = sum of h(V) over all V in P2(2n).
 
@@ -385,8 +384,7 @@ def total_singletons(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = [pairing_count(k) for k in range(n)]
-    closed = n * sum(p[k] * p[n - 1 - k] for k in range(n))
+    closed = _singleton_total(n)
     if n <= TABLE_MAX_N:
         dist = statistic_distribution(n)
         brute = sum(h * count for (_, h, _), count in dist.counts.items())
@@ -521,21 +519,14 @@ def _rotate_rows(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def iter_statistics(n: int, *, with_blocks: bool = False) -> Iterator:
-    """Yield (cr, h, cc) triples, or (blocks, cr, h, cc) tuples, over P2(2n).
+def iter_statistics(n: int) -> Iterator[tuple[int, int, int]]:
+    """Yield the (cr, h, cc) triples of P2(2n), read off the cached cases.
 
-    Order and ``STREAM_MAX_N`` cap match :func:`enumerate_pairings`.  The
-    blocks tuples are the batches of its walk, flattened (faster than
-    converting array rows); the statistics come from the cached cases.
+    Order and ``STREAM_MAX_N`` cap match :func:`enumerate_pairings`.
     """
     s = _stream(n)
-    stats = (s.stats[c] for i in range(0, len(s.case), _CHUNK)
-             for c in s.case[i:i + _CHUNK].tolist())
-    if not with_blocks:
-        yield from stats
-        return
-    for blocks, (cr, h, cc) in zip(_iter_blocks(n), stats):
-        yield blocks, cr, h, cc
+    yield from (s.stats[c] for i in range(0, len(s.case), _CHUNK)
+                for c in s.case[i:i + _CHUNK].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,14 @@ def metric_checks(
     for larger degrees a seeded sample of ``triples`` random triples is
     used for the triangle and invariance checks.  Degrees above
     ``MAX_GROUP_DEGREE`` raise :class:`SizeLimitError`.
+
+    The exhaustive triangle check compares one slice of the distance table,
+    r = e.  Since d(a, b) = H(a^-1 b) is unchanged when r^-1 multiplies both
+    arguments, a triple (a, b, r) fails exactly when (r^-1 a, r^-1 b, e)
+    does, so that slice decides all |S(n)|^3 triples, and a failure is
+    reported at r = e with no triple counted before it, as a loop over r
+    in group order would report it.  The left-translation check that
+    follows tests the quotient table that this argument relies on.
     """
     _check_group_degree(n)
     group = enumerate_group(n)
@@ -395,18 +403,15 @@ def metric_checks(
         dist = hvec[table]
         if not np.array_equal(dist, dist.T):
             return MetricReport(False, n, 0, True, None, "distance table not symmetric")
-        checked = 0
-        for r in range(order):
-            lhs = dist
-            rhs = dist[:, r:r + 1] + dist[r:r + 1, :]
-            if (lhs > rhs).any():
-                a, b = np.argwhere(lhs > rhs)[0]
-                return MetricReport(
-                    False, n, checked, True,
-                    (group[a], group[b], group[r]),
-                    "triangle inequality fails",
-                )
-            checked += order * order
+        # d(a, b) > d(a, e) + d(e, b) over every pair: the r = e slice
+        bad = dist > dist[:, identity, None] + dist[identity]
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            return MetricReport(
+                False, n, 0, True, (group[a], group[b], group[identity]),
+                "triangle inequality fails",
+            )
+        checked = order ** 3
         for r in range(order):
             # relabel[b] = index of sigma_r * sigma_b
             relabel = table[inv_idx[r], :]

@@ -41,36 +41,58 @@ def _check(name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResult:
     return CheckResult(name, passed, time.perf_counter() - start, detail)
 
 
-def _pairing_counts(nmax: int) -> tuple[bool, str]:
-    for n in range(1, nmax + 1):
-        streamed = sum(1 for _ in pa.enumerate_pairings(n))
-        if streamed != pa.pairing_count(n):
-            return False, f"n={n}: stream {streamed} != (2n-1)!! {pa.pairing_count(n)}"
-    return True, f"stream lengths match (2n-1)!! for n <= {nmax}"
+#: The integer sequences computed two ways, as ``sequences --which`` names
+#: them, with the names of their value and oracle paths.
+SEQUENCES = {
+    "pairings": ("stream", "(2n-1)!!"),
+    "catalan": ("Catalan", "cr=0 count"),
+    "connected": ("recurrence", "joint table"),
+    "singletons": ("closed form", "joint table"),
+    "moments": ("sum of 2^h", "free convolution"),
+}
 
 
-def _nc_counts(nmax: int) -> tuple[bool, str]:
-    for n, dist in enumerate(pa._joint_tables(nmax), start=1):
-        cr0 = sum(v for (cr, _, _), v in dist.counts.items() if cr == 0)
-        if cr0 != pa.count_nc_pairings(n):
-            return False, f"n={n}: cr=0 count {cr0} != Catalan {pa.count_nc_pairings(n)}"
-    return True, f"non-crossing counts equal Catalan numbers for n <= {nmax}"
+def sequence_rows(which: str, nmax: int) -> list[dict]:
+    """Rows n, value, oracle, agree for n = 1..nmax of one of ``SEQUENCES``.
+
+    nmax is capped at ``STREAM_MAX_N`` for pairings, which walks P2(2n), and
+    at ``TABLE_MAX_N`` for the others, which read the tables.
+    """
+    if which not in SEQUENCES:
+        raise ValueError(f"unknown sequence {which!r}")
+    pa._check_cap(nmax, pa.STREAM_MAX_N if which == "pairings" else pa.TABLE_MAX_N)
+    if which == "pairings":
+        pairs = [(sum(1 for _ in pa.enumerate_pairings(n)), pa.pairing_count(n))
+                 for n in range(1, nmax + 1)]
+    elif which == "moments":
+        direct = mo.markov_limit_moments(nmax)
+        conv = mo.free_convolve(mo.semicircle_moments(nmax), mo.gaussian_moments(nmax))
+        pairs = list(zip(direct.values, conv.values))
+    else:
+        tables = pa._joint_tables(nmax)
+        if which == "catalan":
+            pairs = [(pa.count_nc_pairings(d.n),
+                      sum(v for (cr, _, _), v in d.counts.items() if cr == 0)) for d in tables]
+        elif which == "connected":
+            pairs = list(zip(pa.riordan_connected(nmax), (
+                sum(v for (_, _, cc), v in d.counts.items() if cc == 1) for d in tables)))
+        else:
+            pairs = [(pa._singleton_total(d.n),
+                      sum(h * v for (_, h, _), v in d.counts.items())) for d in tables]
+    return [{"n": n, "value": value, "oracle": oracle, "agree": value == oracle}
+            for n, (value, oracle) in enumerate(pairs, start=1)]
 
 
-def _connected_counts(nmax: int) -> tuple[bool, str]:
-    recur = pa.riordan_connected(nmax)
-    for n, dist in enumerate(pa._joint_tables(nmax), start=1):
-        brute = sum(v for (_, _, cc), v in dist.counts.items() if cc == 1)
-        if brute != recur[n - 1]:
-            return False, f"n={n}: joint table {brute} != recurrence {recur[n - 1]}"
-    return True, f"recurrence matches joint table for n <= {nmax}: {recur}"
-
-
-def _singleton_totals(nmax: int) -> tuple[bool, str]:
-    values = []
-    for n in range(1, nmax + 1):
-        values.append(pa.total_singletons(n))  # asserts both paths
-    return True, f"closed form equals joint table for n <= {nmax}: {values}"
+def _rows_agree(which: str, nmax: int, detail: str) -> tuple[bool, str]:
+    # Every row of sequence_rows(which, nmax) agrees, or the first that does
+    # not is named; detail may name {nmax} and {values}, the value column.
+    rows = sequence_rows(which, nmax)
+    for row in rows:
+        if not row["agree"]:
+            value_path, oracle_path = SEQUENCES[which]
+            return False, (f"n={row['n']}: {value_path} {row['value']} != "
+                           f"{oracle_path} {row['oracle']}")
+    return True, detail.format(nmax=nmax, values=[row["value"] for row in rows])
 
 
 _PRIMITIVE_SPECS = (
@@ -124,12 +146,11 @@ def _semigroup(nmax: int) -> tuple[bool, str]:
 
 
 def _markov_targets() -> tuple[bool, str]:
-    direct = mo.markov_limit_moments(3)
-    conv = mo.free_convolve(mo.semicircle_moments(3), mo.gaussian_moments(3))
-    if direct.values != (2, 9, 56):
-        return False, f"joint table gave {direct.values}"
-    if conv.values != (2, 9, 56):
-        return False, f"free convolution gave {conv.values}"
+    # both paths of the moments rows give the paper's values
+    for row, want in zip(sequence_rows("moments", 3), (2, 9, 56)):
+        if row["value"] != want or row["oracle"] != want:
+            return False, (f"n={row['n']}: sum of 2^h {row['value']}, "
+                           f"free convolution {row['oracle']}, expected {want}")
     return True, "sum of 2^h equals free convolution: (2, 9, 56)"
 
 
@@ -223,10 +244,17 @@ def run_level(level: str) -> list[CheckResult]:
     full = level == "full"
 
     results = [
-        _check("pairing-counts", lambda: _pairing_counts(8 if full else 6)),
-        _check("noncrossing-counts", lambda: _nc_counts(8 if full else 6)),
-        _check("connected-counts", lambda: _connected_counts(6 if full else 5)),
-        _check("singleton-totals", lambda: _singleton_totals(7 if full else 5)),
+        _check("pairing-counts", lambda: _rows_agree(
+            "pairings", 8 if full else 6, "stream lengths match (2n-1)!! for n <= {nmax}")),
+        _check("noncrossing-counts", lambda: _rows_agree(
+            "catalan", 8 if full else 6,
+            "non-crossing counts equal Catalan numbers for n <= {nmax}")),
+        _check("connected-counts", lambda: _rows_agree(
+            "connected", 6 if full else 5,
+            "recurrence matches joint table for n <= {nmax}: {values}")),
+        _check("singleton-totals", lambda: _rows_agree(
+            "singletons", 7 if full else 5,
+            "closed form equals joint table for n <= {nmax}: {values}")),
         _check("connected-cumulant-identity",
                lambda: _connected_cumulant_identity(5 if full else 4)),
         _check("mix-dual-path", lambda: _mix_dual_path(5 if full else 4)),

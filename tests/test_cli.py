@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from pathlib import Path
@@ -5,7 +6,10 @@ from pathlib import Path
 import pytest
 
 from pairmoments import cli
+from pairmoments import moments as mo
+from pairmoments import pairings as pa
 from pairmoments import randmat as rm
+from pairmoments import verify as ve
 
 
 def _no_sampling(*args, **kwargs):
@@ -139,6 +143,10 @@ class TestGoldenStdout:
         ("moments --weight qcr --param 1/3 --N 20 --mix 1/4", "moments-qcr-1_3-N20-mix-1_4.csv"),
         ("moments --weight qcr --param 0.3 --N 8 --mix 1/4", "moments-qcr-0.3-N8-mix-1_4.csv"),
         ("sequences --which connected --max 20", "sequences-connected-max20.csv"),
+        ("sequences --which pairings --max 6", "sequences-pairings-max6.csv"),
+        ("sequences --which catalan --max 20", "sequences-catalan-max20.csv"),
+        ("sequences --which singletons --max 7", "sequences-singletons-max7.csv"),
+        ("sequences --which moments --max 20", "sequences-moments-max20.csv"),
     ])
     def test_golden_stdout(self, capsys, argv, name):
         code, out, _ = run(capsys, *argv.split())
@@ -369,6 +377,113 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["command"] == "verify"
         assert all(row["passed"] for row in doc["rows"])
+
+
+#: The detail lines of the checks that read the sequence rows, per level.
+SEQUENCE_DETAILS = {
+    "quick": {
+        "pairing-counts": "stream lengths match (2n-1)!! for n <= 6",
+        "noncrossing-counts": "non-crossing counts equal Catalan numbers for n <= 6",
+        "connected-counts": "recurrence matches joint table for n <= 5: [1, 1, 4, 27, 248]",
+        "singleton-totals": "closed form equals joint table for n <= 5: [1, 4, 21, 144, 1245]",
+        "markov-limit-targets": "sum of 2^h equals free convolution: (2, 9, 56)",
+    },
+    "full": {
+        "pairing-counts": "stream lengths match (2n-1)!! for n <= 8",
+        "noncrossing-counts": "non-crossing counts equal Catalan numbers for n <= 8",
+        "connected-counts":
+            "recurrence matches joint table for n <= 6: [1, 1, 4, 27, 248, 2830]",
+        "singleton-totals": "closed form equals joint table for n <= 7: "
+                            "[1, 4, 21, 144, 1245, 13140, 164745]",
+        "markov-limit-targets": "sum of 2^h equals free convolution: (2, 9, 56)",
+    },
+}
+
+
+#: (sequence, its verify check, the one n made wrong, verify's detail)
+WITNESS_CASES = (
+    ("pairings", "pairing-counts", 4, "n=4: stream 104 != (2n-1)!! 105"),
+    ("catalan", "noncrossing-counts", 3, "n=3: Catalan 6 != cr=0 count 5"),
+    ("connected", "connected-counts", 4, "n=4: recurrence 28 != joint table 27"),
+    ("singletons", "singleton-totals", 3, "n=3: closed form 22 != joint table 21"),
+    ("moments", "markov-limit-targets", 2, "n=2: sum of 2^h 10, free convolution 9, expected 9"),
+)
+
+
+def _verify_only(monkeypatch, level, names):
+    # run_level with every check outside `names` skipped, as {name: result}
+    check = ve._check
+    monkeypatch.setattr(ve, "_check", lambda name, fn: check(
+        name, fn if name in names else lambda: (True, "skipped")))
+    return {r.name: r for r in ve.run_level(level) if r.name in names}
+
+
+def _bumped(values, n_bad):
+    # values indexed from n = 1, one added at n_bad
+    return [v + (n == n_bad) for n, v in enumerate(values, start=1)]
+
+
+class TestSequenceWitness:
+    """One path wrong at one n: verify names n and both values; sequences
+    flags that row only and exits 1."""
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_details_pinned(self, monkeypatch, level):
+        got = _verify_only(monkeypatch, level, SEQUENCE_DETAILS[level])
+        assert {name: (r.passed, r.detail) for name, r in got.items()} == {
+            name: (True, detail) for name, detail in SEQUENCE_DETAILS[level].items()}
+
+    @pytest.mark.parametrize("which, check, n_bad, detail", [
+        pytest.param(*case, id=case[0]) for case in WITNESS_CASES])
+    def test_one_wrong_path_names_its_row(self, capsys, monkeypatch, which, check, n_bad,
+                                          detail):
+        if which == "pairings":
+            walk = pa.enumerate_pairings
+            monkeypatch.setattr(pa, "enumerate_pairings", lambda n: itertools.islice(
+                walk(n), pa.pairing_count(n) - (n == n_bad)))
+        elif which == "catalan":
+            catalan = pa.count_nc_pairings
+            monkeypatch.setattr(pa, "count_nc_pairings", lambda n: catalan(n) + (n == n_bad))
+        elif which == "connected":
+            riordan = pa.riordan_connected
+            monkeypatch.setattr(pa, "riordan_connected",
+                                lambda nmax: _bumped(riordan(nmax), n_bad))
+        elif which == "singletons":
+            closed = pa._singleton_total
+            monkeypatch.setattr(pa, "_singleton_total", lambda n: closed(n) + (n == n_bad))
+
+            def raising_cross_check(n):
+                # a DualPathMismatchError here would be a traceback, not agree=false
+                raise AssertionError("the singletons row must not call total_singletons")
+            monkeypatch.setattr(pa, "total_singletons", raising_cross_check)
+        else:
+            markov = mo.markov_limit_moments
+            monkeypatch.setattr(mo, "markov_limit_moments", lambda n: mo.MomentSequence(
+                tuple(_bumped(markov(n).values, n_bad))))
+        result = _verify_only(monkeypatch, "quick", {check})[check]
+        assert (result.passed, result.detail) == (False, detail)
+
+        code, out, _ = run(capsys, "sequences", "--which", which, "--max", "5")
+        assert code == 1
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[0] for row in rows if row[3] == "false"] == [str(n_bad)]
+
+    def test_markov_targets_read_the_oracle_too(self, capsys, monkeypatch):
+        # the free-convolution path wrong at n = 3 only
+        convolve = mo.free_convolve
+        monkeypatch.setattr(mo, "free_convolve", lambda *args: mo.MomentSequence(
+            tuple(_bumped(convolve(*args).values, 3))))
+        result = _verify_only(monkeypatch, "quick", {"markov-limit-targets"})
+        assert result["markov-limit-targets"].detail == \
+            "n=3: sum of 2^h 56, free convolution 57, expected 56"
+        code, out, _ = run(capsys, "sequences", "--which", "moments", "--max", "4")
+        assert code == 1
+        assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == \
+            ["true", "true", "false", "true"]
+
+    def test_unknown_sequence(self):
+        with pytest.raises(ValueError, match="unknown sequence 'squares'"):
+            ve.sequence_rows("squares", 3)
 
 
 class TestThreads:

@@ -48,6 +48,23 @@ class TestSequencesApi:
         with pytest.raises(ValueError):
             r.cumulant(6)
 
+    def test_shared_values_order_and_truncate(self):
+        # both kinds keep their own name, type, equality and error texts
+        m, r = MomentSequence((2, 9, 56)), CumulantSequence((2, 9, 56))
+        assert repr(m) == "MomentSequence(values=(2, 9, 56))"
+        assert repr(r) == "CumulantSequence(values=(2, 9, 56))"
+        assert m != r and m == MomentSequence((2, 9, 56))
+        assert hash(m) == hash(MomentSequence((2, 9, 56))) == hash(r)
+        assert (m.order, r.order) == (3, 3)
+        assert m.truncate(2) == MomentSequence((2, 9))
+        assert r.truncate(0) == CumulantSequence(())
+        with pytest.raises(ValueError, match=r"^cannot extend to N=4 \(have 3\)$"):
+            m.truncate(4)
+        with pytest.raises(ValueError, match="^order N must be >= 0, got -1$"):
+            r.truncate(-1)
+        with pytest.raises(AttributeError):
+            m.values = ()
+
     def test_gram_requires_symmetry(self):
         with pytest.raises(ValueError):
             GramMatrix.from_rows([[1, 2], [3, 1]])
@@ -582,6 +599,15 @@ class TestConvolutionDilation:
     def test_dilate_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             mo.dilate(mo.semicircle_moments(2), 0.0)
+
+    @pytest.mark.parametrize("lam_sq", [-1, Fraction(-1, 3), -0.5])
+    def test_dilate_sq_rejects_negative(self, lam_sq):
+        # (-1, 2) would be the moments of no law: m_2 < 0
+        with pytest.raises(ValueError, match="squared dilation factor must be >= 0"):
+            mo.dilate_sq(mo.semicircle_moments(2), lam_sq)
+
+    def test_dilate_sq_zero_is_the_point_mass(self):
+        assert mo.dilate_sq(mo.semicircle_moments(3), 0).values == (0, 0, 0)
 
     def test_dilation_scales_cumulants(self):
         lam_sq = Fraction(9, 4)

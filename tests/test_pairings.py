@@ -472,29 +472,20 @@ def touchard_riordan(n):
 
 
 class TestIterStatistics:
-    def test_with_blocks_matches_enumerate(self):
+    def test_matches_enumerate_and_chord_stats(self):
+        # triple i is the statistics of the i-th partition of the walk
         for n in range(1, 7):
-            got = list(pairings.iter_statistics(n, with_blocks=True))
-            plain = list(pairings.enumerate_pairings(n))
-            assert [b for b, *_ in got] == [v.blocks for v in plain]
-            assert list(pairings.iter_statistics(n)) == [tuple(t) for _, *t in got]
-            for blocks, cr, h, cc in got:
-                ref = brute.chord_stats(list(blocks))
-                assert (cr, h, cc) == ref
+            got = list(pairings.iter_statistics(n))
+            assert got == [brute.chord_stats(list(v.blocks))
+                           for v in pairings.enumerate_pairings(n)]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_walk_oracle(self, n):
         # in order and value, against the incremental union-find walk
         assert list(pairings.iter_statistics(n)) == list(brute.walk_statistics(n))
-        got = pairings.iter_statistics(n, with_blocks=True)
-        assert [b for b, *_ in got] == [v.blocks for v in pairings.enumerate_pairings(n)]
 
     def test_yields_python_ints(self):
         for n in range(1, 7):
-            for blocks, *stats in pairings.iter_statistics(n, with_blocks=True):
-                assert all(type(x) is int for x in stats)
-                assert type(blocks) is tuple
-                assert all(type(b) is tuple and all(type(x) is int for x in b) for b in blocks)
             assert all(type(t) is tuple and all(type(x) is int for x in t)
                        for t in pairings.iter_statistics(n))
 
@@ -514,7 +505,7 @@ class TestStreamArrays:
         blocks = _array(n)
         assert blocks.shape == (DOUBLE_FACTORIALS[n - 1], n, 2)
         assert [tuple(map(tuple, row)) for row in blocks.tolist()] == \
-            list(pairings._iter_blocks(n))
+            [v.blocks for v in pairings.enumerate_pairings(n)]
 
     def test_rows_at_the_cap(self):
         # at n = 8 the walk yields all 2,027,025 partitions, and its first and
@@ -547,7 +538,7 @@ class TestStreamArrays:
         got = pairings._rotate_rows(blocks)
         assert got.dtype == np.int8
         assert [tuple(map(tuple, row)) for row in got.tolist()] == [
-            brute.rotate_by_pairs(PairPartition(n, b)).blocks for b in pairings._iter_blocks(n)]
+            brute.rotate_by_pairs(v).blocks for v in pairings.enumerate_pairings(n)]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cases_are_component_keys(self, n):

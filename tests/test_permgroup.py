@@ -425,10 +425,13 @@ class TestFastPathsMatchOracles:
         assert pg.metric_checks(n, triples=triples, seed=seed) == brute.metric_report(
             n, triples, seed)
 
-    @pytest.mark.parametrize("n, triples, seed", [(4, 0, 0), (6, 5000, 2), (6, 9000, 3)])
+    @pytest.mark.parametrize("n, triples, seed", [
+        (4, 0, 0), (5, 0, 0), (6, 5000, 2), (6, 9000, 3)])
     def test_first_failing_triple_equal(self, monkeypatch, n, triples, seed):
         # H^2 is symmetric and vanishes only at e, but breaks the triangle
-        # inequality; both paths must report the same first failing triple
+        # inequality; both paths must report the same first failing triple.
+        # At n <= 5 the library reads only the r = e slice, the oracle loops
+        # over every r.
         h_of, big_h = pg._big_h_of, pg.big_h
         monkeypatch.setattr(pg, "_big_h_of", lambda images: h_of(images) ** 2)
         monkeypatch.setattr(pg, "big_h", lambda sigma: big_h(sigma) ** 2)
