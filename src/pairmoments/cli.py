@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the self-verification suite")
-    p.add_argument("--level", choices=("quick", "full"), required=True)
+    p.add_argument("--level", choices=ve.LEVELS, required=True)
     _add_common(p)
 
     return parser
@@ -274,10 +274,7 @@ def cmd_verify(args, out) -> int:
     for r in results:
         print(f"{r.name}: {'ok' if r.passed else 'FAILED'} in {r.elapsed:.2f}s",
               file=sys.stderr)
-    rows = [
-        {"check": r.name, "passed": r.passed, "detail": r.detail}
-        for r in results
-    ]
+    rows = [{"check": r.name, "passed": r.passed, "detail": r.detail} for r in results]
     emit(rows, {"command": "verify", "level": args.level}, args.format, out)
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 

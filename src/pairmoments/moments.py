@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, inf, lcm
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -305,8 +305,8 @@ def free_convolve(a: MomentSequence, b: MomentSequence, n: int | None = None) ->
 
 def dilate(m: MomentSequence, lam: float) -> MomentSequence:
     """Moments of the pushforward under x -> lam * x:  m_{2n} -> lam^{2n} m_{2n}."""
-    if lam <= 0:
-        raise ValueError("dilation factor must be positive")
+    if not 0 < lam < inf:  # also false for NaN
+        raise ValueError(f"dilation factor must be positive and finite, got {lam}")
     return dilate_sq(m, lam * lam)
 
 
@@ -315,10 +315,11 @@ def dilate_sq(m: MomentSequence, lam_sq: Number) -> MomentSequence:
 
     Only lam**2 ever enters even moments, so passing it as an exact rational
     keeps the whole pipeline exact (e.g. dilation by sqrt(b)).  0 gives the
-    point mass at 0; a negative value is no square and raises ValueError.
+    point mass at 0; a negative value is no square and raises ValueError, as
+    do NaN and infinity.
     """
-    if lam_sq < 0:
-        raise ValueError(f"squared dilation factor must be >= 0, got {lam_sq}")
+    if not 0 <= lam_sq < inf:  # also false for NaN
+        raise ValueError(f"squared dilation factor must be >= 0 and finite, got {lam_sq}")
     return MomentSequence(
         tuple(lam_sq ** n * v for n, v in enumerate(m.values, start=1))
     )
@@ -483,19 +484,21 @@ def check_mix_semigroup(b: Number, c: Number, n: int) -> SemigroupReport:
     return SemigroupReport(passed, b, c, lhs, rhs, float(max(diffs, default=0)))
 
 
-def hankel_psd(m: MomentSequence, tol: float = 1e-10) -> tuple[bool, float]:
+#: Relative roundoff :func:`hankel_psd` allows below zero.
+HANKEL_TOL = 1e-10
+
+
+def hankel_psd(m: MomentSequence) -> tuple[bool, float]:
     """Positivity evidence for a candidate moment sequence.
 
     Builds the (N+1) x (N+1) Hankel matrix [m_{i+j}] with m_0 = 1 and odd
     entries 0, and reports whether its minimum eigenvalue clears
-    ``-tol * (1 + max |entry|)``.  Passing this test is a necessary
+    ``-HANKEL_TOL * (1 + max |entry|)``.  Passing this test is a necessary
     condition for being the moment sequence of some symmetric probability
     measure, not a sufficient one.
     """
-    from .randmat import spectrum  # randmat imports this module
+    from .randmat import _psd_verdict  # randmat imports this module
 
     size = m.order + 1
-    rows = [[float(m.moment(i + j)) for j in range(size)] for i in range(size)]
-    min_eig = spectrum(rows)[0]
-    scale = 1.0 + max(abs(rows[i][j]) for i in range(size) for j in range(size))
-    return min_eig >= -tol * scale, min_eig
+    return _psd_verdict([[float(m.moment(i + j)) for j in range(size)] for i in range(size)],
+                        HANKEL_TOL)

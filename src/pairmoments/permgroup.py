@@ -26,7 +26,7 @@ import numpy as np
 
 from .exceptions import SizeLimitError
 from .pairings import PairPartition, singleton_blocks
-from .randmat import spectrum
+from .randmat import _psd_verdict
 from .rng import Xorshift64Star
 
 #: Largest degree for which full kernel matrices are built (order 5! = 120).
@@ -280,10 +280,7 @@ def check_positive_definite(
     positive.
     """
     _check_tol(tol)
-    km = kernel_matrix(n, f)
-    min_eig = spectrum(km.entries)[0]
-    scale = 1.0 + float(np.abs(km.entries).max())
-    return min_eig >= -tol * scale, min_eig
+    return _psd_verdict(kernel_matrix(n, f).entries, tol)
 
 
 @dataclass(frozen=True)
@@ -315,19 +312,14 @@ def check_cnd(
     km = kernel_matrix(n, lambda s: float(big_h(s)))
     order = km.order
     k = km.entries
-    scale = 1.0 + float(np.abs(k).max())
     proj = np.eye(order) - np.full((order, order), 1.0 / order)
     centered = -(proj @ k @ proj)
-    centered = (centered + centered.T) / 2.0
-    centered_min = spectrum(centered)[0]
-    ok = centered_min >= -tol * scale
+    ok, centered_min = _psd_verdict((centered + centered.T) / 2.0, tol, scale_of=k)
 
     schoenberg: dict[float, float] = {}
     for x in exponents:
-        expk = np.exp(-x * k)
-        m = spectrum(expk)[0]
-        schoenberg[x] = m
-        ok = ok and m >= -tol * (1.0 + float(np.abs(expk).max()))
+        passed, schoenberg[x] = _psd_verdict(np.exp(-x * k), tol)
+        ok = ok and passed
     detail = (
         f"centered min eig {centered_min:.3e}; "
         + "; ".join(f"exp(-{x}H) min eig {m:.3e}" for x, m in schoenberg.items())

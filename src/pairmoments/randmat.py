@@ -44,6 +44,11 @@ MAX_MATRIX_DIM = 2000
 MAX_TRIALS = 10_000
 MAX_BINS = 10_000
 
+#: :func:`run_mc`'s pass rules: an even moment passes when |z| <= Z_LIMIT
+#: against its limit value, an odd one when |mean| <= ODD_SIGMA * stderr.
+Z_LIMIT = 4.0
+ODD_SIGMA = 3.0
+
 
 def _check_dimension(n: int) -> None:
     if n < 2:
@@ -242,6 +247,14 @@ def spectrum(m: SymMatrix | np.ndarray) -> list[float]:
     return np.linalg.eigvalsh(_checked_symmetric(m)).tolist()
 
 
+def _psd_verdict(m, tol: float, scale_of=None) -> tuple[bool, float]:
+    # (verdict, min eigenvalue of m); the verdict allows roundoff of
+    # tol * (1 + max |entry|) below zero, the entry read off scale_of or m
+    min_eig = spectrum(m)[0]
+    scale = 1.0 + float(np.abs(_array(m if scale_of is None else scale_of)).max())
+    return min_eig >= -tol * scale, min_eig
+
+
 def target_moment(k: int) -> float:
     """Limit moment of order k: 0 for odd k, sum of 2^h(V) for even k."""
     if k % 2 == 1:
@@ -249,13 +262,13 @@ def target_moment(k: int) -> float:
     return float(moments_mod.markov_limit_moments(k // 2).moment(k))
 
 
-def run_mc(cfg: McConfig, z_limit: float = 4.0, odd_sigma: float = 3.0) -> McReport:
+def run_mc(cfg: McConfig) -> McReport:
     """Average empirical moments over independent trials and compare to targets.
 
     Trial t uses the substream seed derived from (cfg.seed, t); trials are
     accumulated in index order, so the report is identical however the work
-    is scheduled.  Even moments pass when |z| <= z_limit against the exact
-    limit values; odd moments pass when |mean| <= odd_sigma * stderr.
+    is scheduled.  Even moments pass when |z| <= ``Z_LIMIT`` against the exact
+    limit values; odd moments pass when |mean| <= ``ODD_SIGMA`` * stderr.
     """
     samples = np.empty((cfg.trials, cfg.kmax))
     for t in range(cfg.trials):
@@ -275,10 +288,10 @@ def run_mc(cfg: McConfig, z_limit: float = 4.0, odd_sigma: float = 3.0) -> McRep
         else:
             z = 0.0 if mean == target else float("inf")
         if k % 2 == 0:
-            passed = abs(z) <= z_limit
+            passed = abs(z) <= Z_LIMIT
             even_ok = even_ok and passed
         else:
-            passed = abs(mean) <= odd_sigma * stderr
+            passed = abs(mean) <= ODD_SIGMA * stderr
             odd_ok = odd_ok and passed
         rows.append(MomentRow(k, mean, stderr, target, float(z), passed))
     return McReport(cfg, tuple(rows), even_ok, odd_ok)

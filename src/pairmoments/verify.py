@@ -1,12 +1,12 @@
 """Self-verification suites: every headline identity at desk scale.
 
-Two levels are exposed.  ``quick`` keeps every enumeration small and
-finishes in well under a second; ``full`` pushes the caps (2n = 16 pairing
-count, the n = 1000 Monte Carlo, sampled metric triples on S(6)) and takes
-about 3 s on two cores, most of it the n = 8 pairing stream and the
-Monte Carlo.  Each check reports pass/fail plus a
-one-line detail; the CLI prints one line per check and exits nonzero on
-any failure.
+``CHECKS`` lists every check with its arguments at the two levels.
+``quick`` finishes in well under a second.  ``full`` walks all 2,027,025
+pairings at n = 8, reads the tables at n <= 8, runs the rotation and
+factorization streams at n <= 6 and the group kernels at degree 4, the
+n = 1000 Monte Carlo and 100,000 sampled metric triples on S(6), in about
+4 s on two cores.  Each check reports pass/fail and a one-line detail; the
+CLI prints one line per check and exits nonzero on any failure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import moments as mo
@@ -32,23 +33,27 @@ class CheckResult:
     detail: str
 
 
-def _check(name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResult:
+def _check(name: str, fn: Callable[..., tuple[bool, str]], args: tuple) -> CheckResult:
     start = time.perf_counter()
     try:
-        passed, detail = fn()
+        passed, detail = fn(*args)
     except Exception as exc:  # a crash is a failure, not a stack trace
         return CheckResult(name, False, time.perf_counter() - start, f"error: {exc}")
     return CheckResult(name, passed, time.perf_counter() - start, detail)
 
 
 #: The integer sequences computed two ways, as ``sequences --which`` names
-#: them, with the names of their value and oracle paths.
+#: them: the names of their value and oracle paths, and the pass detail of
+#: verify's check on them, which may name {nmax} and {values}, the values.
 SEQUENCES = {
-    "pairings": ("stream", "(2n-1)!!"),
-    "catalan": ("Catalan", "cr=0 count"),
-    "connected": ("recurrence", "joint table"),
-    "singletons": ("closed form", "joint table"),
-    "moments": ("sum of 2^h", "free convolution"),
+    "pairings": ("stream", "(2n-1)!!", "stream lengths match (2n-1)!! for n <= {nmax}"),
+    "catalan": ("Catalan", "cr=0 count",
+                "non-crossing counts equal Catalan numbers for n <= {nmax}"),
+    "connected": ("recurrence", "joint table",
+                  "recurrence matches joint table for n <= {nmax}: {values}"),
+    "singletons": ("closed form", "joint table",
+                   "closed form equals joint table for n <= {nmax}: {values}"),
+    "moments": ("sum of 2^h", "free convolution", "sum of 2^h equals free convolution: {values}"),
 }
 
 
@@ -83,13 +88,13 @@ def sequence_rows(which: str, nmax: int) -> list[dict]:
             for n, (value, oracle) in enumerate(pairs, start=1)]
 
 
-def _rows_agree(which: str, nmax: int, detail: str) -> tuple[bool, str]:
+def _rows_agree(which: str, nmax: int) -> tuple[bool, str]:
     # Every row of sequence_rows(which, nmax) agrees, or the first that does
-    # not is named; detail may name {nmax} and {values}, the value column.
+    # not is named.
     rows = sequence_rows(which, nmax)
+    value_path, oracle_path, detail = SEQUENCES[which]
     for row in rows:
         if not row["agree"]:
-            value_path, oracle_path = SEQUENCES[which]
             return False, (f"n={row['n']}: {value_path} {row['value']} != "
                            f"{oracle_path} {row['oracle']}")
     return True, detail.format(nmax=nmax, values=[row["value"] for row in rows])
@@ -125,7 +130,7 @@ def _mix_dual_path(nmax: int) -> tuple[bool, str]:
 
 def _cumulant_scaling(nmax: int) -> tuple[bool, str]:
     connected = pa.riordan_connected(nmax)
-    for b in (Fraction(1, 3), Fraction(2, 5)):
+    for b in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 4)):
         mix = mo.semicircle_mix_moments(we.Constant1(), b, nmax)
         r = mo.cumulants_from_moments(mix)
         if r.cumulant(2) != 1:
@@ -147,11 +152,13 @@ def _semigroup(nmax: int) -> tuple[bool, str]:
 
 def _markov_targets() -> tuple[bool, str]:
     # both paths of the moments rows give the paper's values
-    for row, want in zip(sequence_rows("moments", 3), (2, 9, 56)):
+    value_path, oracle_path, detail = SEQUENCES["moments"]
+    targets = (2, 9, 56)
+    for row, want in zip(sequence_rows("moments", 3), targets):
         if row["value"] != want or row["oracle"] != want:
-            return False, (f"n={row['n']}: sum of 2^h {row['value']}, "
-                           f"free convolution {row['oracle']}, expected {want}")
-    return True, "sum of 2^h equals free convolution: (2, 9, 56)"
+            return False, (f"n={row['n']}: {value_path} {row['value']}, "
+                           f"{oracle_path} {row['oracle']}, expected {want}")
+    return True, detail.format(values=targets)
 
 
 def _monte_carlo(n: int, trials: int) -> tuple[bool, str]:
@@ -219,15 +226,9 @@ def _strong_multiplicativity(nmax: int) -> tuple[bool, str]:
 
 def _roundtrip() -> tuple[bool, str]:
     # fixed pseudorandom rational sequences; hypothesis covers the fuzzing
-    seqs = [
-        tuple(Fraction(num, den) for num, den in pairs)
-        for pairs in (
-            ((1, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1)),
-            ((2, 1), (1, 1), (4, 1), (27, 1), (248, 1), (2830, 1)),
-            ((1, 2), (-3, 5), (7, 3), (0, 1), (-1, 7), (5, 11)),
-            ((-4, 3), (9, 8), (1, 6), (2, 9), (3, 4), (-8, 5)),
-        )
-    ]
+    seqs = [tuple(map(Fraction, vals.split())) for vals in (
+        "1 0 0 0 0 0", "2 1 4 27 248 2830",
+        "1/2 -3/5 7/3 0 -1/7 5/11", "-4/3 9/8 1/6 2/9 3/4 -8/5")]
     for vals in seqs:
         r = mo.CumulantSequence(vals)
         if mo.cumulants_from_moments(mo.moments_from_cumulants(r)).values != vals:
@@ -238,42 +239,35 @@ def _roundtrip() -> tuple[bool, str]:
     return True, f"moment/cumulant round trip exact on {len(seqs)} rational sequences, N = 6"
 
 
-def run_level(level: str) -> list[CheckResult]:
-    if level not in ("quick", "full"):
-        raise ValueError("level must be 'quick' or 'full'")
-    full = level == "full"
+#: verify's checks in report order: (name, check, quick_args, full_args).
+#: A level whose arguments are None skips the check.
+CHECKS = (
+    ("pairing-counts", partial(_rows_agree, "pairings"), (6,), (8,)),
+    ("noncrossing-counts", partial(_rows_agree, "catalan"), (6,), (8,)),
+    ("connected-counts", partial(_rows_agree, "connected"), (5,), (6,)),
+    ("singleton-totals", partial(_rows_agree, "singletons"), (5,), (7,)),
+    ("connected-cumulant-identity", _connected_cumulant_identity, (4,), (5,)),
+    ("mix-dual-path", _mix_dual_path, (4,), (5,)),
+    ("mix-cumulant-scaling", _cumulant_scaling, (4,), (5,)),
+    ("mix-semigroup", _semigroup, (4,), (6,)),
+    ("markov-limit-targets", _markov_targets, (), ()),
+    ("monte-carlo", _monte_carlo, (200, 5), (1000, 20)),
+    ("group-embedding", _embedding, (4,), (6,)),
+    ("isolated-split", _isolated_split, (4,), (6,)),
+    ("group-psd", _group_psd, (3,), (4,)),
+    ("group-cnd", _group_cnd, (3,), (4,)),
+    ("group-metric", _group_metric, (4, 0), (4, 0)),
+    ("rotation-invariance", _rotation_invariance, (4,), (6,)),
+    ("strong-multiplicativity", _strong_multiplicativity, (4,), (5,)),
+    ("moment-cumulant-roundtrip", _roundtrip, (), ()),
+    ("group-metric-sampled", _group_metric, None, (6, 100_000)),
+)
 
-    results = [
-        _check("pairing-counts", lambda: _rows_agree(
-            "pairings", 8 if full else 6, "stream lengths match (2n-1)!! for n <= {nmax}")),
-        _check("noncrossing-counts", lambda: _rows_agree(
-            "catalan", 8 if full else 6,
-            "non-crossing counts equal Catalan numbers for n <= {nmax}")),
-        _check("connected-counts", lambda: _rows_agree(
-            "connected", 6 if full else 5,
-            "recurrence matches joint table for n <= {nmax}: {values}")),
-        _check("singleton-totals", lambda: _rows_agree(
-            "singletons", 7 if full else 5,
-            "closed form equals joint table for n <= {nmax}: {values}")),
-        _check("connected-cumulant-identity",
-               lambda: _connected_cumulant_identity(5 if full else 4)),
-        _check("mix-dual-path", lambda: _mix_dual_path(5 if full else 4)),
-        _check("mix-cumulant-scaling", lambda: _cumulant_scaling(5 if full else 4)),
-        _check("mix-semigroup", lambda: _semigroup(6 if full else 4)),
-        _check("markov-limit-targets", _markov_targets),
-        _check("monte-carlo",
-               lambda: _monte_carlo(1000 if full else 200, 20 if full else 5)),
-        _check("group-embedding", lambda: _embedding(6 if full else 4)),
-        _check("isolated-split", lambda: _isolated_split(6 if full else 4)),
-        _check("group-psd", lambda: _group_psd(4 if full else 3)),
-        _check("group-cnd", lambda: _group_cnd(4 if full else 3)),
-        _check("group-metric", lambda: _group_metric(4, 0)),
-        _check("rotation-invariance", lambda: _rotation_invariance(6 if full else 4)),
-        _check("strong-multiplicativity", lambda: _strong_multiplicativity(5 if full else 4)),
-        _check("moment-cumulant-roundtrip", _roundtrip),
-    ]
-    if full:
-        results.append(
-            _check("group-metric-sampled", lambda: _group_metric(6, 100_000))
-        )
-    return results
+LEVELS = ("quick", "full")
+
+
+def run_level(level: str) -> list[CheckResult]:
+    if level not in LEVELS:
+        raise ValueError("level must be 'quick' or 'full'")
+    column = 2 + LEVELS.index(level)
+    return [_check(row[0], row[1], row[column]) for row in CHECKS if row[column] is not None]

@@ -1,235 +1,139 @@
-"""Acceptance suite: one test per exit criterion, at the stated tolerances.
+"""Acceptance suite: one test per exit criterion, read off verify's check table.
 
-Each criterion prints a single pass/fail line (run with ``pytest -s`` to see
-them live) and asserts both the mathematical content and its runtime budget.
+Each criterion runs its rows of ``verify.CHECKS`` at the full level, asserts
+that every row passed within the criterion's runtime budget, and pins the
+literal values verify itself does not compare against.  It prints a single
+pass/fail line (run with ``pytest -s`` to see them live).
 """
 
-import math
-import time
 from fractions import Fraction
 
 from pairmoments import moments as mo
 from pairmoments import pairings as pa
-from pairmoments import permgroup as pg
-from pairmoments import randmat as rm
+from pairmoments import verify as ve
 from pairmoments import weights as we
 
-HALF = Fraction(1, 2)
+#: criterion -> (runtime budget in s, what it shows, {verify check: its
+#: full-level arguments}); the arguments are the sizes the criterion states.
+CRITERIA = {
+    1: (120, "enumeration counts equal (2n-1)!! and Catalan numbers for n = 1..8",
+        {"pairing-counts": (8,), "noncrossing-counts": (8,)}),
+    2: (10, "connected pairing counts: 1, 1, 4, 27, 248, 2830", {"connected-counts": (6,)}),
+    3: (60, "singleton totals by closed form and joint table, n = 1..7",
+        {"singleton-totals": (7,)}),
+    4: (30, "moments rebuilt exactly from connected-sum cumulants, N <= 5",
+        {"connected-cumulant-identity": (5,)}),
+    5: (30, "semicircle-mix dual paths agree exactly, b in {0,1/4,1/2,3/4,1}",
+        {"mix-dual-path": (5,)}),
+    6: (10, "mixture cumulants: r_2 fixed, r_2n = b^n c_2n for 2 <= n <= 5",
+        {"mix-cumulant-scaling": (5,)}),
+    7: (10, "mixing semigroup identity exact on {1/2,1/3}x{1/2,2/3}, N <= 6",
+        {"mix-semigroup": (6,)}),
+    8: (5, "Markov limit moments 2, 9, 56 by enumeration and convolution",
+        {"markov-limit-targets": ()}),
+    9: (300, "Monte Carlo spectral moments, n=1000 x 20 trials, |z| <= 4",
+        {"monte-carlo": (1000, 20)}),
+    10: (180, "group suite: embedding, split, PSD, CND, metric axioms",
+         {"group-embedding": (6,), "isolated-split": (6,), "group-psd": (4,),
+          "group-cnd": (4,), "group-metric": (4, 0), "group-metric-sampled": (6, 100_000)}),
+    11: (120, "rotation invariance, strong multiplicativity, round trips",
+         {"rotation-invariance": (6,), "strong-multiplicativity": (5,),
+          "moment-cumulant-roundtrip": ()}),
+}
 
 
-def _run(num, budget, desc, fn):
-    start = time.perf_counter()
-    try:
-        failures = fn()
-    except Exception as exc:
-        print(f"criterion {num:02d} FAIL - {desc}: {exc}")
-        raise
-    elapsed = time.perf_counter() - start
+def _run(num):
+    # run the criterion's rows at the full level; their details by name
+    budget, desc, rows = CRITERIA[num]
+    table = {name: (check, full) for name, check, _, full in ve.CHECKS}
+    assert {name: table[name][1] for name in rows} == rows, "full-level sizes changed"
+    results = [ve._check(name, *table[name]) for name in rows]
+    elapsed = sum(r.elapsed for r in results)
+    failures = {r.name: r.detail for r in results if not r.passed}
     ok = not failures and elapsed <= budget
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'} "
           f"({elapsed:.1f}s, budget {budget:.0f}s) - {desc}")
     assert not failures, failures
     assert elapsed <= budget, f"runtime {elapsed:.1f}s exceeds budget {budget}s"
+    return {r.name: r.detail for r in results}
+
+
+def test_every_check_is_one_criterion():
+    named = [name for _, _, rows in CRITERIA.values() for name in rows]
+    assert sorted(named) == sorted(name for name, *_ in ve.CHECKS)
 
 
 def test_criterion_01_pairing_counts():
-    expected = [1, 3, 15, 105, 945, 10395, 135135, 2027025]
-
-    def body():
-        failures = []
-        for n in range(1, 9):
-            got = sum(1 for _ in pa.enumerate_pairings(n))
-            if got != expected[n - 1]:
-                failures.append(f"n={n}: {got} != {expected[n - 1]}")
-        return failures
-
-    _run(1, 120, "enumeration counts equal (2n-1)!! for n = 1..8", body)
+    _run(1)
+    # the stream lengths were compared with pairing_count
+    assert [pa.pairing_count(n) for n in range(1, 9)] == \
+        [1, 3, 15, 105, 945, 10395, 135135, 2027025]
 
 
 def test_criterion_02_connected_counts():
-    def body():
-        failures = []
-        brute = []
-        for n in range(1, 6):
-            dist = pa.statistic_distribution(n)
-            brute.append(sum(c for (_, _, cc), c in dist.counts.items() if cc == 1))
-        if brute != [1, 1, 4, 27, 248]:
-            failures.append(f"enumerated connected counts {brute}")
-        recurrence = pa.riordan_connected(6)
-        if recurrence[:5] != brute or recurrence[5] != 2830:
-            failures.append(f"recurrence {recurrence} disagrees")
-        dist6 = pa.statistic_distribution(6)
-        brute6 = sum(c for (_, _, cc), c in dist6.counts.items() if cc == 1)
-        if brute6 != 2830:
-            failures.append(f"enumerated c_12 = {brute6} != 2830")
-        return failures
-
-    _run(2, 10, "connected pairing counts: 1, 1, 4, 27, 248, 2830", body)
+    assert _run(2)["connected-counts"].endswith(": [1, 1, 4, 27, 248, 2830]")
 
 
 def test_criterion_03_singleton_totals():
-    expected = [1, 4, 21, 144, 1245, 13140, 164745]
-
-    def body():
-        # total_singletons checks closed form against enumeration internally
-        got = [pa.total_singletons(n) for n in range(1, 8)]
-        return [] if got == expected else [f"{got} != {expected}"]
-
-    _run(3, 60, "singleton totals via closed form and enumeration, n = 1..7", body)
+    # total_singletons checks its closed form against enumeration internally
+    totals = [pa.total_singletons(n) for n in range(1, 8)]
+    assert totals == [1, 4, 21, 144, 1245, 13140, 164745]
+    assert _run(3)["singleton-totals"].endswith(f": {totals}")
 
 
 def test_criterion_04_connected_cumulant_identity():
-    specs = (
-        we.Constant1(),
-        we.SingletonHPower(HALF),
-        we.CrossingPower(Fraction(1, 3)),
-        we.ComponentPower(Fraction(2, 3)),
-    )
-
-    def body():
-        failures = []
-        for spec in specs:
-            direct = mo.moments_of_weight(spec, 5)
-            rebuilt = mo.moments_from_cumulants(mo.cumulants_from_connected(spec, 5))
-            if direct.values != rebuilt.values:
-                failures.append(f"{spec}: {direct.values} != {rebuilt.values}")
-        return failures
-
-    _run(4, 30, "moments rebuilt exactly from connected-sum cumulants, N <= 5", body)
+    _run(4)
 
 
 def test_criterion_05_mix_dual_path():
-    def body():
-        failures = []
-        for b in (Fraction(0), Fraction(1, 4), HALF, Fraction(3, 4), Fraction(1)):
-            seq = mo.semicircle_mix_moments(we.Constant1(), b, 5)  # raises on mismatch
-            if b == 0 and seq.values != (1, 2, 5, 14, 42):
-                failures.append(f"b=0 gave {seq.values}")
-            if b == 1 and seq.values != (1, 3, 15, 105, 945):
-                failures.append(f"b=1 gave {seq.values}")
-        return failures
-
-    _run(5, 30, "semicircle-mix dual paths agree exactly, b in {0,1/4,1/2,3/4,1}", body)
+    _run(5)
+    # verify compares b = 0 and b = 1 with the semicircle and normal moments
+    for b, want in ((0, (1, 2, 5, 14, 42)), (1, (1, 3, 15, 105, 945))):
+        assert mo.semicircle_mix_moments(we.Constant1(), Fraction(b), 5).values == want
 
 
-def test_criterion_06_mix_cumulant_scaling():
-    def body():
-        failures = []
-        connected = pa.riordan_connected(5)
-        for b in (Fraction(1, 4), HALF, Fraction(3, 4)):
-            r = mo.cumulants_from_moments(
-                mo.semicircle_mix_moments(we.Constant1(), b, 5)
-            )
-            if r.cumulant(2) != 1:
-                failures.append(f"b={b}: r_2 = {r.cumulant(2)}")
-            for n in range(2, 6):
-                want = b ** n * connected[n - 1]
-                if r.cumulant(2 * n) != want:
-                    failures.append(f"b={b}, 2n={2 * n}: {r.cumulant(2 * n)} != {want}")
-        return failures
+def test_criterion_06_mix_cumulant_scaling(monkeypatch):
+    seen = []
+    mix = mo.semicircle_mix_moments
 
-    _run(6, 10, "mixture cumulants: r_2 fixed, r_2n = b^n c_2n for 2 <= n <= 5", body)
+    def recording_mix(spec, b, n):
+        seen.append(b)
+        return mix(spec, b, n)
+
+    monkeypatch.setattr(mo, "semicircle_mix_moments", recording_mix)
+    _run(6)
+    # the union of the mixing parameters both earlier copies of this check ran
+    assert seen == [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2),
+                    Fraction(3, 4)]
 
 
 def test_criterion_07_mix_semigroup():
-    def body():
-        failures = []
-        for b in (HALF, Fraction(1, 3)):
-            for c in (HALF, Fraction(2, 3)):
-                rep = mo.check_mix_semigroup(b, c, 6)
-                if not rep.passed or rep.max_abs_diff != 0:
-                    failures.append(f"(b,c)=({b},{c}): diff {rep.max_abs_diff}")
-        return failures
-
-    _run(7, 10, "mixing semigroup identity exact on {1/2,1/3}x{1/2,2/3}, N <= 6", body)
+    _run(7)
 
 
 def test_criterion_08_markov_limit_moments():
-    def body():
-        failures = []
-        direct = mo.markov_limit_moments(3)
-        if direct.values != (2, 9, 56):
-            failures.append(f"sum of 2^h gave {direct.values}")
-        conv = mo.free_convolve(mo.semicircle_moments(3), mo.gaussian_moments(3))
-        if conv.values != (2, 9, 56):
-            failures.append(f"free convolution gave {conv.values}")
-        return failures
-
-    _run(8, 5, "Markov limit moments 2, 9, 56 by enumeration and convolution", body)
+    assert _run(8)["markov-limit-targets"].endswith(": (2, 9, 56)")
 
 
 def test_criterion_09_monte_carlo():
-    def body():
-        report = rm.run_mc(
-            rm.McConfig(n=1000, trials=20, kmax=6, dist="rademacher", seed=42)
-        )
-        failures = []
-        for row in report.rows:
-            if row.k % 2 == 0 and abs(row.z) > 4:
-                failures.append(f"k={row.k}: z = {row.z:.2f}")
-            if row.k % 2 == 1 and abs(row.mean) > 3 * row.stderr:
-                failures.append(f"k={row.k}: |mean| {abs(row.mean):.4f} > 3 stderr")
-        return failures
-
-    _run(9, 300, "Monte Carlo spectral moments, n=1000 x 20 trials, |z| <= 4", body)
+    worst = _run(9)["monte-carlo"].rsplit("worst even |z| = ", 1)[1]
+    assert float(worst) <= 4
 
 
 def test_criterion_10_group_suite():
-    def body():
-        failures = []
-        for n in range(1, 7):
-            if not pg.embedding_consistency(n).passed:
-                failures.append(f"embedding mismatch in S({n})")
-        for degree in range(2, 7):  # |S(degree)| <= 720
-            if not pg.check_isolated_split(degree - 1).passed:
-                failures.append(f"split identity fails on S({degree})")
-        kernels = {
-            "h": lambda s: float(pg.isolated_fixed_points(s)),
-            "2^h": lambda s: 2.0 ** pg.isolated_fixed_points(s),
-            "exp(-0.5H)": lambda s: math.exp(-0.5 * pg.big_h(s)),
-        }
-        for name, f in kernels.items():
-            ok, min_eig = pg.check_positive_definite(4, f, tol=1e-8)
-            if not ok:
-                failures.append(f"{name} kernel on S(4): min eig {min_eig}")
-        cnd = pg.check_cnd(4, tol=1e-8)
-        if not cnd.passed:
-            failures.append(f"CND on S(4): {cnd.detail}")
-        exhaustive = pg.metric_checks(4)
-        if not (exhaustive.passed and exhaustive.triples_checked == 13824):
-            failures.append(f"metric on S(4): {exhaustive.detail}")
-        sampled = pg.metric_checks(6, triples=100_000, seed=7)
-        if not (sampled.passed and sampled.triples_checked == 100_000):
-            failures.append(f"metric on S(6): {sampled.detail}")
-        return failures
-
-    _run(10, 180, "group suite: embedding, split, PSD, CND, metric axioms", body)
+    details = _run(10)
+    assert "= 13824 triangle triples" in details["group-metric"]
+    assert details["group-metric-sampled"].startswith("S(6): 100000 sampled triples")
 
 
 def test_criterion_11_property_suite():
-    def body():
-        failures = []
-        for stat in ("cr", "h", "cc", "H"):
-            rep = we.check_traceability(stat, 6)
-            if not rep.passed:
-                failures.append(f"rotation changes {stat}: {rep.detail}")
-        for spec in (
-            we.Constant1(),
-            we.SingletonHPower(HALF),
-            we.CrossingPower(Fraction(1, 3)),
-            we.ComponentPower(Fraction(2, 3)),
-        ):
-            rep = we.check_strong_multiplicativity(spec, 5)
-            if not rep.passed:
-                failures.append(f"{spec} not multiplicative: {rep.detail}")
-        sequences = [
-            (Fraction(1), Fraction(-2, 3), Fraction(5, 7), Fraction(0), Fraction(9, 4), Fraction(-1, 6)),
-            (Fraction(3, 2), Fraction(1, 5), Fraction(-4, 9), Fraction(2), Fraction(-7, 3), Fraction(8, 11)),
-        ]
-        for vals in sequences:
-            r = mo.CumulantSequence(vals)
-            if mo.cumulants_from_moments(mo.moments_from_cumulants(r)).values != vals:
-                failures.append(f"round trip failed for {vals}")
-        return failures
-
-    _run(11, 120, "rotation invariance, strong multiplicativity, round trips", body)
+    _run(11)
+    # two more round trips than verify's moment-cumulant-roundtrip runs
+    for vals in (
+        (Fraction(1), Fraction(-2, 3), Fraction(5, 7), Fraction(0), Fraction(9, 4),
+         Fraction(-1, 6)),
+        (Fraction(3, 2), Fraction(1, 5), Fraction(-4, 9), Fraction(2), Fraction(-7, 3),
+         Fraction(8, 11)),
+    ):
+        r = mo.CumulantSequence(vals)
+        assert mo.cumulants_from_moments(mo.moments_from_cumulants(r)).values == vals

@@ -411,11 +411,9 @@ WITNESS_CASES = (
 
 
 def _verify_only(monkeypatch, level, names):
-    # run_level with every check outside `names` skipped, as {name: result}
-    check = ve._check
-    monkeypatch.setattr(ve, "_check", lambda name, fn: check(
-        name, fn if name in names else lambda: (True, "skipped")))
-    return {r.name: r for r in ve.run_level(level) if r.name in names}
+    # run_level over the rows of CHECKS named in `names`, as {name: result}
+    monkeypatch.setattr(ve, "CHECKS", tuple(row for row in ve.CHECKS if row[0] in names))
+    return {r.name: r for r in ve.run_level(level)}
 
 
 def _bumped(values, n_bad):

@@ -600,9 +600,15 @@ class TestConvolutionDilation:
         with pytest.raises(ValueError):
             mo.dilate(mo.semicircle_moments(2), 0.0)
 
-    @pytest.mark.parametrize("lam_sq", [-1, Fraction(-1, 3), -0.5])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_dilate_rejects_non_finite(self, lam):
+        with pytest.raises(ValueError, match="dilation factor must be positive and finite"):
+            mo.dilate(mo.semicircle_moments(2), lam)
+
+    @pytest.mark.parametrize("lam_sq", [-1, Fraction(-1, 3), -0.5, math.nan, math.inf,
+                                        -math.inf])
     def test_dilate_sq_rejects_negative(self, lam_sq):
-        # (-1, 2) would be the moments of no law: m_2 < 0
+        # (-1, 2) would be the moments of no law: m_2 < 0; nor are (nan, nan) and (inf, inf)
         with pytest.raises(ValueError, match="squared dilation factor must be >= 0"):
             mo.dilate_sq(mo.semicircle_moments(2), lam_sq)
 
