@@ -8,7 +8,14 @@ Subpackages:
 * :mod:`pairmoments.randmat`   -- Markov random-matrix Monte Carlo
 * :mod:`pairmoments.permgroup` -- positive definiteness on symmetric groups
 * :mod:`pairmoments.cli`       -- the ``pairmoments`` command-line tool
+
+Importing the package loads the exact core (pairings, weights, moments),
+which needs no numpy.  The names of :mod:`pairmoments.randmat` and
+:mod:`pairmoments.permgroup`, and those modules themselves, load on first
+use.
 """
+
+import importlib
 
 from .exceptions import DualPathMismatchError, SizeLimitError
 from .pairings import (
@@ -64,29 +71,29 @@ from .moments import (
     semicircle_mix_moments,
     semicircle_moments,
 )
-from .randmat import (
-    McConfig,
-    McReport,
-    SymMatrix,
-    eigenvalue_histogram,
-    empirical_moments,
-    run_mc,
-    sample_markov,
-    spectrum,
-)
-from . import jacobi  # noqa: F401  (the benchmark's name for the eigensolver layer)
-from .permgroup import (
-    Permutation,
-    big_h,
-    check_cnd,
-    check_isolated_split,
-    check_positive_definite,
-    embed,
-    embedding_consistency,
-    enumerate_group,
-    isolated_fixed_points,
-    kernel_matrix,
-    metric_checks,
-)
+#: Names served on first use, by module: loading either module loads numpy.
+_LAZY = {
+    "randmat": ("McConfig", "McReport", "SymMatrix", "eigenvalue_histogram",
+                "empirical_moments", "run_mc", "sample_markov", "spectrum"),
+    "permgroup": ("Permutation", "big_h", "check_cnd", "check_isolated_split",
+                  "check_positive_definite", "embed", "embedding_consistency",
+                  "enumerate_group", "isolated_fixed_points", "kernel_matrix", "metric_checks"),
+}
+_LAZY_MODULES = ("randmat", "permgroup", "jacobi", "rng")
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    # PEP 562: runs only for names not in the module's globals
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY_OWNER:
+        return getattr(__getattr__(_LAZY_OWNER[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_MODULES) | set(_LAZY_OWNER))
+
 
 __version__ = "0.1.0"

@@ -9,6 +9,9 @@ Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 configuration error.  Output is CSV (default) or JSON with insertion-ordered
 keys; exact rationals print as ``p/q`` and floats with 15 significant
 digits.  Identical invocations produce byte-identical output.
+
+``randmat`` and ``permcheck`` import their modules, and with them numpy,
+when they run; the parser reads the caps from :mod:`pairmoments.exceptions`.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ from fractions import Fraction
 from . import __version__
 from . import moments as mo
 from . import pairings as pa
-from . import permgroup as pg
-from . import randmat as rm
 from . import verify as ve
 from . import weights as we
-from .exceptions import DualPathMismatchError, SizeLimitError
+from .exceptions import (ENTRY_DISTRIBUTIONS, MAX_BINS, MAX_KERNEL_DEGREE, MAX_MATRIX_DIM,
+                         MAX_TRIALS, DualPathMismatchError, SizeLimitError)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -119,22 +121,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("randmat", help="Monte Carlo spectral moments of Markov matrices")
     p.add_argument("--n", type=int, required=True,
-                   help=f"matrix dimension (2..{rm.MAX_MATRIX_DIM})")
+                   help=f"matrix dimension (2..{MAX_MATRIX_DIM})")
     p.add_argument("--trials", type=int, required=True,
-                   help=f"independent trials (2..{rm.MAX_TRIALS})")
+                   help=f"independent trials (2..{MAX_TRIALS})")
     p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--dist", choices=rm.ENTRY_DISTRIBUTIONS, default="rademacher")
+    p.add_argument("--dist", choices=ENTRY_DISTRIBUTIONS, default="rademacher")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hist", default=None, metavar="PATH",
                    help="also write a histogram CSV of trial 0's eigenvalues "
                         "(LAPACK eigvalsh; any --n up to the dimension cap)")
     p.add_argument("--bins", type=int, default=50,
-                   help=f"histogram bins (1..{rm.MAX_BINS}, default 50)")
+                   help=f"histogram bins (1..{MAX_BINS}, default 50)")
     _add_common(p)
 
     p = sub.add_parser("permcheck", help="positivity and metric suite on S(n)")
     p.add_argument("--n", type=int, required=True,
-                   help=f"group degree (at most {pg.MAX_KERNEL_DEGREE})")
+                   help=f"group degree (at most {MAX_KERNEL_DEGREE})")
     p.add_argument("--b", default="2", help="base for the b^h kernel (default 2)")
     p.add_argument("--x", type=float, default=1.0, help="rate for exp(-x*H) (default 1)")
     p.add_argument("--tol", type=float, default=1e-8)
@@ -200,10 +202,12 @@ def cmd_moments(args, out) -> int:
 
 
 def cmd_randmat(args, out) -> int:
+    from . import randmat as rm
+
     if args.hist == "-":
         raise ValueError("--hist needs a file path: stdout ('-') carries the report")
-    if not 1 <= args.bins <= rm.MAX_BINS:
-        raise ValueError(f"--bins must be in 1..{rm.MAX_BINS}, got {args.bins}")
+    if not 1 <= args.bins <= MAX_BINS:
+        raise ValueError(f"--bins must be in 1..{MAX_BINS}, got {args.bins}")
     cfg = rm.McConfig(n=args.n, trials=args.trials, kmax=args.kmax,
                       dist=args.dist, seed=args.seed)
     report = rm.run_mc(cfg)
@@ -231,13 +235,14 @@ def cmd_randmat(args, out) -> int:
 
 
 def cmd_permcheck(args, out) -> int:
+    from . import permgroup as pg
+
     n = args.n
-    if n < 2 or n > pg.MAX_KERNEL_DEGREE:
+    if n < 2 or n > MAX_KERNEL_DEGREE:
         raise SizeLimitError(
-            f"--n must be in 2..{pg.MAX_KERNEL_DEGREE} (kernel order {math.factorial(pg.MAX_KERNEL_DEGREE)} max)"
+            f"--n must be in 2..{MAX_KERNEL_DEGREE} (kernel order {math.factorial(MAX_KERNEL_DEGREE)} max)"
         )
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+    pg._check_tol(args.tol)
     b = parse_rational(args.b)
     x = args.x
     rows = []

@@ -27,8 +27,6 @@ from functools import lru_cache
 from math import factorial, inf, lcm
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
 from . import pairings
 from .exceptions import DualPathMismatchError
 from .pairings import TABLE_MAX_N, _check_cap
@@ -367,7 +365,7 @@ def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
 
     Zero for odd size; otherwise the weighted sum over pair partitions of the
     products of paired inner products, over the block arrays of
-    :mod:`pairmoments.pairings`, so half-sizes above ``STREAM_MAX_N`` raise.
+    :mod:`pairmoments._arrays`, so half-sizes above ``STREAM_MAX_N`` raise.
     Entries are indexed 0-based.
 
     The products are added per (cr, h, cc) key and each key's sum S is
@@ -385,29 +383,16 @@ def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
     if k == 0:
         return 1
     n = k // 2
-    s = pairings._stream(n)
+    from . import _arrays
+
     entries = [x for row in gram.entries for x in row]
     denominator = None
     if all(map(is_exact, entries)) and not all(isinstance(x, int) for x in entries):
         denominator = Fraction(lcm(*(x.denominator for x in entries)))
         entries = [int(x * denominator) for x in entries]
-    dtype = object
-    if all(isinstance(x, int) for x in entries):
-        if max(map(abs, entries)) ** n * pairings.pairing_count(n) < 2 ** 63:
-            dtype = np.int64
-    padded = np.zeros((k + 1, k + 1), dtype=dtype)  # 1-based, as the blocks are
-    padded[1:, 1:] = np.array(entries, dtype=dtype).reshape(k, k)
-    keys: dict[tuple[int, int, int], int] = {}
-    key_of_case = np.array([keys.setdefault(st, len(keys)) for st in s.stats])
-    sums = np.zeros(len(keys), dtype=dtype)
-    for start, blocks in pairings._chunks(n):
-        term = padded[blocks[:, 0, 0], blocks[:, 0, 1]]
-        for j in range(1, n):
-            term = term * padded[blocks[:, j, 0], blocks[:, j, 1]]
-        np.add.at(sums, key_of_case[s.case[start:start + len(blocks)]], term)
     weight = _WeightMemo(spec)
     total = 0
-    for (cr, h, cc), value in zip(keys, sums.tolist()):
+    for (cr, h, cc), value in _arrays._pair_product_sums(n, entries).items():
         total = total + weight[n, cr, h, cc] * value
     return total if denominator is None else total / denominator ** n
 

@@ -29,15 +29,17 @@ out in canonical order.  :func:`enumerate_pairings` builds each
 :class:`PairPartition` inside that loop.  The statistics of
 :func:`iter_statistics`, :func:`pairmoments.moments.mixed_moment` and the
 checks of :mod:`pairmoments.weights` come from numpy block arrays and
-cached per-row cases instead (see "The stream as arrays" below).
+cached per-row cases instead: the stream as arrays lives in
+:mod:`pairmoments._arrays`, which those callers import when they run, so
+this module loads no numpy.
 
 Everything about a single partition comes from one private kernel,
 ``_crossing_graph``: from a blocks tuple sorted by low endpoint it builds
 one int bitmask per block (bit j set when block j crosses it), stopping
 each scan at the first block that starts past the current block's end,
 and finds the components by a bitmask flood.  :func:`statistics`,
-:func:`crossings`, :func:`singleton_blocks`, :func:`connected_components`
-and :func:`rotate` are thin wrappers over it.
+:func:`crossings`, :func:`singleton_blocks` and :func:`connected_components`
+are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -45,9 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
-
-import numpy as np
+from typing import Iterator, Mapping
 
 from .exceptions import DualPathMismatchError, SizeLimitError
 
@@ -350,7 +350,12 @@ def component_support_partition(partition: PairPartition) -> tuple[tuple[int, ..
 
 def rotate(partition: PairPartition) -> PairPartition:
     """Cyclic rotation of the ground set: k -> 1 + (k mod 2n)."""
-    return _fast_partition(partition.n, _row_blocks(_rotate_rows(np.array([partition.blocks]))[0]))
+    # The block ending at 2n becomes (1, lo + 1) and goes first; the others
+    # shift up by one, so the blocks stay sorted by lo.
+    last = 2 * partition.n
+    head = [(1, lo + 1) for lo, hi in partition.blocks if hi == last]
+    rest = [(lo + 1, hi + 1) for lo, hi in partition.blocks if hi != last]
+    return _fast_partition(partition.n, tuple(head + rest))
 
 
 def riordan_connected(nmax: int) -> list[int]:
@@ -398,135 +403,16 @@ def total_singletons(n: int) -> int:
     return closed
 
 
-# ---------------------------------------------------------------------------
-# The stream as arrays: P2(2n) as (rows, n, 2) int8 blocks in canonical
-# order, built per call from the rows of P2(2n - 2).  Each row's crossing
-# graph is one uint8 bitmask per block, and Warshall's closure over them
-# gives each block's component.  Rows are filed under cases, the (size,
-# crossings) of each component by lowest block, which fix (cr, h, cc); only
-# the cases are cached (4 MB at n = 8, where the blocks would take 32 MB).
-# ---------------------------------------------------------------------------
-
-#: Rows per numpy pass: the temporaries stay under 0.5 MB whatever n.
-_CHUNK = 1 << 11
-
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int8)
-_LOWEST = np.array([(i & -i).bit_length() - 1 for i in range(256)], dtype=np.int8)
-
-
-class _Stream(NamedTuple):
-    # Row i has case[i]; cases are numbered in order of their first row.
-    # parts[c] and stats[c] are case c's components' (size, crossings) and
-    # its (cr, h, cc), all Python ints.
-    case: np.ndarray
-    parts: tuple[tuple[tuple[int, int], ...], ...]
-    stats: tuple[tuple[int, int, int], ...]
-
-
-_STREAMS: dict[int, _Stream] = {}
-
-
-def _crossings(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (n, rows) uint8 masks: bit b of masks[a] when blocks a and b cross, of
-    # reach[a] when they share a component; roots[a] when a is its lowest.
-    # Block b > a crosses a when it starts inside a and ends outside it.
-    n = blocks.shape[1]
-    lo = np.ascontiguousarray(blocks[..., 0].T)
-    hi = np.ascontiguousarray(blocks[..., 1].T)
-    masks = np.zeros(lo.shape, dtype=np.uint8)
-    for a in range(n):
-        for b in range(a + 1, n):
-            x = ((lo[b] < hi[a]) & (hi[a] < hi[b])).view(np.uint8)
-            masks[a] |= x << np.uint8(b)
-            masks[b] |= x << np.uint8(a)
-    reach = masks | (np.uint8(1) << np.arange(n, dtype=np.uint8))[:, None]
-    for k in range(n):
-        reach |= ((reach >> np.uint8(k)) & np.uint8(1)) * reach[k]
-    return masks, reach, _LOWEST[reach] == np.arange(n, dtype=np.int8)[:, None]
-
-
-def _chunk_stats(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    masks, _, roots = _crossings(blocks)
-    return _POPCOUNT[masks].sum(axis=0) // 2, (masks == 0).sum(axis=0), roots.sum(axis=0)
-
-
-def _case_keys(blocks: np.ndarray) -> np.ndarray:
-    # One int64 per row, a byte 1 + ((size - 1) << 5 | crossings) per
-    # component by lowest block (size <= 8, crossings <= 28; 8 bytes only for
-    # 8 singletons).  Byte a of `twice` sums degrees over the component led by a.
-    masks, reach, roots = _crossings(blocks)
-    lanes = (_LOWEST[reach] << 3).astype(np.int64)
-    twice = np.zeros(blocks.shape[0], dtype=np.int64)
-    for mask, lane in zip(masks, lanes):
-        twice += _POPCOUNT[mask].astype(np.int64) << lane
-    keys = np.zeros_like(twice)
-    for a, root in enumerate(roots):
-        crossings = (twice >> (8 * a + 1)) & 127
-        code = (_POPCOUNT[reach[a]].astype(np.int64) - 1) << 5 | crossings
-        keys = np.where(root, keys << 8 | (code + 1), keys)
-    return keys
-
-
-def _chunks(n: int) -> Iterator[tuple[int, np.ndarray]]:
-    # (first row, rows) over P2(2n) in canonical order, at most _CHUNK rows
-    # each.  Point 1 pairs with j = 2..2n in turn; the other points carry the
-    # rows of P2(2n - 2), built afresh, relabelled in order: p -> p + 1 below
-    # j, p + 2 from j on.  No array outlives the call.
-    prev = (np.concatenate([rows for _, rows in _chunks(n - 1)]) + np.int8(1)
-            if n > 1 else np.empty((1, 0, 2), np.int8))
-    for t, j in enumerate(range(2, 2 * n + 1)):
-        part = np.empty((len(prev), n, 2), dtype=np.int8)
-        part[:, 0] = (1, j)
-        np.add(prev, prev >= j, out=part[:, 1:], casting="unsafe")
-        for i in range(0, len(part), _CHUNK):
-            yield t * len(prev) + i, part[i:i + _CHUNK]
-
-
-def _stream(n: int) -> _Stream:
-    # Cached; half-sizes above STREAM_MAX_N raise before any array exists.
-    _check_cap(n, STREAM_MAX_N)
-    if n not in _STREAMS:
-        index: dict[int, int] = {}  # key -> case
-        case = np.empty(pairing_count(n), dtype=np.int16)  # 497 cases at n = 8
-        for start, blocks in _chunks(n):
-            keys = _case_keys(blocks).tolist()
-            for key in dict.fromkeys(keys):
-                index.setdefault(key, len(index))
-            case[start:start + len(keys)] = np.fromiter(
-                map(index.__getitem__, keys), dtype=np.int16, count=len(keys))
-        parts = tuple(tuple((code // 32 + 1, code % 32) for code in
-                            (b - 1 for b in key.to_bytes(8, "big") if b)) for key in index)
-        case.flags.writeable = False
-        _STREAMS[n] = _Stream(case, parts, tuple(
-            (sum(c for _, c in p), sum(k == 1 for k, _ in p), len(p)) for p in parts))
-    return _STREAMS[n]
-
-
-def _row_blocks(row: np.ndarray) -> tuple[tuple[int, int], ...]:
-    return tuple(map(tuple, row.tolist()))
-
-
-def _rotate_rows(blocks: np.ndarray) -> np.ndarray:
-    # k -> 1 + (k mod 2n) on every row.  The block ending at 2n becomes
-    # (1, lo + 1) and goes first; the others shift up by one in place, so
-    # each row stays sorted by lo.
-    rows, n, _ = blocks.shape
-    ends = blocks[..., 1] == 2 * n
-    out = np.empty_like(blocks)
-    out[:, 0, 0] = 1
-    out[:, 0, 1] = blocks[..., 0][ends] + np.int8(1)
-    out[:, 1:] = (blocks[~ends] + np.int8(1)).reshape(rows, n - 1, 2)
-    return out
-
-
 def iter_statistics(n: int) -> Iterator[tuple[int, int, int]]:
     """Yield the (cr, h, cc) triples of P2(2n), read off the cached cases.
 
     Order and ``STREAM_MAX_N`` cap match :func:`enumerate_pairings`.
     """
-    s = _stream(n)
-    yield from (s.stats[c] for i in range(0, len(s.case), _CHUNK)
-                for c in s.case[i:i + _CHUNK].tolist())
+    from . import _arrays
+
+    s, chunk = _arrays._stream(n), _arrays._CHUNK
+    yield from (s.stats[c] for i in range(0, len(s.case), chunk)
+                for c in s.case[i:i + chunk].tolist())
 
 
 # ---------------------------------------------------------------------------

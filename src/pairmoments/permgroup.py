@@ -24,13 +24,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import SizeLimitError
+from .exceptions import MAX_KERNEL_DEGREE, SizeLimitError
 from .pairings import PairPartition, singleton_blocks
 from .randmat import _psd_verdict
 from .rng import Xorshift64Star
-
-#: Largest degree for which full kernel matrices are built (order 5! = 120).
-MAX_KERNEL_DEGREE = 5
 
 #: Largest degree whose whole group is ever listed (order 8! = 40,320); it
 #: also bounds the cache of :func:`enumerate_group`.

@@ -27,22 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments as moments_mod
-from .exceptions import SizeLimitError
+from .exceptions import (ENTRY_DISTRIBUTIONS, MAX_BINS, MAX_MATRIX_DIM, MAX_TRIALS,
+                         SizeLimitError)
 from .pairings import TABLE_MAX_N
 from .rng import Xorshift64Star, substream_seed
-
-ENTRY_DISTRIBUTIONS = ("rademacher", "gaussian")
-
-#: Largest Markov matrix dimension sampled; at 2000 one dense float matrix
-#: is 32 MB, and a ``randmat --n 2000 --kmax 6 --hist`` run (sampling,
-#: trace powers and the spectrum) peaks below 180 MB of resident memory;
-#: with ``--kmax 41``, which holds eight powers at once, it peaks at 330 MB.
-MAX_MATRIX_DIM = 2000
-
-#: Most trials in one run, and most bins in one histogram.  Both bound the
-#: work and output a single command can start.
-MAX_TRIALS = 10_000
-MAX_BINS = 10_000
 
 #: :func:`run_mc`'s pass rules: an even moment passes when |z| <= Z_LIMIT
 #: against its limit value, an odd one when |mean| <= ODD_SIGMA * stderr.
@@ -318,3 +306,8 @@ def eigenvalue_histogram(
         (float(edges[i]), float(edges[i + 1]), int(counts[i]))
         for i in range(len(counts))
     ]
+
+
+# The eigensolver under the name the benchmark traces (see jacobi.py), loaded
+# here so that it is present wherever spectrum is.
+from . import jacobi  # noqa: E402,F401

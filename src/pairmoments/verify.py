@@ -6,7 +6,9 @@ pairings at n = 8, reads the tables at n <= 8, runs the rotation and
 factorization streams at n <= 6 and the group kernels at degree 4, the
 n = 1000 Monte Carlo and 100,000 sampled metric triples on S(6), in about
 4 s on two cores.  Each check reports pass/fail and a one-line detail; the
-CLI prints one line per check and exits nonzero on any failure.
+CLI prints one line per check and exits nonzero on any failure.  The
+checks that use :mod:`pairmoments.randmat` or :mod:`pairmoments.permgroup`
+import them when they run, so importing this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from typing import Callable
 
 from . import moments as mo
 from . import pairings as pa
-from . import permgroup as pg
-from . import randmat as rm
 from . import weights as we
 
 
@@ -162,12 +162,16 @@ def _markov_targets() -> tuple[bool, str]:
 
 
 def _monte_carlo(n: int, trials: int) -> tuple[bool, str]:
+    from . import randmat as rm
+
     rep = rm.run_mc(rm.McConfig(n=n, trials=trials, kmax=6, dist="rademacher", seed=42))
     worst = max(abs(r.z) for r in rep.rows if r.k % 2 == 0)
     return rep.passed, f"n={n}, trials={trials}: worst even |z| = {worst:.2f}"
 
 
 def _embedding(nmax: int) -> tuple[bool, str]:
+    from . import permgroup as pg
+
     for n in range(1, nmax + 1):
         rep = pg.embedding_consistency(n)
         if not rep.passed:
@@ -176,6 +180,8 @@ def _embedding(nmax: int) -> tuple[bool, str]:
 
 
 def _isolated_split(degree_max: int) -> tuple[bool, str]:
+    from . import permgroup as pg
+
     for degree in range(2, degree_max + 1):
         rep = pg.check_isolated_split(degree - 1)
         if not rep.passed:
@@ -184,6 +190,8 @@ def _isolated_split(degree_max: int) -> tuple[bool, str]:
 
 
 def _group_psd(n: int) -> tuple[bool, str]:
+    from . import permgroup as pg
+
     kernels = {
         "h": lambda s: float(pg.isolated_fixed_points(s)),
         "2^h": lambda s: 2.0 ** pg.isolated_fixed_points(s),
@@ -199,11 +207,15 @@ def _group_psd(n: int) -> tuple[bool, str]:
 
 
 def _group_cnd(n: int) -> tuple[bool, str]:
+    from . import permgroup as pg
+
     rep = pg.check_cnd(n)
     return rep.passed, f"S({n}): {rep.detail}"
 
 
 def _group_metric(n: int, triples: int) -> tuple[bool, str]:
+    from . import permgroup as pg
+
     rep = pg.metric_checks(n, triples=triples, seed=7)
     return rep.passed, f"S({n}): {rep.detail}"
 

@@ -18,10 +18,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Optional, Union
 
-import numpy as np
-
 from . import pairings
-from .pairings import STREAM_MAX_N, PairPartition, _check_cap, _fast_partition
+from .pairings import STREAM_MAX_N, PairPartition, _check_cap, _fast_partition, pairing_count
 
 Number = Union[int, Fraction, float]
 
@@ -191,25 +189,25 @@ def check_strong_multiplicativity(spec: WeightSpec, nmax: int) -> CheckReport:
     Relabelling keeps which blocks cross, so a component of k blocks and
     cr_c crossings has the key (k, cr_c, [k = 1], 1).  Partitions with the
     same component keys in order of lowest block form one case of the
-    cached stream of :mod:`pairmoments.pairings`; each case is checked once,
+    cached stream of :mod:`pairmoments._arrays`; each case is checked once,
     in order of its first partition, which is the witness if it fails.  nmax
     above ``STREAM_MAX_N`` raises before any array is built.
     """
     _check_cap(max(nmax, 1), STREAM_MAX_N)
+    from . import _arrays
+
     weight = _WeightMemo(spec)
     cases = 0
     for n in range(1, nmax + 1):
-        s = pairings._stream(n)
+        s = _arrays._stream(n)
         for case, (stats, parts) in enumerate(zip(s.stats, s.parts)):
             whole = weight[(n, *stats)]
             split = 1
             for k, cr in parts:
                 split = split * weight[k, cr, int(k == 1), 1]
             if not numbers_equal(whole, split):
-                row = int(np.flatnonzero(s.case == case)[0])
-                start, blocks = next(c for c in pairings._chunks(n) if row < c[0] + len(c[1]))
-                return CheckReport(False, cases + row + 1,
-                                   _fast_partition(n, pairings._row_blocks(blocks[row - start])),
+                row, blocks = _arrays._first_row(n, case)
+                return CheckReport(False, cases + row + 1, _fast_partition(n, blocks),
                                    f"t(V)={whole} but component product is {split}")
         cases += len(s.case)
     return CheckReport(True, cases, None, f"factorization holds on {cases} partitions")
@@ -218,7 +216,7 @@ def check_strong_multiplicativity(spec: WeightSpec, nmax: int) -> CheckReport:
 def check_traceability(statistic: str, nmax: int) -> CheckReport:
     """Verify a statistic is invariant under cyclic rotation of the ground set.
 
-    The rows of the block arrays of :mod:`pairmoments.pairings` are
+    The rows of the block arrays of :mod:`pairmoments._arrays` are
     rotated in bulk and each rotated row's statistic compared with its own;
     the first row that differs is the witness.  nmax above ``STREAM_MAX_N``
     raises before any array is built.
@@ -227,20 +225,15 @@ def check_traceability(statistic: str, nmax: int) -> CheckReport:
     if statistic not in fields:
         raise ValueError("statistic must be one of cr, h, cc, H")
     _check_cap(max(nmax, 1), STREAM_MAX_N)
+    from . import _arrays
+
     index = fields.index(statistic)
     cases = 0
     for n in range(1, nmax + 1):
-        s = pairings._stream(n)
-        of_case = np.array([(cr, h, cc, n - h)[index] for cr, h, cc in s.stats], dtype=np.int64)
-        for start, blocks in pairings._chunks(n):
-            cr, h, cc = pairings._chunk_stats(pairings._rotate_rows(blocks))
-            before, after = of_case[s.case[start:start + len(blocks)]], (cr, h, cc, n - h)[index]
-            changed = np.flatnonzero(before != after)
-            if changed.size:
-                i = int(changed[0])
-                return CheckReport(
-                    False, cases + start + i + 1,
-                    _fast_partition(n, pairings._row_blocks(blocks[i])),
-                    f"{statistic} changed from {before[i]} to {after[i]} under rotation")
-        cases += len(s.case)
+        change = _arrays._rotation_change(n, index)
+        if change is not None:
+            row, blocks, before, after = change
+            return CheckReport(False, cases + row + 1, _fast_partition(n, blocks),
+                               f"{statistic} changed from {before} to {after} under rotation")
+        cases += pairing_count(n)
     return CheckReport(True, cases, None, f"{statistic} rotation-invariant on {cases} partitions")

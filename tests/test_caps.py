@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pairmoments import _arrays as ar
 from pairmoments import cli
 from pairmoments import moments as mo
 from pairmoments import pairings as pa
@@ -124,7 +125,7 @@ def _stub_streams(monkeypatch, top):
         pa._check_cap(n, STREAM)  # as the real _stream does first
         if n < top:
             below.append(n)
-            return pa._Stream(pa.np.empty(0, dtype=pa.np.int16), (), ())
+            return ar._Stream(ar.np.empty(0, dtype=ar.np.int16), (), ())
         raise _Started(n)
 
     def chunks(n):
@@ -137,8 +138,8 @@ def _stub_streams(monkeypatch, top):
             return iter(())
         raise _Started(n, next(real(n)))
 
-    monkeypatch.setattr(pa, "_stream", stream)
-    monkeypatch.setattr(pa, "_chunks", chunks)
+    monkeypatch.setattr(ar, "_stream", stream)
+    monkeypatch.setattr(ar, "_chunks", chunks)
     monkeypatch.setattr(pa, "enumerate_pairings", walk)
     return below
 
@@ -175,8 +176,7 @@ def test_stream_entry_walks_at_cap(entry, monkeypatch):
 def test_stream_entry_refuses_past_cap(entry, monkeypatch, capsys):
     below = _stub_streams(monkeypatch, STREAM + 1)
     monkeypatch.setattr(pa, "_block_batches", _no_work)
-    for module in (pa, mo, we):
-        monkeypatch.setattr(module, "np", _NoArrays())
+    monkeypatch.setattr(ar, "np", _NoArrays())
     if entry.startswith("sequences"):
         assert STREAM_ENTRIES[entry](STREAM + 1) == 2
         out, err = capsys.readouterr()
@@ -188,7 +188,7 @@ def test_stream_entry_refuses_past_cap(entry, monkeypatch, capsys):
 
 
 def test_stream_arrays_refused_before_allocation(monkeypatch):
-    monkeypatch.setattr(pa, "np", _NoArrays())
+    monkeypatch.setattr(ar, "np", _NoArrays())
     with pytest.raises(SizeLimitError, match="enumeration cap"):
-        pa._stream(STREAM + 1)
-    assert STREAM + 1 not in pa._STREAMS
+        ar._stream(STREAM + 1)
+    assert STREAM + 1 not in ar._STREAMS

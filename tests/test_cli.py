@@ -317,7 +317,8 @@ class TestPermcheck:
     def test_tolerance_not_finite_and_positive_is_a_usage_error(self, capsys, tol):
         code, out, err = run(capsys, "permcheck", "--n", "2", f"--tol={tol}")
         assert (code, out) == (2, "")
-        assert "--tol must be finite and positive" in err
+        # the library's rule and message (permgroup._check_tol)
+        assert err == f"error: tol must be finite and positive, got {float(tol)}\n"
 
     def test_s5_report_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "permcheck", "--n", "5")

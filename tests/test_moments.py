@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+from pairmoments import _arrays
 from pairmoments import moments as mo
 from pairmoments import pairings
 from pairmoments.exceptions import DualPathMismatchError, SizeLimitError
@@ -781,7 +782,7 @@ class TestMixedMoment:
         float_rows = _symmetric(10, lambda i, j: 1.0 / (1 + i + 3 * j))
         want = [mo.mixed_moment(CrossingPower(0.3), GramMatrix.from_rows(r))
                 for r in (rows, float_rows)]
-        monkeypatch.setattr(pairings, "_CHUNK", 7)
+        monkeypatch.setattr(_arrays, "_CHUNK", 7)
         assert want == [mo.mixed_moment(CrossingPower(0.3), GramMatrix.from_rows(r))
                         for r in (rows, float_rows)]
 

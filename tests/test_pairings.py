@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import brute
-from pairmoments import pairings
+from pairmoments import _arrays, pairings
 from pairmoments.exceptions import DualPathMismatchError, SizeLimitError
 from pairmoments.pairings import PairPartition
 
@@ -491,14 +491,14 @@ class TestIterStatistics:
 
 
 def _array(n):
-    return np.concatenate([blocks for _, blocks in pairings._chunks(n)])
+    return np.concatenate([blocks for _, blocks in _arrays._chunks(n)])
 
 
 class TestStreamArrays:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rows_are_the_walk_in_order(self, n, monkeypatch):
-        monkeypatch.setattr(pairings, "_CHUNK", 100)
-        chunks = list(pairings._chunks(n))
+        monkeypatch.setattr(_arrays, "_CHUNK", 100)
+        chunks = list(_arrays._chunks(n))
         assert all(blocks.dtype == np.int8 and len(blocks) <= 100 for _, blocks in chunks)
         assert [start for start, _ in chunks] == list(itertools.accumulate(
             [0] + [len(blocks) for _, blocks in chunks[:-1]]))
@@ -521,7 +521,7 @@ class TestStreamArrays:
         assert count == total
         head, tail = [], collections.deque(maxlen=edge)
         end = 0
-        for start, blocks in pairings._chunks(top):
+        for start, blocks in _arrays._chunks(top):
             assert start == end
             end += len(blocks)
             if start < edge:
@@ -535,14 +535,14 @@ class TestStreamArrays:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rotated_rows_match_rotate_by_pairs(self, n):
         blocks = _array(n)
-        got = pairings._rotate_rows(blocks)
+        got = _arrays._rotate_rows(blocks)
         assert got.dtype == np.int8
         assert [tuple(map(tuple, row)) for row in got.tolist()] == [
             brute.rotate_by_pairs(v).blocks for v in pairings.enumerate_pairings(n)]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cases_are_component_keys(self, n):
-        s = pairings._stream(n)
+        s = _arrays._stream(n)
         case = s.case.tolist()
         assert not s.case.flags.writeable
         first = [case.index(c) for c in range(len(s.parts))]
@@ -554,11 +554,11 @@ class TestStreamArrays:
 
     def test_chunk_boundaries(self, monkeypatch):
         # rows split across chunks of 7 give the same stream as one chunk
-        want = {n: pairings._stream(n) for n in range(1, 7)}
-        monkeypatch.setattr(pairings, "_STREAMS", {})
-        monkeypatch.setattr(pairings, "_CHUNK", 7)
+        want = {n: _arrays._stream(n) for n in range(1, 7)}
+        monkeypatch.setattr(_arrays, "_STREAMS", {})
+        monkeypatch.setattr(_arrays, "_CHUNK", 7)
         for n in range(1, 7):
-            got = pairings._stream(n)
+            got = _arrays._stream(n)
             assert np.array_equal(got.case, want[n].case)
             assert (got.parts, got.stats) == (want[n].parts, want[n].stats)
             assert list(pairings.iter_statistics(n)) == list(brute.walk_statistics(n))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import brute
-from pairmoments import pairings, weights
+from pairmoments import _arrays, pairings, weights
 from pairmoments.pairings import PairPartition
 from pairmoments.weights import (
     ComponentPower,
@@ -218,7 +218,7 @@ class TestChecksMatchDefinitionalBodies:
             def weight_of(self, n, cr, h, cc):
                 return 2 if n == top and h == 0 and cc > 1 else 1
 
-        monkeypatch.setattr(pairings, "_CHUNK", chunk)
+        monkeypatch.setattr(_arrays, "_CHUNK", chunk)
         want = brute.strong_multiplicativity_report(SplitAtTop(), top)
         assert weights.check_strong_multiplicativity(SplitAtTop(), top) == want
         assert not want.passed and want.counterexample.blocks[0] == (1, 3)
@@ -242,14 +242,14 @@ class TestChecksMatchDefinitionalBodies:
         # a rotated row that starts (1, 3), i.e. a partition holding the
         # block (2, 2n), is made to gain a crossing; the report must name
         # the first such partition whatever the chunk size
-        real = pairings._chunk_stats
+        real = _arrays._chunk_stats
 
         def broken(blocks):
             cr, h, cc = real(blocks)
             return cr + (blocks[:, 0, 1] == 3), h, cc
 
-        monkeypatch.setattr(pairings, "_CHUNK", chunk)
-        monkeypatch.setattr(pairings, "_chunk_stats", broken)
+        monkeypatch.setattr(_arrays, "_CHUNK", chunk)
+        monkeypatch.setattr(_arrays, "_chunk_stats", broken)
         cases, want = 0, None
         for n in range(1, 5):
             for blocks in brute.all_pairings(range(1, 2 * n + 1)):
