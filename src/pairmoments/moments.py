@@ -12,11 +12,14 @@ is exact when inputs are rational.
 Exact inputs are graded integer arithmetic.  The order-2k entry of a
 product over an even non-crossing type has total weight k, so with D the
 lcm of the denominators, a_k = x_2k * D^k is an int; the transforms run
-over the a_k in Python ints and divide each output by D^k once.  The
-weighted sums over the joint (cr, h, cc) table add count * numerator in
-ints, one group per denominator, and put the groups over their lcm once
-per order.  Floats, and anything that is not an int or a Fraction, take
-the same loops term by term, so they round as before.
+over the a_k in Python ints and divide each output by D^k once.  A
+built-in weight is a product of powers p ** s(V) of the statistics s = cr,
+n - cc, H and h, so its sum over the joint (cr, h, cc) table reads a cached
+marginal of the table by those statistics: with p = a / d and s <= E, each
+cell adds count * a ** s * d ** (E - s) in ints, and each order is divided
+once.  Any other weight is summed term by term through ``weight_of``.
+Floats, and anything that is not an int or a Fraction, take the same loops
+term by term, so they round as before.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ from .weights import (
     Number,
     SingletonCountPower,
     WeightSpec,
+    _EXACT,
+    _powers,
+    _statistic_powers,
     _WeightMemo,
     is_exact,
     numbers_equal,
@@ -158,11 +164,6 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order N must be >= 0, got {n}")
 
 
-#: The kinds of number the graded paths take.  They must give what the
-#: term-by-term loops give, value and type, and that is known for these two.
-_EXACT = frozenset((int, Fraction))
-
-
 def _on_one_scale(values: tuple, transform: Callable[[tuple], tuple]) -> tuple:
     # Run a graded transform, one whose order-2k output is a sum of
     # products of total weight k, over ints.  With D the lcm of the
@@ -193,39 +194,50 @@ def _table_sums(
 ) -> tuple[Number, ...]:
     # For k = 1..n, the sum of count * mix ** (k - h) * spec.weight_of(k, cr,
     # h, cc) over the cells of the exact joint (cr, h, cc) table of P2(2k)
-    # (only cc = 1 cells when connected_only).  When mix and every weight are
-    # ints or Fractions, the numerators are added in ints, one group per
-    # denominator, and the groups are put over their lcm once per k.
-    # Otherwise the terms are added as written, in sorted cell order.  n
-    # above TABLE_MAX_N raises.
+    # (only cc = 1 cells when connected_only).  n above TABLE_MAX_N raises.
     _check_order(n)
-    tables = pairings._joint_tables(n) if n > 0 else ()
-    if type(mix) in _EXACT:
-        mix_num = [mix.numerator ** j for j in range(n + 1)]
-        mix_den = [mix.denominator ** j for j in range(n + 1)]
+    if n:
+        _check_cap(n, TABLE_MAX_N)
+    powers = _statistic_powers(spec)
+    if powers is None or type(mix) not in _EXACT:
+        return _loop_sums(n, spec, connected_only, mix)
+    # A built-in weight is prod_s p_s ** s(V) over statistics s, and
+    # mix ** (k - h) = mix ** H is one more factor.  With p_s = a_s / d_s and
+    # s(V) <= E_s, each cell adds count * prod_s a_s ** s * d_s ** (E_s - s)
+    # in ints, and the order's sum is divided by prod_s d_s ** E_s once.
+    fraction = type(mix) is Fraction or any(type(p) is Fraction for p in powers.values())
+    if mix != 1:
+        powers["H"] = powers["H"] * mix if "H" in powers else mix
+    stats = tuple(s for s in pairings._STATISTIC_FIELDS if powers.get(s, 1) != 1)
     values = []
-    for dist in tables:
+    for k in range(1, n + 1):
+        scale = 1
+        tables = []
+        for s in stats:
+            top = k * (k - 1) // 2 if s == "cr" else k
+            up, down = _powers(powers[s], top)
+            tables.append([u * v for u, v in zip(up, reversed(down))])
+            scale *= down[top]
+        total = 0
+        for key, count in pairings._marginal(k, stats, connected_only).items():
+            for table, e in zip(tables, key):
+                count *= table[e]
+            total += count
+        values.append(Fraction(total, scale) if fraction else total)
+    return tuple(values)
+
+
+def _loop_sums(n: int, spec: WeightSpec, connected_only: bool, mix: Number) -> tuple:
+    # The same sums term by term through spec.weight_of, in sorted cell
+    # order, so floats round as they always have.
+    values = []
+    for dist in pairings._joint_tables(n) if n else ():
         k = dist.n
-        cells = [(h, count, spec.weight_of(k, cr, h, cc))
-                 for (cr, h, cc), count in dist.counts.items()
-                 if cc == 1 or not connected_only]
-        kinds = {type(mix)}.union(type(w) for *_, w in cells)
-        if kinds <= _EXACT:
-            groups: dict[int, int] = {}
-            for h, count, w in cells:
-                den = w.denominator * mix_den[k - h]
-                groups[den] = groups.get(den, 0) + count * w.numerator * mix_num[k - h]
-            if Fraction in kinds:
-                scale = lcm(*groups)
-                values.append(Fraction(
-                    sum(v * (scale // den) for den, v in groups.items()), scale))
-            else:
-                values.append(groups[1])
-        else:
-            total = 0
-            for h, count, w in cells:
-                total = total + count * mix ** (k - h) * w
-            values.append(total)
+        total = 0
+        for (cr, h, cc), count in dist.counts.items():
+            if cc == 1 or not connected_only:
+                total = total + count * mix ** (k - h) * spec.weight_of(k, cr, h, cc)
+        values.append(total)
     return tuple(values)
 
 
@@ -340,8 +352,11 @@ def moments_of_weight(spec: WeightSpec, n: int) -> MomentSequence:
 
     Weights depend on partitions only through (cr, h, cc), so the sum runs
     over the cached exact joint distributions rather than the raw stream;
-    n is capped at ``TABLE_MAX_N``.  Int and Fraction weights are added in
-    ints, one group per denominator, and divided once per order.
+    n is capped at ``TABLE_MAX_N``.  The built-in weights with int or
+    Fraction parameters are added in ints from cached marginals of the
+    table by their statistics and divided once per order, with no
+    ``weight_of`` call; any other weight, a subclass of a built-in one
+    included, is added term by term through ``weight_of``.
     """
     return MomentSequence(_table_sums(n, spec))
 

@@ -45,6 +45,7 @@ are thin wrappers over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -157,17 +158,26 @@ class StatisticDistribution:
 
     def marginal(self, statistic: str) -> dict[int, int]:
         """Aggregate counts by one statistic: cr, h, cc, H or n-cc."""
+        at, from_n = _field(statistic)
         out: dict[int, int] = {}
-        for (cr, h, cc), count in self.counts.items():
-            key = {
-                "cr": cr,
-                "h": h,
-                "cc": cc,
-                "H": self.n - h,
-                "n-cc": self.n - cc,
-            }[statistic]
+        for cell, count in self.counts.items():
+            key = self.n - cell[at] if from_n else cell[at]
             out[key] = out.get(key, 0) + count
         return out
+
+
+#: Where each statistic sits in a cell (cr, h, cc), and whether it is read
+#: as n minus that entry.
+_STATISTIC_FIELDS = {"cr": (0, False), "h": (1, False), "cc": (2, False),
+                     "H": (1, True), "n-cc": (2, True)}
+
+
+def _field(statistic: str) -> tuple[int, bool]:
+    try:
+        return _STATISTIC_FIELDS[statistic]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"statistic must be one of cr, h, cc, H or n-cc, got {statistic!r}") from None
 
 
 def pairing_count(n: int) -> int:
@@ -497,3 +507,19 @@ def statistic_distribution(n: int) -> StatisticDistribution:
     Half-sizes above ``TABLE_MAX_N`` raise :class:`SizeLimitError`.
     """
     return _joint_tables(n)[-1]
+
+
+@lru_cache(maxsize=None)
+def _marginal(n: int, statistics: tuple[str, ...],
+              connected_only: bool) -> Mapping[tuple[int, ...], int]:
+    # The counts of the joint table of P2(2n) (its cc = 1 cells when
+    # connected_only), added up by the values of the named statistics: a
+    # read-only dict keyed by tuples in the order named.  It depends on no
+    # parameter, so the weighted sums of every parameter read it.
+    fields = [_field(s) for s in statistics]
+    out: dict[tuple[int, ...], int] = {}
+    for cell, count in statistic_distribution(n).counts.items():
+        if cell[2] == 1 or not connected_only:
+            key = tuple(n - cell[at] if from_n else cell[at] for at, from_n in fields)
+            out[key] = out.get(key, 0) + count
+    return MappingProxyType(out)

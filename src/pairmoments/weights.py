@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 from . import pairings
@@ -37,7 +38,15 @@ def numbers_equal(a, b, rel_tol: float = 1e-12, abs_tol: float = 1e-12) -> bool:
 
 
 class WeightSpec:
-    """Base class for declarative weights; subclasses define weight_of()."""
+    """Base class for declarative weights; subclasses define weight_of().
+
+    The weighted sums over the joint (cr, h, cc) table add up the built-in
+    weights (:class:`Constant1`, the four single-parameter families and
+    :class:`Product` of these, with int or Fraction parameters) from cached
+    marginals of the table, without calling weight_of.  Any other weight,
+    a subclass of a built-in one included, is summed term by term through
+    weight_of, once per table cell.
+    """
 
     def weight_of(self, n: int, cr: int, h: int, cc: int) -> Number:
         raise NotImplementedError
@@ -122,33 +131,82 @@ _FAMILY_STATISTIC: dict[type, str] = {
 }
 
 
+#: The kinds of number the graded paths take.  They must give what the
+#: term-by-term loops give, value and type, and that is known for these two.
+_EXACT = frozenset((int, Fraction))
+
+
+def _statistic_powers(spec: WeightSpec) -> Optional[dict[str, Number]]:
+    # {statistic: parameter} with weight_of = prod parameter ** statistic,
+    # for a spec whose type is exactly Constant1, a family or a Product of
+    # these, every parameter an int or a Fraction; factors on one statistic
+    # multiply their parameters.  None for any other spec, subclasses too.
+    kind = type(spec)
+    if kind is Constant1:
+        return {}
+    if kind in _FAMILY_STATISTIC:
+        (param,) = vars(spec).values()
+        return {_FAMILY_STATISTIC[kind]: param} if type(param) in _EXACT else None
+    if kind is not Product:
+        return None
+    out: dict[str, Number] = {}
+    for factor in spec.factors:
+        powers = _statistic_powers(factor)
+        if powers is None:
+            return None
+        for stat, param in powers.items():
+            out[stat] = out[stat] * param if stat in out else param
+    return out
+
+
+def _powers(x: Number, top: int) -> tuple[list[int], list[int]]:
+    # a ** e and d ** e for e = 0..top, where x = a / d is an int or a
+    # Fraction; 0 ** 0 = 1.
+    a, d = x.numerator, x.denominator
+    up, down = [1], [1]
+    for _ in range(top):
+        up.append(up[-1] * a)
+        down.append(down[-1] * d)
+    return up, down
+
+
 @dataclass(frozen=True)
 class StatisticPolynomial:
     """Distribution of one chord statistic over P2(2n), as exponent -> count.
 
-    Evaluating at a parameter x gives sum_V x**statistic(V) exactly.
+    Evaluating at a parameter x gives sum_V x**statistic(V) exactly.  An
+    int or a Fraction x is evaluated in ints over the common denominator
+    and divided once; a float takes the terms in exponent order.
     """
 
     n: int
     coefficients: Mapping[int, int]
 
     def evaluate(self, param: Number) -> Number:
-        return sum(count * param ** k for k, count in sorted(self.coefficients.items()))
+        if type(param) not in _EXACT or min(self.coefficients, default=-1) < 0:
+            return sum(count * param ** k for k, count in sorted(self.coefficients.items()))
+        top = max(self.coefficients)
+        up, down = _powers(param, top)
+        total = sum(count * up[k] * down[top - k] for k, count in self.coefficients.items())
+        return Fraction(total, down[top]) if type(param) is Fraction else total
 
     def total(self) -> int:
         return sum(self.coefficients.values())
 
 
 def statistic_polynomial(family: type, n: int) -> StatisticPolynomial:
-    """Exact generating table for one weight family at half-size n <= ``TABLE_MAX_N``."""
+    """Exact generating table for one weight family at half-size n <= ``TABLE_MAX_N``.
+
+    The coefficients are a read-only mapping.
+    """
     try:
         stat = _FAMILY_STATISTIC[family]
     except KeyError:
         raise ValueError(
             f"family must be one of {sorted(c.__name__ for c in _FAMILY_STATISTIC)}"
         ) from None
-    dist = pairings.statistic_distribution(n)
-    return StatisticPolynomial(n, dist.marginal(stat))
+    marginal = pairings._marginal(n, (stat,), False)
+    return StatisticPolynomial(n, MappingProxyType({e: c for (e,), c in marginal.items()}))
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,9 @@ class TestGoldenStdout:
     @pytest.mark.parametrize("argv,name", [
         ("moments --weight qcr --param 1/3 --N 20 --mix 1/4", "moments-qcr-1_3-N20-mix-1_4.csv"),
         ("moments --weight qcr --param 0.3 --N 8 --mix 1/4", "moments-qcr-0.3-N8-mix-1_4.csv"),
+        ("moments --weight scc --param 2/3 --N 20 --mix 1/4", "moments-scc-2_3-N20-mix-1_4.csv"),
+        ("moments --weight bH --param 1/2 --N 20 --mix 1/4", "moments-bH-1_2-N20-mix-1_4.csv"),
+        ("moments --weight const --N 20 --mix 1/4", "moments-const-N20-mix-1_4.csv"),
         ("sequences --which connected --max 20", "sequences-connected-max20.csv"),
         ("sequences --which pairings --max 6", "sequences-pairings-max6.csv"),
         ("sequences --which catalan --max 20", "sequences-catalan-max20.csv"),
@@ -152,6 +155,15 @@ class TestGoldenStdout:
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert out == (GOLDEN / name).read_text()
+
+    def test_golden_stdout_of_an_unnormalized_weight(self, capsys):
+        # beta^h is beta, not 1, on the one-pair partition, so the two
+        # mixture paths disagree at order 2: exit 1, and the report keeps
+        # the moments and cumulants without the mixture column
+        code, out, err = run(capsys, *"moments --weight betah --param 3/2 --N 20 --mix 1/4".split())
+        assert code == 1
+        assert err == "error: mixture moment paths disagree: 3/2 vs 9/8\n"
+        assert out == (GOLDEN / "moments-betah-3_2-N20-mix-1_4.csv").read_text()
 
 
 class TestRandmat:

@@ -450,6 +450,136 @@ class TestTableSumsExact:
             _loop_table_sums(CrossingPower(HALF), n, mix=0.25))
 
 
+PARAMS = [3, Fraction(2, 7), -2, Fraction(-3, 4), 0, Fraction(0), Fraction(1)]
+MIXES = [1, 0, Fraction(1, 5), Fraction(4, 5), Fraction(0), Fraction(1)]
+BUILT_INS = {
+    "qcr": CrossingPower,
+    "scc": ComponentPower,
+    "bH": SingletonHPower,
+    "betah": SingletonCountPower,
+    "qcr*bH": lambda p: Product([CrossingPower(p), SingletonHPower(Fraction(2, 3))]),
+    # two factors on cr, and all four statistics at once
+    "all": lambda p: Product([SingletonCountPower(p), ComponentPower(-2), CrossingPower(p),
+                              Product([CrossingPower(Fraction(3, 2)), Constant1()]),
+                              SingletonHPower(3)]),
+}
+
+
+def _check_against_the_loop(spec, n, mixes=MIXES):
+    for mix in mixes:
+        for connected_only in (False, True):
+            assert _typed(mo._table_sums(n, spec, connected_only=connected_only, mix=mix)) == (
+                _typed(_loop_table_sums(spec, n, connected_only, mix))), (mix, connected_only)
+
+
+class TestBuiltinWeightSums:
+    """The built-in weights, summed from cached marginals in graded ints."""
+
+    @pytest.mark.parametrize("param", PARAMS, ids=repr)
+    @pytest.mark.parametrize("name", BUILT_INS)
+    def test_value_and_type_of_the_loop(self, name, param):
+        _check_against_the_loop(BUILT_INS[name](param), 9)
+
+    @pytest.mark.parametrize("spec", [Constant1(), Product([]), Product([Constant1()])], ids=repr)
+    def test_constant_value_and_type_of_the_loop(self, spec):
+        _check_against_the_loop(spec, 9)
+
+    def test_value_and_type_of_the_loop_at_the_cap(self):
+        _check_against_the_loop(CrossingPower(Fraction(2, 7)), pairings.TABLE_MAX_N,
+                                [Fraction(1, 4)])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_enumeration(self, n):
+        q, s, b, beta, mix = Fraction(1, 3), Fraction(-2, 5), Fraction(3, 4), 2, Fraction(2, 7)
+        spec = Product([CrossingPower(q), ComponentPower(s), SingletonHPower(b),
+                        SingletonCountPower(beta)])
+        weight = [lambda cr, h, cc: q ** cr * s ** (n - cc) * b ** (n - h) * beta ** h]
+        weight.append(lambda cr, h, cc: weight[0](cr, h, cc) if cc == 1 else 0)
+        weight.append(lambda cr, h, cc: weight[0](cr, h, cc) * mix ** (n - h))
+        assert mo.moments_of_weight(spec, n).moment(2 * n) == brute.weighted_sum(n, weight[0])
+        assert mo.cumulants_from_connected(spec, n).cumulant(2 * n) == brute.weighted_sum(
+            n, weight[1])
+        assert mo._table_sums(n, spec, mix=mix)[-1] == brute.weighted_sum(n, weight[2])
+
+    def test_closed_forms_at_the_cap(self):
+        # written out here, sharing no code with the tables
+        N = pairings.TABLE_MAX_N
+        orders = range(1, N + 1)
+        assert mo.moments_of_weight(Constant1(), N).values == tuple(
+            math.prod(range(1, 2 * k, 2)) for k in orders)
+        assert mo.moments_of_weight(SingletonHPower(0), N).values == tuple(
+            math.comb(2 * k, k) // (k + 1) for k in orders)
+        # Touchard-Riordan: (1-q)^-n sum_k (-1)^k q^(k(k+1)/2) [C(2n,n-k) - C(2n,n-k-1)]
+        q = Fraction(1, 3)
+        touchard = tuple(
+            sum((-1) ** k * q ** (k * (k + 1) // 2)
+                * (math.comb(2 * n, n - k) - (math.comb(2 * n, n - k - 1) if k < n else 0))
+                for k in range(n + 1)) / (1 - q) ** n
+            for n in orders)
+        assert mo.moments_of_weight(CrossingPower(q), N).values == touchard
+        # Riordan: c_2 = 1, c_2(m+1) = m * sum_{i=1..m} c_2i c_2(m+1-i)
+        c = [0, 1]
+        for m in range(1, N):
+            c.append(m * sum(c[i] * c[m + 1 - i] for i in range(1, m + 1)))
+        assert mo.cumulants_from_connected(Constant1(), N).values == tuple(c[1:])
+        # Markov: sum_V 2^h(V) is the semicircle freely convolved with the normal law
+        assert mo.moments_of_weight(SingletonCountPower(2), N) == mo.free_convolve(
+            mo.semicircle_moments(N), mo.gaussian_moments(N))
+
+    def test_built_ins_call_no_weight_of(self, monkeypatch):
+        calls = []
+        for cls in (Constant1, CrossingPower, ComponentPower, SingletonHPower,
+                    SingletonCountPower, Product):
+            def counted(self, *key, real=cls.weight_of):
+                calls.append(type(self))
+                return real(self, *key)
+            monkeypatch.setattr(cls, "weight_of", counted)
+        n, mix = 8, Fraction(1, 4)
+        for name, make in BUILT_INS.items():
+            spec = make(Fraction(2, 3))
+            mo.moments_of_weight(spec, n)
+            mo.cumulants_from_connected(spec, n)
+            mo._table_sums(n, spec, mix=mix)
+        mo.semicircle_mix_moments(Constant1(), mix, n)
+        mo.check_mix_semigroup(HALF, mix, n)
+        assert calls == []
+        # a float parameter still takes the loop, one call per cell
+        mo.moments_of_weight(CrossingPower(0.5), n)
+        cells = sum(len(pairings.statistic_distribution(k).counts) for k in range(1, n + 1))
+        assert calls == [CrossingPower] * cells
+
+    @pytest.mark.parametrize("spec", [
+        Constant1(), CrossingPower(Fraction(1, 3)), ComponentPower(Fraction(1, 3)),
+        SingletonHPower(Fraction(1, 3)), SingletonCountPower(Fraction(1, 3)),
+        Product([CrossingPower(Fraction(1, 3))]),
+    ], ids=lambda spec: type(spec).__name__)
+    def test_subclasses_and_custom_weights_use_weight_of(self, spec):
+        # a subclass may override weight_of, so it is summed through it
+        calls = []
+
+        class Counted(type(spec)):
+            def weight_of(self, *key):
+                calls.append(key)
+                return super().weight_of(*key)
+
+        class Custom(WeightSpec):
+            def weight_of(self, *key):
+                calls.append(key)
+                return spec.weight_of(*key)
+
+        n = 8
+        cells = sum(len(pairings.statistic_distribution(k).counts) for k in range(1, n + 1))
+        want = mo.moments_of_weight(spec, n)
+        counted = Counted(*vars(spec).values())
+        assert mo.moments_of_weight(counted, n) == want
+        assert len(calls) == cells
+        assert mo.moments_of_weight(Custom(), n) == want
+        assert len(calls) == 2 * cells
+        # inside a Product the subclass keeps the whole sum on weight_of
+        assert mo.moments_of_weight(Product([counted, Constant1()]), n) == want
+        assert len(calls) == 3 * cells
+
+
 class TestNegativeOrders:
     def test_accessors_refuse_negative_orders(self):
         m = MomentSequence((1, 2, 5))

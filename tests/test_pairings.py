@@ -340,6 +340,22 @@ class TestStatisticDistribution:
         assert d.total() == 15
         assert sum(h * c for (_, h, _), c in d.counts.items()) == 21
 
+    def test_every_marginal_matches_its_cells(self):
+        d = pairings.statistic_distribution(5)
+        read = {"cr": lambda cr, h, cc: cr, "h": lambda cr, h, cc: h,
+                "cc": lambda cr, h, cc: cc, "H": lambda cr, h, cc: 5 - h,
+                "n-cc": lambda cr, h, cc: 5 - cc}
+        for statistic, value in read.items():
+            expected = collections.Counter()
+            for cell, count in d.counts.items():
+                expected[value(*cell)] += count
+            assert d.marginal(statistic) == expected
+
+    @pytest.mark.parametrize("statistic", ["foo", "n - cc", "CR", None, ["cr"]])
+    def test_unknown_marginal_names_the_statistics(self, statistic):
+        with pytest.raises(ValueError, match="cr, h, cc, H or n-cc"):
+            pairings.statistic_distribution(3).marginal(statistic)
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_brute_force(self, n):
         ref = {}

@@ -132,6 +132,31 @@ class TestStatisticPolynomial:
         with pytest.raises(ValueError):
             weights.statistic_polynomial(Constant1, 2)
 
+    @pytest.mark.parametrize("family", [CrossingPower, ComponentPower, SingletonHPower,
+                                        SingletonCountPower])
+    def test_graded_evaluate_keeps_value_and_type(self, family):
+        # the sorted term loop, as first written, is the reference
+        for n in (1, 2, 7, pairings.TABLE_MAX_N):
+            poly = weights.statistic_polynomial(family, n)
+            for x in (0, 1, 3, -2, Fraction(0), Fraction(1), Fraction(2, 7),
+                      Fraction(-5, 3), 0.3, -1.5):
+                want = sum(c * x ** k for k, c in sorted(poly.coefficients.items()))
+                got = poly.evaluate(x)
+                assert type(got) is type(want)
+                assert got == want
+
+    def test_hand_built_polynomials_keep_the_loop(self):
+        assert weights.StatisticPolynomial(1, {}).evaluate(Fraction(1, 2)) == 0
+        got = weights.StatisticPolynomial(1, {-1: 2, 1: 3}).evaluate(2)
+        assert type(got) is float and got == 7.0
+
+    def test_coefficients_are_read_only(self):
+        poly = weights.statistic_polynomial(CrossingPower, 4)
+        with pytest.raises(TypeError):
+            poly.coefficients[0] = 0
+        assert weights.statistic_polynomial(CrossingPower, 4).coefficients == {
+            0: 14, 1: 28, 2: 28, 3: 20, 4: 10, 5: 4, 6: 1}
+
 
 class _CrossingCountPlusOne(weights.WeightSpec):
     # additive, hence not strongly multiplicative: a failure witness
