@@ -169,16 +169,32 @@ def _make_weight(name: str, param) -> we.WeightSpec:
     }[name](param)
 
 
+def _check_printable(weight: str, param, b, n: int) -> None:
+    # Refuse before any work a report int-to-str would refuse: each printed
+    # numerator and denominator is at most (2N-1)!! * M^E * B^N, M = max(|num|,
+    # den) of --param, B that of --mix, E the top exponent of the weight's
+    # statistic (>= 1: --param is printed).  log10 M is read off bit lengths.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    top = max({"qcr": n * (n - 1) // 2, "const": 0}.get(weight, n), 1)
+    bits = sum(e * max(abs(x.numerator), x.denominator).bit_length()
+               for e, x in ((top, param), (n, b)) if isinstance(x, Fraction))
+    digits = len(str(pa.pairing_count(n))) + bits * math.log10(2)
+    if limit and digits > limit:
+        raise ValueError(f"--param and --mix at N={n} could print {int(digits)}-digit numbers, "
+                         f"past the int-to-str limit sys.get_int_max_str_digits() = {limit}")
+
+
 def cmd_moments(args, out) -> int:
     param = parse_rational(args.param) if args.param is not None else None
+    b = parse_rational(args.mix) if args.mix is not None else None
     spec = _make_weight(args.weight, param)
     pa._check_cap(args.N, pa.TABLE_MAX_N)
+    _check_printable(args.weight, param, b, args.N)
     seq = mo.moments_of_weight(spec, args.N)
     cums = mo.cumulants_from_connected(spec, args.N)
     mix_seq = None
     status = EXIT_OK
     if args.mix is not None:
-        b = parse_rational(args.mix)
         try:
             mix_seq = mo.semicircle_mix_moments(spec, b, args.N)
         except DualPathMismatchError as exc:
@@ -195,7 +211,7 @@ def cmd_moments(args, out) -> int:
     meta = {"command": "moments", "weight": args.weight,
             "param": param, "N": args.N}
     if args.mix is not None:
-        meta["mix"] = parse_rational(args.mix)
+        meta["mix"] = b
         meta["mix_paths_agree"] = status == EXIT_OK
     emit(rows, meta, args.format, out)
     return status
@@ -212,8 +228,6 @@ def cmd_randmat(args, out) -> int:
                       dist=args.dist, seed=args.seed)
     report = rm.run_mc(cfg)
     if args.hist is not None:
-        # written before the report, so an unwritable PATH is a usage error
-        # (exit 2) with nothing on stdout
         from .rng import substream_seed
 
         matrix = rm.sample_markov(cfg.n, cfg.dist, substream_seed(cfg.seed, 0))
@@ -294,22 +308,24 @@ def main(argv=None) -> int:
         "permcheck": cmd_permcheck,
         "verify": cmd_verify,
     }[args.command]
-    # --out PATH is written only once the handler returns, so a usage error
-    # leaves an existing report alone and creates no file.
-    out = sys.stdout if args.out == "-" else io.StringIO()
+    # The report is built in memory and written only once the handler
+    # returns: an error leaves stdout empty and --out as it was.
+    out = io.StringIO()
     try:
         status = handler(args, out)
+        if args.out == "-":
+            sys.stdout.write(out.getvalue())
+            return status
     except (SizeLimitError, ValueError, OSError, OverflowError) as exc:
         # OverflowError: a float parameter pushed a kernel past the float range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if out is not sys.stdout:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(out.getvalue())
-        except OSError as exc:
-            print(f"error: cannot write --out: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(out.getvalue())
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return status
 
 

@@ -7,7 +7,10 @@ moment (or cumulant) of order 2(k+1).
 The central transform pair runs over non-crossing set partitions with all
 blocks of even size: moments are sums over such partitions of products of
 cumulants, and cumulants are recovered by recursive subtraction.  Everything
-is exact when inputs are rational.
+is exact when inputs are rational.  Both ring-generic loops and Kreweras'
+table of those partitions by block type live in :mod:`pairmoments.pairings`,
+beside the joint table built on them; this module adds the sequence types,
+the caps and the integer scaling below.
 
 Exact inputs are graded integer arithmetic.  The order-2k entry of a
 product over an even non-crossing type has total weight k, so with D the
@@ -26,13 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, inf, lcm
-from typing import Callable, Iterator, Sequence
+from functools import cache
+from math import inf, lcm
+from typing import Callable, Sequence
 
 from . import pairings
 from .exceptions import DualPathMismatchError
-from .pairings import TABLE_MAX_N, _check_cap
+from .pairings import TABLE_MAX_N, _check_cap, _cumulants_of, _moments_of
 from .weights import (
     Constant1,
     Number,
@@ -41,7 +44,6 @@ from .weights import (
     _EXACT,
     _powers,
     _statistic_powers,
-    _WeightMemo,
     is_exact,
     numbers_equal,
 )
@@ -123,41 +125,6 @@ class GramMatrix:
         return self.entries[i][j]
 
 
-def _partitions(total: int, least: int = 1) -> Iterator[tuple[int, ...]]:
-    # Integer partitions of `total` into parts >= `least`, parts ascending.
-    if total == 0:
-        yield ()
-    for part in range(least, total + 1):
-        for rest in _partitions(total - part, part):
-            yield (part,) + rest
-
-
-def _nc_even_type_counts(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # How many even non-crossing partitions of {1..k} exist per multiset of
-    # block sizes; enough to evaluate any product over blocks of r_{|B|}.
-    # Sizes above 2 * TABLE_MAX_N raise before anything is built.
-    if k % 2 != 0 or k < 0:
-        raise ValueError(f"ground-set size must be even and >= 0, got {k}")
-    if k:
-        _check_cap(k // 2, TABLE_MAX_N)
-    return _nc_even_types(k)
-
-
-@lru_cache(maxsize=None)
-def _nc_even_types(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # Kreweras (Discrete Math. 1, 1972): the non-crossing partitions of
-    # {1..k} with b blocks, m_j of them of size j, number
-    # k! / ((k - b + 1)! * prod_j m_j!).
-    table = []
-    for halves in _partitions(k // 2):
-        sizes = tuple(2 * h for h in halves)
-        denominator = factorial(k - len(sizes) + 1)
-        for s in set(sizes):
-            denominator *= factorial(sizes.count(s))
-        table.append((sizes, factorial(k) // denominator))
-    return tuple(sorted(table))
-
-
 def _check_order(n: int) -> None:
     # A half-order N counts entries, so N = 0 is the empty sequence.
     if n < 0:
@@ -165,12 +132,14 @@ def _check_order(n: int) -> None:
 
 
 def _on_one_scale(values: tuple, transform: Callable[[tuple], tuple]) -> tuple:
-    # Run a graded transform, one whose order-2k output is a sum of
-    # products of total weight k, over ints.  With D the lcm of the
-    # denominators, a_k = x_2k * D^k is an int; transform maps the a_k to the
-    # outputs times D^k, and each is divided by D^k once.  Output k is a
+    # Run a graded transform (order-2k output a sum of products of total
+    # weight k) over ints, once the table cap is checked.  With D the lcm of
+    # the denominators, a_k = x_2k * D^k is an int; transform maps the a_k to
+    # the outputs times D^k, and each is divided by D^k once.  Output k is a
     # Fraction when one of x_2..x_2k is, as in the Fraction loop, and an int
     # otherwise.  All ints, or any other kind, run transform as given.
+    if values:
+        _check_cap(len(values), TABLE_MAX_N)
     kinds = set(map(type, values))
     if Fraction not in kinds or not kinds <= _EXACT:
         return transform(values)
@@ -241,37 +210,6 @@ def _loop_sums(n: int, spec: WeightSpec, connected_only: bool, mix: Number) -> t
     return tuple(values)
 
 
-def _moments_of(r: tuple) -> tuple:
-    # The forward transform as written, over any ring with + and *.
-    values = []
-    for n in range(1, len(r) + 1):
-        total = 0
-        for sizes, count in _nc_even_type_counts(2 * n):
-            prod = count
-            for s in sizes:
-                prod = prod * r[s // 2 - 1]
-            total = total + prod
-        values.append(total)
-    return tuple(values)
-
-
-def _cumulants_of(m: tuple) -> tuple:
-    # The inverse by recursive subtraction, over any ring with +, - and *;
-    # multi-block partitions of 2n only need cumulants of orders < 2n.
-    r: list = []
-    for n in range(1, len(m) + 1):
-        rest = 0
-        for sizes, count in _nc_even_type_counts(2 * n):
-            if len(sizes) == 1:
-                continue
-            prod = count
-            for s in sizes:
-                prod = prod * r[s // 2 - 1]
-            rest = rest + prod
-        r.append(m[n - 1] - rest)
-    return tuple(r)
-
-
 def moments_from_cumulants(r: CumulantSequence) -> MomentSequence:
     """m_{2n} = sum over even non-crossing partitions of prod_B r_{|B|}.
 
@@ -283,8 +221,6 @@ def moments_from_cumulants(r: CumulantSequence) -> MomentSequence:
     of r_2..r_2n is and an int when all are ints; any float runs the sum
     term by term.
     """
-    if r.order:
-        _check_cap(r.order, TABLE_MAX_N)
     return MomentSequence(_on_one_scale(r.values, _moments_of))
 
 
@@ -296,8 +232,6 @@ def cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     lower order only.  Same rings, cap, graded integer scaling and result
     types as :func:`moments_from_cumulants`.
     """
-    if m.order:
-        _check_cap(m.order, TABLE_MAX_N)
     return CumulantSequence(_on_one_scale(m.values, _cumulants_of))
 
 
@@ -405,10 +339,10 @@ def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
     if all(map(is_exact, entries)) and not all(isinstance(x, int) for x in entries):
         denominator = Fraction(lcm(*(x.denominator for x in entries)))
         entries = [int(x * denominator) for x in entries]
-    weight = _WeightMemo(spec)
+    weight = cache(spec.weight_of)
     total = 0
     for (cr, h, cc), value in _arrays._pair_product_sums(n, entries).items():
-        total = total + weight[n, cr, h, cc] * value
+        total = total + weight(n, cr, h, cc) * value
     return total if denominator is None else total / denominator ** n
 
 

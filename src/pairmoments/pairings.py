@@ -21,6 +21,10 @@ blocks B of C_(|B|/2)(q), where C_k(q) are the free cumulants of the
 Touchard-Riordan q-Gaussian moments T_k(q) (Bozejko-Speicher, CMP 137
 (1991); Lehner, Eur. J. Combin. 23 (2002)).  Partitions of one block-size
 type give equal products, so each type is one term, times Kreweras' count.
+The same sum over types is the free moment-cumulant transform; its forward
+and inverse loops over any ring live here, run on packed ints by the joint
+table and wrapped by :mod:`pairmoments.moments`, which this module does not
+import.
 
 The per-partition streams keep one canonical order.  There is one walk: a
 non-recursive depth-first walk over an explicit stack that stops six free
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -426,12 +430,65 @@ def iter_statistics(n: int) -> Iterator[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# The joint (cr, h, cc) table, from the Touchard-Riordan moments and the even
-# non-crossing type tables (see the module docstring).  A polynomial in q is
-# one int: the coefficient of q^i is digit i in base 2^W, where
-# W = 8 * _digit_bytes(n).  Pinned against a fold of the stream above for
-# n <= 8.
+# The even non-crossing kernel, then the joint (cr, h, cc) table built on it
+# (see the module docstring).  Kreweras' table counts the even non-crossing
+# partitions of {1..2n} by block type; the free moment-cumulant sums over it
+# run in any ring with +, - and *, and their callers check the caps.  In the
+# joint table a polynomial in q is one int: the coefficient of q^i is digit i
+# in base 2^W, where W = 8 * _digit_bytes(n).  Pinned against a fold of the
+# stream above for n <= 8.
 # ---------------------------------------------------------------------------
+
+
+def _partitions(total: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    # Integer partitions of `total` into parts >= `least`, parts ascending.
+    if total == 0:
+        yield ()
+    for part in range(least, total + 1):
+        for rest in _partitions(total - part, part):
+            yield (part,) + rest
+
+
+@lru_cache(maxsize=None)
+def _nc_even_types(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # Kreweras (Discrete Math. 1, 1972): the non-crossing partitions of
+    # {1..k} with b blocks, m_j of them of size j, number
+    # k! / ((k - b + 1)! * prod_j m_j!).  Sorted by block sizes, so the
+    # one-block type (k,) comes last.
+    table = []
+    for halves in _partitions(k // 2):
+        sizes = tuple(2 * h for h in halves)
+        denominator = factorial(k - len(sizes) + 1)
+        for s in set(sizes):
+            denominator *= factorial(sizes.count(s))
+        table.append((sizes, factorial(k) // denominator))
+    return tuple(sorted(table))
+
+
+def _type_sum(r, types):
+    # sum of count * prod_s r_s over the (sizes, count) types, r_s read from
+    # r[s/2 - 1]: products left to right over the blocks, sums in type order.
+    total = 0
+    for sizes, count in types:
+        prod = count
+        for s in sizes:
+            prod = prod * r[s // 2 - 1]
+        total = total + prod
+    return total
+
+
+def _moments_of(r: tuple) -> tuple:
+    # The forward transform: m_2n sums every even non-crossing type of 2n.
+    return tuple(_type_sum(r, _nc_even_types(2 * n)) for n in range(1, len(r) + 1))
+
+
+def _cumulants_of(m: tuple) -> tuple:
+    # The inverse by recursive subtraction: every type of 2n but the
+    # one-block type needs cumulants of orders < 2n only.
+    r: list = []
+    for n in range(1, len(m) + 1):
+        r.append(m[n - 1] - _type_sum(r, _nc_even_types(2 * n)[:-1]))
+    return tuple(r)
 
 
 def _digit_bytes(n: int) -> int:
@@ -472,17 +529,14 @@ def _joint_tables(n: int) -> tuple[StatisticDistribution, ...]:
     global _JOINT
     _check_cap(n, TABLE_MAX_N)
     if n > len(_JOINT):
-        from . import moments
-
         size = _digit_bytes(n)
-        connected = moments.cumulants_from_moments(
-            moments.MomentSequence(tuple(_touchard_riordan(n)))).values
+        connected = _cumulants_of(tuple(_touchard_riordan(n)))
         tables = []
         for k in range(1, n + 1):
             # An even non-crossing type with b blocks, h of size 2, gives
             # count * prod_s C_(s/2)(q) to the cell (h, cc = b); C_1 = 1.
             cells: dict[tuple[int, int], int] = {}
-            for sizes, count in moments._nc_even_types(2 * k):
+            for sizes, count in _nc_even_types(2 * k):
                 for s in sizes:
                     count *= connected[s // 2 - 1]
                 key = sizes.count(2), len(sizes)

@@ -35,6 +35,8 @@ MAX_GROUP_DEGREE = 8
 
 
 def _check_group_degree(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"group degree must be >= 0, got {n}")
     if n > MAX_GROUP_DEGREE:
         raise SizeLimitError(
             f"group checks are limited to degree {MAX_GROUP_DEGREE} "
@@ -96,7 +98,8 @@ class Permutation:
 def enumerate_group(n: int) -> tuple[Permutation, ...]:
     """All of S(n) in lexicographic one-line order.
 
-    Degrees above ``MAX_GROUP_DEGREE`` raise :class:`SizeLimitError`.
+    Degrees above ``MAX_GROUP_DEGREE`` raise :class:`SizeLimitError`,
+    negative ones ValueError; S(0) is the trivial group.
     """
     _check_group_degree(n)
     return tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
@@ -252,6 +255,7 @@ def kernel_matrix(n: int, f: Callable[[Permutation], float]) -> KernelMatrix:
     the value at sigma_a^-1 sigma_b, so f must be a function of the
     permutation alone (no state, no dependence on call order).
     """
+    _check_group_degree(n)
     if n > MAX_KERNEL_DEGREE:
         raise SizeLimitError(
             f"kernel matrices are limited to degree {MAX_KERNEL_DEGREE} "
@@ -353,8 +357,8 @@ def metric_checks(
     separation (d = 0 only on the diagonal), the triangle inequality, and
     left invariance.  Exhaustive over all |S(n)|^3 triples for n <= 5;
     for larger degrees a seeded sample of ``triples`` random triples is
-    used for the triangle and invariance checks.  Degrees above
-    ``MAX_GROUP_DEGREE`` raise :class:`SizeLimitError`.
+    used for the triangle and invariance checks (``triples`` < 1 raises
+    ValueError).  Degrees above ``MAX_GROUP_DEGREE`` raise :class:`SizeLimitError`.
 
     The exhaustive triangle check compares one slice of the distance table,
     r = e.  Since d(a, b) = H(a^-1 b) is unchanged when r^-1 multiplies both
@@ -365,6 +369,9 @@ def metric_checks(
     follows tests the quotient table that this argument relies on.
     """
     _check_group_degree(n)
+    exhaustive = n <= MAX_KERNEL_DEGREE
+    if not exhaustive and triples < 1:
+        raise ValueError(f"sampled degree {n} needs triples >= 1, got {triples}")
     group = enumerate_group(n)
     order = len(group)
     images = _image_array(n)
@@ -385,7 +392,6 @@ def metric_checks(
             return MetricReport(False, n, 0, True, (g,), f"H not symmetric at {g.images}")
         return MetricReport(False, n, 0, True, (g,), f"H vanishes off identity at {g.images}")
 
-    exhaustive = n <= MAX_KERNEL_DEGREE
     if exhaustive:
         table = _quotient_table(n)
         # dist[a, b] = H(inv(a) * b)

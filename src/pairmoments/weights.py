@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from numbers import Rational
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
@@ -184,7 +185,11 @@ class StatisticPolynomial:
 
     def evaluate(self, param: Number) -> Number:
         if type(param) not in _EXACT or min(self.coefficients, default=-1) < 0:
-            return sum(count * param ** k for k, count in sorted(self.coefficients.items()))
+            # added left to right: builtin sum compensates floats since 3.12
+            total = 0
+            for k, count in sorted(self.coefficients.items()):
+                total = total + count * param ** k
+            return total
         top = max(self.coefficients)
         up, down = _powers(param, top)
         total = sum(count * up[k] * down[top - k] for k, count in self.coefficients.items())
@@ -222,22 +227,6 @@ class CheckReport:
         return self.passed
 
 
-class _WeightMemo(dict):
-    """``spec.weight_of`` by ``memo[n, cr, h, cc]``, computed once per key.
-
-    Meant to live for one call that visits many partitions: the keys are the
-    distinct statistics seen, 224 for all n <= 8 and 375 for all n <= 9.
-    """
-
-    def __init__(self, spec: WeightSpec) -> None:
-        super().__init__()
-        self.spec = spec
-
-    def __missing__(self, key: tuple[int, int, int, int]) -> Number:
-        value = self[key] = self.spec.weight_of(*key)
-        return value
-
-
 def check_strong_multiplicativity(spec: WeightSpec, nmax: int) -> CheckReport:
     """Verify the weight factorizes over crossing-graph components.
 
@@ -254,15 +243,15 @@ def check_strong_multiplicativity(spec: WeightSpec, nmax: int) -> CheckReport:
     _check_cap(max(nmax, 1), STREAM_MAX_N)
     from . import _arrays
 
-    weight = _WeightMemo(spec)
+    weight = cache(spec.weight_of)
     cases = 0
     for n in range(1, nmax + 1):
         s = _arrays._stream(n)
         for case, (stats, parts) in enumerate(zip(s.stats, s.parts)):
-            whole = weight[(n, *stats)]
+            whole = weight(n, *stats)
             split = 1
             for k, cr in parts:
-                split = split * weight[k, cr, int(k == 1), 1]
+                split = split * weight(k, cr, int(k == 1), 1)
             if not numbers_equal(whole, split):
                 row, blocks = _arrays._first_row(n, case)
                 return CheckReport(False, cases + row + 1, _fast_partition(n, blocks),

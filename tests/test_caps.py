@@ -37,13 +37,12 @@ def no_tables(monkeypatch):
     # every joint table starts from the Touchard-Riordan moments, and every
     # transform from the even non-crossing type tables
     monkeypatch.setattr(pa, "_touchard_riordan", _no_work)
-    monkeypatch.setattr(mo, "_nc_even_types", _no_work)
+    monkeypatch.setattr(pa, "_nc_even_types", _no_work)
 
 
 TABLE_ENTRIES = {
     "statistic_distribution": pa.statistic_distribution,
     "statistic_polynomial": lambda n: we.statistic_polynomial(we.CrossingPower, n),
-    "_nc_even_type_counts": lambda n: mo._nc_even_type_counts(2 * n),
     "moments_from_cumulants":
         lambda n: mo.moments_from_cumulants(mo.CumulantSequence((F(1),) * n)),
     "cumulants_from_moments": lambda n: mo.cumulants_from_moments(mo.gaussian_moments(n)),

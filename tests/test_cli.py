@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -131,6 +133,43 @@ class TestMoments:
         assert doc["mix"] == "1/2"
         assert doc["mix_paths_agree"] is True
         assert doc["rows"][1]["mix_moment"] == "9/4"
+
+    def test_largest_printable_param(self, capsys):
+        # the digit bound at N = 20 is 24 + 190 * 74 * log10(2) < 4300 digits
+        code, out, _ = run(capsys, "moments", "--weight", "qcr", "--param", "1e22", "--N", "20")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0b43458a7d8464bd5d7831025b30e2ea81595cefa0d526a853296e9843836f75")
+
+    @pytest.mark.parametrize("argv,digits", [
+        ("--weight qcr --param 1e23 --N 20", 4428),
+        ("--weight qcr --param 1e100000 --N 8", 2800008),
+        ("--weight qcr --param 1/3 --N 20 --mix 1e-300", 6140),
+        ("--weight bH --param 1e300 --N 20", 6026),
+        # --param is printed in the meta even where the weight ignores it
+        ("--weight const --param 1e5000 --N 1", 5001),
+    ])
+    def test_unprintable_report_refused_first(self, capsys, monkeypatch, argv, digits):
+        def no_tables(*args):
+            raise AssertionError("table work started for a refused report")
+
+        monkeypatch.setattr(mo, "moments_of_weight", no_tables)
+        code, out, err = run(capsys, "moments", *argv.split())
+        assert (code, out) == (2, "")
+        assert f"could print {digits}-digit numbers, past the int-to-str limit" in err
+        assert err.endswith("sys.get_int_max_str_digits() = 4300\n")
+
+    def test_digit_limit_zero_means_none(self, monkeypatch):
+        monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: 0)
+        cli._check_printable("qcr", Fraction(10 ** 100), Fraction(1, 10 ** 100), 20)
+
+    def test_error_mid_report_leaves_stdout_empty(self, capsys, monkeypatch):
+        # past the up-front bound, int-to-str fails while the CSV is written;
+        # nothing of the report reaches stdout
+        monkeypatch.setattr(cli, "_check_printable", lambda *args: None)
+        code, out, err = run(capsys, "moments", "--weight", "qcr", "--param", "1e23", "--N", "20")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit (4300 digits)")
 
 
 GOLDEN = Path(__file__).parent / "golden"

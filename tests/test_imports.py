@@ -6,6 +6,7 @@ sums, the transforms, the walk) load no numpy; ``randmat`` and
 interpreters, since this process has imported numpy long before.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -72,6 +73,21 @@ def test_table_commands_load_no_numpy(argv):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == 0\n")
     assert "numpy" not in modules
+
+
+def test_pairings_imports_nothing_from_moments():
+    # the non-crossing kernel lives in pairings, and moments imports it from
+    # there: an import back, at module level or inside a function, is a cycle
+    with open(os.path.join(SRC, "pairmoments", "pairings.py")) as fh:
+        tree = ast.parse(fh.read())
+    named = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            named += [node.module or ""] + [alias.name for alias in node.names]
+    assert "exceptions" in named  # the walk sees the module's imports
+    assert not [name for name in named if "moments" in name.split(".")]
 
 
 def test_randmat_brings_the_traced_eigensolver():

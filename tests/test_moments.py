@@ -102,7 +102,7 @@ class TestEnumerateNcEven:
 
     def test_k2(self):
         assert list(brute.nc_even_partitions(range(1, 3))) == [((1, 2),)]
-        assert mo._nc_even_type_counts(2) == (((2,), 1),)
+        assert pairings._nc_even_types(2) == (((2,), 1),)
 
     def test_k4(self):
         got = set(brute.nc_even_partitions(range(1, 5)))
@@ -111,10 +111,10 @@ class TestEnumerateNcEven:
             ((1, 4), (2, 3)),
             ((1, 2, 3, 4),),
         }
-        assert mo._nc_even_type_counts(4) == (((2, 2), 2), ((4,), 1))
+        assert pairings._nc_even_types(4) == (((2, 2), 2), ((4,), 1))
 
     def test_k6_count(self):
-        assert mo._nc_even_type_counts(6) == (((2, 2, 2), 5), ((2, 4), 6), ((6,), 1))
+        assert pairings._nc_even_types(6) == (((2, 2, 2), 5), ((2, 4), 6), ((6,), 1))
 
     @pytest.mark.parametrize("k", [0, 2, 4, 6, 8])
     def test_matches_filtering_oracle(self, k):
@@ -129,7 +129,7 @@ class TestEnumerateNcEven:
 
     @pytest.mark.parametrize("k", range(0, 17, 2))
     def test_table_matches_enumeration(self, k):
-        assert mo._nc_even_type_counts(k) == brute.nc_even_type_counts(k)
+        assert pairings._nc_even_types(k) == brute.nc_even_type_counts(k)
 
     @pytest.mark.parametrize(
         "k,count",
@@ -140,16 +140,11 @@ class TestEnumerateNcEven:
         # number of even NC partitions of 2m points = binom(3m, m) / (2m+1)
         m = k // 2
         assert count == math.comb(3 * m, m) // (2 * m + 1)
-        assert sum(c for _, c in mo._nc_even_type_counts(k)) == count
+        assert sum(c for _, c in pairings._nc_even_types(k)) == count
 
-    def test_rejects_odd(self):
-        with pytest.raises(ValueError):
-            mo._nc_even_type_counts(3)
-
-    def test_rejects_oversize(self):
-        assert sum(c for _, c in mo._nc_even_type_counts(40)) == math.comb(60, 20) // 41
-        with pytest.raises(SizeLimitError):
-            mo._nc_even_type_counts(42)
+    def test_ternary_sum_at_twice_the_cap(self):
+        # every transform at TABLE_MAX_N reads the types of 2 * TABLE_MAX_N
+        assert sum(c for _, c in pairings._nc_even_types(40)) == math.comb(60, 20) // 41
 
     def test_transform_order_above_hard_cap(self):
         assert pairings.TABLE_MAX_N == 20
@@ -252,7 +247,7 @@ def _loop_moments(r):
     out = []
     for n in range(1, len(r) + 1):
         total = 0
-        for sizes, count in mo._nc_even_type_counts(2 * n):
+        for sizes, count in pairings._nc_even_types(2 * n):
             prod = count
             for s in sizes:
                 prod = prod * r[s // 2 - 1]
@@ -266,7 +261,7 @@ def _loop_cumulants(m):
     r = []
     for n in range(1, len(m) + 1):
         rest = 0
-        for sizes, count in mo._nc_even_type_counts(2 * n):
+        for sizes, count in pairings._nc_even_types(2 * n):
             if len(sizes) > 1:
                 prod = count
                 for s in sizes:

@@ -160,6 +160,66 @@ class TestIsolatedSplit:
         assert report.cases == math.factorial(pg.MAX_GROUP_DEGREE)
 
 
+WRONG_AT = (1, 3, 2, 4)  # third in S(4); two isolated fixed points, 1 and 4
+
+
+@pytest.fixture
+def wrong_count(monkeypatch):
+    # isolated_fixed_points off by one on WRONG_AT only
+    real = pg.isolated_fixed_points
+    monkeypatch.setattr(pg, "isolated_fixed_points",
+                        lambda s: real(s) + (s.images == WRONG_AT))
+
+
+def test_isolated_split_names_the_first_wrong_element(wrong_count):
+    report = pg.check_isolated_split(3)
+    assert not report.passed
+    assert (report.cases, report.witness) == (3, (perm(*WRONG_AT),))
+    assert report.detail == "split count 2 != isolated fixed points 3 for (1, 3, 2, 4)"
+
+
+def test_embedding_consistency_names_the_first_wrong_element(wrong_count):
+    report = pg.embedding_consistency(4)
+    assert not report.passed
+    assert (report.cases, report.witness) == (3, (perm(*WRONG_AT),))
+    assert report.detail == "h(embedding) = 2 but isolated fixed points = 3 for (1, 3, 2, 4)"
+
+
+NEGATIVE_DEGREE = {
+    "enumerate_group": lambda: pg.enumerate_group(-1),
+    "metric_checks": lambda: pg.metric_checks(-1),
+    "kernel_matrix": lambda: pg.kernel_matrix(-1, lambda s: 1.0),
+    "check_positive_definite": lambda: pg.check_positive_definite(-1, lambda s: 1.0),
+    "check_cnd": lambda: pg.check_cnd(-1),
+    "embedding_consistency": lambda: pg.embedding_consistency(-1),
+    "check_isolated_split": lambda: pg.check_isolated_split(-2),
+}
+
+
+@pytest.mark.parametrize("entry", NEGATIVE_DEGREE)
+def test_negative_degree_refused(entry, monkeypatch):
+    if entry != "enumerate_group":  # refused before the group is listed
+        monkeypatch.setattr(pg, "enumerate_group", lambda n: pytest.fail("work started"))
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        NEGATIVE_DEGREE[entry]()
+
+
+def test_degree_zero_is_the_trivial_group():
+    e = Permutation(())
+    assert pg.enumerate_group(0) == (e,)
+    assert pg.kernel_matrix(0, lambda s: 2.0).entries.tolist() == [[2.0]]
+    assert pg.metric_checks(0).triples_checked == 1
+    assert pg.check_isolated_split(-1).cases == 1
+
+
+@pytest.mark.parametrize("triples", [0, -3])
+def test_sampled_metric_needs_a_triple(triples):
+    with pytest.raises(ValueError, match=f"triples >= 1, got {triples}"):
+        pg.metric_checks(6, triples=triples)
+    # an exhaustive degree ignores triples
+    assert pg.metric_checks(4, triples=triples).triples_checked == 24 ** 3
+
+
 class TestKernelMatrix:
     def test_constant_one(self):
         km = pg.kernel_matrix(3, lambda s: 1.0)
@@ -422,6 +482,10 @@ class TestFastPathsMatchOracles:
         (7, 2000, 0), (8, 500, 0), (6, 0, 0),
     ])
     def test_sampled_metric_reports_equal(self, n, triples, seed):
+        if triples < 1:  # an empty sample checks nothing and is refused
+            with pytest.raises(ValueError, match="triples >= 1"):
+                pg.metric_checks(n, triples=triples, seed=seed)
+            return
         assert pg.metric_checks(n, triples=triples, seed=seed) == brute.metric_report(
             n, triples, seed)
 

@@ -97,6 +97,20 @@ class TestStatisticPolynomial:
         assert dict(poly.coefficients) == {1: 1}
         assert poly.evaluate(Fraction(7, 3)) == Fraction(7, 3)
 
+    @pytest.mark.parametrize("family,n,x,bits", [
+        (CrossingPower, 6, 0.1, "0x1.82067c986c9adp+7"),
+        (CrossingPower, 8, -0.7, "0x1.0a4352189ea51p+5"),
+        (ComponentPower, 12, -0.7, "-0x1.adad7620c8fdcp+28"),
+        (SingletonHPower, 8, 0.9, "0x1.e67dc9da6185ap+19"),
+        (SingletonCountPower, 12, 1.1, "0x1.49115907d60bfp+38"),
+        (SingletonCountPower, 20, -0.7, "0x1.78a9876840d85p+75"),
+    ])
+    def test_float_evaluate_adds_left_to_right(self, family, n, x, bits):
+        # the terms added in exponent order, one rounding per addition; the
+        # compensated float sum of builtin sum (Python 3.12+) gives other
+        # bits on every row here
+        assert weights.statistic_polynomial(family, n).evaluate(x).hex() == bits
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_endpoint_evaluations(self, n):
         poly = weights.statistic_polynomial(SingletonHPower, n)
