@@ -19,7 +19,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .pairings import STREAM_MAX_N, _check_cap, pairing_count
+from .exceptions import _check_limit
+from .pairings import pairing_count
 
 #: Rows per numpy pass: the temporaries stay under 0.5 MB whatever n.
 _CHUNK = 1 << 11
@@ -98,7 +99,7 @@ def _chunks(n: int) -> Iterator[tuple[int, np.ndarray]]:
 
 def _stream(n: int) -> _Stream:
     # Cached; half-sizes above STREAM_MAX_N raise before any array exists.
-    _check_cap(n, STREAM_MAX_N)
+    _check_limit("enumeration", n)
     if n not in _STREAMS:
         index: dict[int, int] = {}  # key -> case
         case = np.empty(pairing_count(n), dtype=np.int16)  # 497 cases at n = 8

@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from . import pairings as pa
 from . import verify as ve
 from . import weights as we
 from .exceptions import (ENTRY_DISTRIBUTIONS, MAX_BINS, MAX_KERNEL_DEGREE, MAX_MATRIX_DIM,
-                         MAX_TRIALS, DualPathMismatchError, SizeLimitError)
+                         MAX_TRIALS, DualPathMismatchError, _check_limit)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -79,7 +80,16 @@ def emit(rows: list[dict], meta: dict, fmt: str, out) -> None:
 
 
 def parse_rational(text: str):
-    """Exact Fraction for p/q, integer, or decimal strings; float otherwise."""
+    """Exact Fraction for p/q, integer, or decimal strings; float otherwise.
+
+    Digits or a decimal exponent past the int-to-str limit are refused first.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    exponent = re.search(r"[eE]([-+]?\d[\d_]*)\s*$", text)
+    if limit and (sum(map(str.isdigit, text)) > limit
+                  or exponent and abs(int(exponent[1])) > limit):
+        raise ValueError(f"a {len(text)}-character number passes the int-to-str limit "
+                         f"sys.get_int_max_str_digits() = {limit} in its digits or exponent")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -169,13 +179,21 @@ def _make_weight(name: str, param) -> we.WeightSpec:
     }[name](param)
 
 
-def _check_printable(weight: str, param, b, n: int) -> None:
+def _check_flag(flag: str, kind: str, value: int) -> None:
+    # The library's size check, its refusal named by the flag
+    try:
+        _check_limit(kind, value)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _check_printable(spec: we.WeightSpec, param, b, n: int) -> None:
     # Refuse before any work a report int-to-str would refuse: each printed
     # numerator and denominator is at most (2N-1)!! * M^E * B^N, M = max(|num|,
     # den) of --param, B that of --mix, E the top exponent of the weight's
-    # statistic (>= 1: --param is printed).  log10 M is read off bit lengths.
+    # statistics (>= 1: --param is printed).  log10 M is read off bit lengths.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    top = max({"qcr": n * (n - 1) // 2, "const": 0}.get(weight, n), 1)
+    top = max([pa._statistic_top(s, n) for s in we._statistic_powers(spec) or ()] + [1])
     bits = sum(e * max(abs(x.numerator), x.denominator).bit_length()
                for e, x in ((top, param), (n, b)) if isinstance(x, Fraction))
     digits = len(str(pa.pairing_count(n))) + bits * math.log10(2)
@@ -188,8 +206,8 @@ def cmd_moments(args, out) -> int:
     param = parse_rational(args.param) if args.param is not None else None
     b = parse_rational(args.mix) if args.mix is not None else None
     spec = _make_weight(args.weight, param)
-    pa._check_cap(args.N, pa.TABLE_MAX_N)
-    _check_printable(args.weight, param, b, args.N)
+    _check_limit("table", args.N)
+    _check_printable(spec, param, b, args.N)
     seq = mo.moments_of_weight(spec, args.N)
     cums = mo.cumulants_from_connected(spec, args.N)
     mix_seq = None
@@ -222,8 +240,7 @@ def cmd_randmat(args, out) -> int:
 
     if args.hist == "-":
         raise ValueError("--hist needs a file path: stdout ('-') carries the report")
-    if not 1 <= args.bins <= MAX_BINS:
-        raise ValueError(f"--bins must be in 1..{MAX_BINS}, got {args.bins}")
+    _check_flag("--bins", "bins", args.bins)
     cfg = rm.McConfig(n=args.n, trials=args.trials, kmax=args.kmax,
                       dist=args.dist, seed=args.seed)
     report = rm.run_mc(cfg)
@@ -252,10 +269,9 @@ def cmd_permcheck(args, out) -> int:
     from . import permgroup as pg
 
     n = args.n
-    if n < 2 or n > MAX_KERNEL_DEGREE:
-        raise SizeLimitError(
-            f"--n must be in 2..{MAX_KERNEL_DEGREE} (kernel order {math.factorial(MAX_KERNEL_DEGREE)} max)"
-        )
+    if n < 2:
+        raise ValueError(f"--n must be >= 2, got {n}")
+    _check_flag("--n", "kernel", n)
     pg._check_tol(args.tol)
     b = parse_rational(args.b)
     x = args.x
@@ -316,7 +332,7 @@ def main(argv=None) -> int:
         if args.out == "-":
             sys.stdout.write(out.getvalue())
             return status
-    except (SizeLimitError, ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:  # SizeLimitError is a ValueError
         # OverflowError: a float parameter pushed a kernel past the float range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,11 +1,29 @@
-"""Exception types and size caps shared across the package.
+"""Exception types, and every size cap with its one check, ``_check_limit``.
 
-The caps of :mod:`pairmoments.randmat` and :mod:`pairmoments.permgroup`
-live here, free of numpy, so the command-line parser can name them without
-loading either module; both modules re-export them under the same names.
+Every entry point checks its sizes here before any work, so a cap moves by
+editing one constant.  The caps are free of numpy, for the command-line
+parser; pairings, randmat and permgroup re-export them under these names.
 """
 
 ENTRY_DISTRIBUTIONS = ("rademacher", "gaussian")
+
+#: Largest half-size streamed one partition at a time (2n = 16 points,
+#: 2,027,025 partitions): every per-partition stream and every check that
+#: visits each partition.
+STREAM_MAX_N = 8
+
+#: Largest half-size answered from tables, which visit no partition: the
+#: joint (cr, h, cc) table (3,401 cells at n = 20, every k <= 20 in about
+#: 0.1 s), the moment-cumulant transforms up to order 2 * TABLE_MAX_N, the
+#: weighted sums over them and the sequences they are checked against.
+TABLE_MAX_N = 20
+
+#: Largest degree whose whole group is ever listed (order 8! = 40,320); it
+#: also bounds the cache of ``permgroup.enumerate_group``.
+MAX_GROUP_DEGREE = 8
+
+#: Largest degree for which full kernel matrices are built (order 5! = 120).
+MAX_KERNEL_DEGREE = 5
 
 #: Largest Markov matrix dimension sampled; at 2000 one dense float matrix
 #: is 32 MB, and a ``randmat --n 2000 --kmax 6 --hist`` run (sampling,
@@ -18,15 +36,33 @@ MAX_MATRIX_DIM = 2000
 MAX_TRIALS = 10_000
 MAX_BINS = 10_000
 
-#: Largest degree for which full kernel matrices are built (order 5! = 120).
-MAX_KERNEL_DEGREE = 5
-
 
 class SizeLimitError(ValueError):
-    """A stream, table, group-degree or matrix-dimension cap was exceeded.
+    """A size passed the cap of the path that would have to handle it.
 
-    The message always names the offending size and the cap it exceeds.
+    The message always names the offending size, the cap and its constant.
     """
+
+
+# kind -> (least value, cap, the cap's name, what is counted)
+_LIMITS = {
+    "enumeration": (1, STREAM_MAX_N, "STREAM_MAX_N", "half-size"),
+    "table": (1, TABLE_MAX_N, "TABLE_MAX_N", "half-size"),
+    "group": (0, MAX_GROUP_DEGREE, "MAX_GROUP_DEGREE", "group degree"),
+    "kernel": (0, MAX_KERNEL_DEGREE, "MAX_KERNEL_DEGREE", "group degree"),
+    "dimension": (2, MAX_MATRIX_DIM, "MAX_MATRIX_DIM", "matrix dimension"),
+    "trials": (2, MAX_TRIALS, "MAX_TRIALS", "trials"),
+    "bins": (1, MAX_BINS, "MAX_BINS", "bins"),
+}
+
+
+def _check_limit(kind: str, value: int) -> None:
+    # ValueError below the least value of the kind, SizeLimitError past its cap
+    least, cap, name, what = _LIMITS[kind]
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    if value > cap:
+        raise SizeLimitError(f"{what} {value} exceeds the {kind} cap {cap} ({name})")
 
 
 class DualPathMismatchError(RuntimeError):

@@ -34,8 +34,8 @@ from math import inf, lcm
 from typing import Callable, Sequence
 
 from . import pairings
-from .exceptions import DualPathMismatchError
-from .pairings import TABLE_MAX_N, _check_cap, _cumulants_of, _moments_of
+from .exceptions import DualPathMismatchError, _check_limit
+from .pairings import _cumulants_of, _moments_of
 from .weights import (
     Constant1,
     Number,
@@ -61,7 +61,7 @@ class _EvenSequence:
         return len(self.values)
 
     def truncate(self, n: int):
-        _check_order(n)
+        _check_order(n, table=False)
         if n > self.order:
             raise ValueError(f"cannot extend to N={n} (have {self.order})")
         return type(self)(self.values[:n])
@@ -125,10 +125,13 @@ class GramMatrix:
         return self.entries[i][j]
 
 
-def _check_order(n: int) -> None:
-    # A half-order N counts entries, so N = 0 is the empty sequence.
+def _check_order(n: int, table: bool = True) -> None:
+    # A half-order N counts entries, so N = 0 is the empty sequence; one
+    # built from the tables is at most TABLE_MAX_N.
     if n < 0:
         raise ValueError(f"order N must be >= 0, got {n}")
+    if n and table:
+        _check_limit("table", n)
 
 
 def _on_one_scale(values: tuple, transform: Callable[[tuple], tuple]) -> tuple:
@@ -138,8 +141,7 @@ def _on_one_scale(values: tuple, transform: Callable[[tuple], tuple]) -> tuple:
     # the outputs times D^k, and each is divided by D^k once.  Output k is a
     # Fraction when one of x_2..x_2k is, as in the Fraction loop, and an int
     # otherwise.  All ints, or any other kind, run transform as given.
-    if values:
-        _check_cap(len(values), TABLE_MAX_N)
+    _check_order(len(values))
     kinds = set(map(type, values))
     if Fraction not in kinds or not kinds <= _EXACT:
         return transform(values)
@@ -165,8 +167,6 @@ def _table_sums(
     # h, cc) over the cells of the exact joint (cr, h, cc) table of P2(2k)
     # (only cc = 1 cells when connected_only).  n above TABLE_MAX_N raises.
     _check_order(n)
-    if n:
-        _check_cap(n, TABLE_MAX_N)
     powers = _statistic_powers(spec)
     if powers is None or type(mix) not in _EXACT:
         return _loop_sums(n, spec, connected_only, mix)
@@ -183,7 +183,7 @@ def _table_sums(
         scale = 1
         tables = []
         for s in stats:
-            top = k * (k - 1) // 2 if s == "cr" else k
+            top = pairings._statistic_top(s, k)
             up, down = _powers(powers[s], top)
             tables.append([u * v for u, v in zip(up, reversed(down))])
             scale *= down[top]
@@ -270,13 +270,13 @@ def dilate_sq(m: MomentSequence, lam_sq: Number) -> MomentSequence:
 
 
 def semicircle_moments(n: int) -> MomentSequence:
-    """Even moments of the standard semicircle law: the Catalan numbers."""
+    """Even moments of the standard semicircle law: the Catalan numbers, n <= ``TABLE_MAX_N``."""
     _check_order(n)
     return MomentSequence(tuple(pairings.count_nc_pairings(k) for k in range(1, n + 1)))
 
 
 def gaussian_moments(n: int) -> MomentSequence:
-    """Even moments of the standard normal law: (2k-1)!!."""
+    """Even moments of the standard normal law: (2k-1)!!, n <= ``TABLE_MAX_N``."""
     _check_order(n)
     return MomentSequence(tuple(pairings.pairing_count(k) for k in range(1, n + 1)))
 

@@ -54,29 +54,7 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .exceptions import DualPathMismatchError, SizeLimitError
-
-#: Largest half-size streamed one partition at a time (2n = 16 points,
-#: 2,027,025 partitions): every per-partition stream and every check that
-#: visits each partition.
-STREAM_MAX_N = 8
-
-#: Largest half-size answered from tables, which visit no partition: the
-#: joint (cr, h, cc) table (3,401 cells at n = 20, every k <= 20 in about
-#: 0.1 s), the moment-cumulant transforms up to order 2 * TABLE_MAX_N and the
-#: weighted sums over them.
-TABLE_MAX_N = 20
-
-
-def _check_cap(n: int, cap: int) -> None:
-    # cap is STREAM_MAX_N for the walks, TABLE_MAX_N for the tables
-    if n < 1:
-        raise ValueError(f"half-size n must be >= 1, got {n}")
-    if n > cap:
-        kind = "enumeration" if cap == STREAM_MAX_N else "table"
-        raise SizeLimitError(
-            f"half-size n={n} exceeds the {kind} cap {cap} (2n = {2 * cap} points)"
-        )
+from .exceptions import STREAM_MAX_N, TABLE_MAX_N, DualPathMismatchError, _check_limit
 
 
 @dataclass(frozen=True)
@@ -184,6 +162,11 @@ def _field(statistic: str) -> tuple[int, bool]:
             f"statistic must be one of cr, h, cc, H or n-cc, got {statistic!r}") from None
 
 
+def _statistic_top(statistic: str, n: int) -> int:
+    # The largest value of a statistic over P2(2n): n(n-1)/2 for cr, else n.
+    return n * (n - 1) // 2 if statistic == "cr" else n
+
+
 def pairing_count(n: int) -> int:
     """(2n-1)!! = number of pair partitions of {1..2n}; p(0) = 1."""
     out = 1
@@ -207,7 +190,7 @@ def enumerate_pairings(n: int) -> Iterator[PairPartition]:
     out sorted by their low endpoint.  Half-sizes above ``STREAM_MAX_N``
     raise :class:`SizeLimitError` on the first ``next()``.
     """
-    _check_cap(n, STREAM_MAX_N)
+    _check_limit("enumeration", n)
     # _fast_partition written out, so no call per partition
     new = object.__new__
     set_n, set_blocks = PairPartition.n.__set__, PairPartition.blocks.__set__
@@ -378,10 +361,9 @@ def riordan_connected(nmax: int) -> list[int]:
     Computed by Riordan's recurrence in its index-corrected form
     ``c_{2(n+1)} = n * sum_{i=1..n} c_{2i} * c_{2(n+1-i)}`` with c_2 = 1,
     which reproduces 1, 1, 4, 27, 248, 2830, ... and matches brute-force
-    counts of pairings whose crossing graph is connected.
+    counts of pairings whose crossing graph is connected; nmax <= ``TABLE_MAX_N``.
     """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
+    _check_limit("table", nmax)
     c = [0, 1]  # c[k] = c_{2k}
     for n in range(1, nmax):
         c.append(n * sum(c[i] * c[n + 1 - i] for i in range(1, n + 1)))
@@ -527,7 +509,7 @@ def _joint_tables(n: int) -> tuple[StatisticDistribution, ...]:
     # slice of it.  Half-sizes above TABLE_MAX_N raise before anything is
     # built.
     global _JOINT
-    _check_cap(n, TABLE_MAX_N)
+    _check_limit("table", n)
     if n > len(_JOINT):
         size = _digit_bytes(n)
         connected = _cumulants_of(tuple(_touchard_riordan(n)))

@@ -24,25 +24,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import MAX_KERNEL_DEGREE, SizeLimitError
+from .exceptions import MAX_GROUP_DEGREE, MAX_KERNEL_DEGREE, _check_limit
 from .pairings import PairPartition, singleton_blocks
 from .randmat import _psd_verdict
 from .rng import Xorshift64Star
-
-#: Largest degree whose whole group is ever listed (order 8! = 40,320); it
-#: also bounds the cache of :func:`enumerate_group`.
-MAX_GROUP_DEGREE = 8
-
-
-def _check_group_degree(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"group degree must be >= 0, got {n}")
-    if n > MAX_GROUP_DEGREE:
-        raise SizeLimitError(
-            f"group checks are limited to degree {MAX_GROUP_DEGREE} "
-            f"(order {math.factorial(MAX_GROUP_DEGREE)}); got degree {n}"
-        )
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -101,7 +86,7 @@ def enumerate_group(n: int) -> tuple[Permutation, ...]:
     Degrees above ``MAX_GROUP_DEGREE`` raise :class:`SizeLimitError`,
     negative ones ValueError; S(0) is the trivial group.
     """
-    _check_group_degree(n)
+    _check_limit("group", n)
     return tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
 
 
@@ -213,7 +198,7 @@ def check_isolated_split(n: int) -> GroupCheckReport:
     :class:`SizeLimitError`.
     """
     degree = n + 1
-    _check_group_degree(degree)
+    _check_limit("group", degree)
     cases = 0
     for sigma in enumerate_group(degree):
         cases += 1
@@ -253,14 +238,10 @@ def kernel_matrix(n: int, f: Callable[[Permutation], float]) -> KernelMatrix:
 
     f is evaluated once per group element and entry (a, b) is read off as
     the value at sigma_a^-1 sigma_b, so f must be a function of the
-    permutation alone (no state, no dependence on call order).
+    permutation alone (no state, no dependence on call order).  Degrees
+    above ``MAX_KERNEL_DEGREE`` raise :class:`SizeLimitError` before f is called.
     """
-    _check_group_degree(n)
-    if n > MAX_KERNEL_DEGREE:
-        raise SizeLimitError(
-            f"kernel matrices are limited to degree {MAX_KERNEL_DEGREE} "
-            f"(order {math.factorial(MAX_KERNEL_DEGREE)}); got degree {n}"
-        )
+    _check_limit("kernel", n)
     values = np.array([f(g) for g in enumerate_group(n)], dtype=float)
     return KernelMatrix(len(values), values[_quotient_table(n)])
 
@@ -368,7 +349,7 @@ def metric_checks(
     in group order would report it.  The left-translation check that
     follows tests the quotient table that this argument relies on.
     """
-    _check_group_degree(n)
+    _check_limit("group", n)
     exhaustive = n <= MAX_KERNEL_DEGREE
     if not exhaustive and triples < 1:
         raise ValueError(f"sampled degree {n} needs triples >= 1, got {triples}")
@@ -453,7 +434,7 @@ def embedding_consistency(n: int) -> GroupCheckReport:
 
     Degrees above ``MAX_GROUP_DEGREE`` raise :class:`SizeLimitError`.
     """
-    _check_group_degree(n)
+    _check_limit("group", n)
     cases = 0
     for sigma in enumerate_group(n):
         cases += 1

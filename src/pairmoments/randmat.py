@@ -27,9 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments as moments_mod
-from .exceptions import (ENTRY_DISTRIBUTIONS, MAX_BINS, MAX_MATRIX_DIM, MAX_TRIALS,
-                         SizeLimitError)
-from .pairings import TABLE_MAX_N
+from .exceptions import ENTRY_DISTRIBUTIONS, MAX_BINS, MAX_MATRIX_DIM, MAX_TRIALS, _check_limit
 from .rng import Xorshift64Star, substream_seed
 
 #: :func:`run_mc`'s pass rules: an even moment passes when |z| <= Z_LIMIT
@@ -38,27 +36,14 @@ Z_LIMIT = 4.0
 ODD_SIGMA = 3.0
 
 
-def _check_dimension(n: int) -> None:
-    if n < 2:
-        raise ValueError("matrix dimension n must be >= 2")
-    if n > MAX_MATRIX_DIM:
-        raise SizeLimitError(
-            f"matrix dimension {n} exceeds the cap MAX_MATRIX_DIM = {MAX_MATRIX_DIM}"
-        )
-
-
 @dataclass(frozen=True)
 class SymMatrix:
-    """A dense real symmetric matrix; treat the array as read-only."""
+    """A dense real symmetric matrix with finite entries; treat the array as read-only."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = self.matrix
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix must be square, got {a.shape}")
-        if not np.array_equal(a, a.T):
-            raise ValueError("matrix must be symmetric")
+        _checked_symmetric(self.matrix, tol=0.0)
 
     @property
     def n(self) -> int:
@@ -67,7 +52,7 @@ class SymMatrix:
 
 def _symmetric(a: np.ndarray) -> SymMatrix:
     # Internal constructor for square arrays that are symmetric by
-    # construction; skips the O(n^2) check and its n x n bool temporary.
+    # construction; skips the O(n^2) checks and their n x n bool temporaries.
     obj = object.__new__(SymMatrix)
     obj.__dict__.update(matrix=a)
     return obj
@@ -84,18 +69,11 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_dimension(self.n)
-        if self.trials < 2:
-            raise ValueError("trials must be >= 2 (the standard error needs two)")
-        if self.trials > MAX_TRIALS:
-            raise SizeLimitError(f"trials {self.trials} exceeds the cap MAX_TRIALS = {MAX_TRIALS}")
+        _check_limit("dimension", self.n)
+        _check_limit("trials", self.trials)  # the standard error needs two
         if self.kmax < 2:
             raise ValueError("kmax must be >= 2")
-        if self.kmax // 2 > TABLE_MAX_N:
-            raise SizeLimitError(
-                f"kmax {self.kmax} needs exact targets up to half-size {self.kmax // 2}, "
-                f"above the table cap {TABLE_MAX_N}"
-            )
+        _check_limit("table", self.kmax // 2)  # the exact target of order kmax
         if self.dist not in ENTRY_DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {ENTRY_DISTRIBUTIONS}")
 
@@ -142,7 +120,7 @@ def sample_markov(n: int, dist: str = "rademacher", seed: int = 0) -> SymMatrix:
     ``MAX_MATRIX_DIM`` raise :class:`SizeLimitError` before anything is
     allocated.
     """
-    _check_dimension(n)
+    _check_limit("dimension", n)
     rng = Xorshift64Star(seed)
     vals = sample_entries(rng, dist, n * (n + 1) // 2)
     x = np.zeros((n, n))
@@ -157,13 +135,14 @@ def _array(m: SymMatrix | np.ndarray) -> np.ndarray:
     return m.matrix if isinstance(m, SymMatrix) else np.asanyarray(m, dtype=float)
 
 
-def _checked_symmetric(m: SymMatrix | np.ndarray) -> np.ndarray:
+def _checked_symmetric(m: SymMatrix | np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    # square, finite and symmetric within rtol = atol = tol (exactly at 0)
     a = _array(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    if not np.allclose(a, a.T, rtol=1e-12, atol=1e-12):
+    if not np.allclose(a, a.T, rtol=tol, atol=tol):
         raise ValueError("matrix must be symmetric")
     return a
 
@@ -294,10 +273,7 @@ def eigenvalue_histogram(
     eigenvalues come from :func:`spectrum`; at ``MAX_MATRIX_DIM`` they take
     under a second.
     """
-    if bins < 1:
-        raise ValueError(f"bins must be at least 1, got {bins}")
-    if bins > MAX_BINS:
-        raise SizeLimitError(f"bins {bins} exceeds the cap MAX_BINS = {MAX_BINS}")
+    _check_limit("bins", bins)
     a = _array(m)
     n = a.shape[0]
     lam = np.array(spectrum(a)) / np.sqrt(n)

@@ -23,6 +23,7 @@ from typing import Callable
 from . import moments as mo
 from . import pairings as pa
 from . import weights as we
+from .exceptions import _check_limit
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def sequence_rows(which: str, nmax: int) -> list[dict]:
     """
     if which not in SEQUENCES:
         raise ValueError(f"unknown sequence {which!r}")
-    pa._check_cap(nmax, pa.STREAM_MAX_N if which == "pairings" else pa.TABLE_MAX_N)
+    _check_limit("enumeration" if which == "pairings" else "table", nmax)
     if which == "pairings":
         pairs = [(sum(1 for _ in pa.enumerate_pairings(n)), pa.pairing_count(n))
                  for n in range(1, nmax + 1)]

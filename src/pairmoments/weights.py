@@ -21,7 +21,8 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 from . import pairings
-from .pairings import STREAM_MAX_N, PairPartition, _check_cap, _fast_partition, pairing_count
+from .exceptions import _check_limit
+from .pairings import PairPartition, _fast_partition, pairing_count
 
 Number = Union[int, Fraction, float]
 
@@ -240,7 +241,7 @@ def check_strong_multiplicativity(spec: WeightSpec, nmax: int) -> CheckReport:
     in order of its first partition, which is the witness if it fails.  nmax
     above ``STREAM_MAX_N`` raises before any array is built.
     """
-    _check_cap(max(nmax, 1), STREAM_MAX_N)
+    _check_limit("enumeration", max(nmax, 1))
     from . import _arrays
 
     weight = cache(spec.weight_of)
@@ -271,7 +272,7 @@ def check_traceability(statistic: str, nmax: int) -> CheckReport:
     fields = ("cr", "h", "cc", "H")
     if statistic not in fields:
         raise ValueError("statistic must be one of cr, h, cc, H")
-    _check_cap(max(nmax, 1), STREAM_MAX_N)
+    _check_limit("enumeration", max(nmax, 1))
     from . import _arrays
 
     index = fields.index(statistic)

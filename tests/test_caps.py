@@ -14,18 +14,32 @@ from fractions import Fraction as F
 import pytest
 
 from pairmoments import _arrays as ar
-from pairmoments import cli
+from pairmoments import cli, exceptions
 from pairmoments import moments as mo
 from pairmoments import pairings as pa
 from pairmoments import randmat as rm
 from pairmoments import weights as we
-from pairmoments.exceptions import SizeLimitError
+from pairmoments.exceptions import SizeLimitError, _check_limit
 
 TABLE, STREAM = pa.TABLE_MAX_N, pa.STREAM_MAX_N
 
 
 def test_the_two_caps():
     assert (STREAM, TABLE) == (8, 20)
+
+
+@pytest.mark.parametrize("kind", exceptions._LIMITS)
+def test_one_check_per_limit(kind):
+    least, cap, name, what = exceptions._LIMITS[kind]
+    assert getattr(exceptions, name) == cap
+    _check_limit(kind, least)
+    _check_limit(kind, cap)
+    refusal = rf"^{what} {cap + 1} exceeds the {kind} cap {cap} \({name}\)$"
+    with pytest.raises(SizeLimitError, match=refusal):
+        _check_limit(kind, cap + 1)
+    with pytest.raises(ValueError, match=f"^{what} must be >= {least}, got {least - 1}$") as below:
+        _check_limit(kind, least - 1)
+    assert type(below.value) is ValueError
 
 
 def _no_work(*args, **kwargs):
@@ -55,6 +69,10 @@ TABLE_ENTRIES = {
     "semicircle_mix_moments":
         lambda n: mo.semicircle_mix_moments(we.Constant1(), F(1, 4), n),
     "check_mix_semigroup": lambda n: mo.check_mix_semigroup(F(1, 2), F(1, 3), n),
+    # the sequences the tables are checked against
+    "semicircle_moments": mo.semicircle_moments,
+    "gaussian_moments": mo.gaussian_moments,
+    "riordan_connected": pa.riordan_connected,
     # order-2n targets need half-size n: kmax 40 and 41 pass, 42 does not
     "McConfig.kmax": lambda n: rm.McConfig(n=2, trials=2, kmax=2 * n),
 }
@@ -63,6 +81,15 @@ TABLE_ENTRIES = {
 @pytest.mark.parametrize("entry", TABLE_ENTRIES)
 def test_table_entry_answers_at_cap(entry):
     assert TABLE_ENTRIES[entry](TABLE) is not None
+
+
+def test_sequences_below_the_cap():
+    assert mo.semicircle_moments(0).values == mo.gaussian_moments(0).values == ()
+    for build in (mo.semicircle_moments, mo.gaussian_moments, pa.riordan_connected):
+        with pytest.raises(ValueError, match="must be >= "):
+            build(-1)
+    with pytest.raises(ValueError, match="must be >= 1, got 0"):
+        pa.riordan_connected(0)
 
 
 @pytest.mark.parametrize("entry", TABLE_ENTRIES)
@@ -121,7 +148,7 @@ def _stub_streams(monkeypatch, top):
     below = []
 
     def stream(n):
-        pa._check_cap(n, STREAM)  # as the real _stream does first
+        _check_limit("enumeration", n)  # as the real _stream does first
         if n < top:
             below.append(n)
             return ar._Stream(ar.np.empty(0, dtype=ar.np.int16), (), ())

@@ -10,8 +10,10 @@ import pytest
 from pairmoments import cli
 from pairmoments import moments as mo
 from pairmoments import pairings as pa
+from pairmoments import permgroup as pg
 from pairmoments import randmat as rm
 from pairmoments import verify as ve
+from pairmoments import weights as we
 
 
 def _no_sampling(*args, **kwargs):
@@ -143,11 +145,11 @@ class TestMoments:
 
     @pytest.mark.parametrize("argv,digits", [
         ("--weight qcr --param 1e23 --N 20", 4428),
-        ("--weight qcr --param 1e100000 --N 8", 2800008),
+        ("--weight qcr --param 1e4000 --N 8", 112009),
         ("--weight qcr --param 1/3 --N 20 --mix 1e-300", 6140),
         ("--weight bH --param 1e300 --N 20", 6026),
         # --param is printed in the meta even where the weight ignores it
-        ("--weight const --param 1e5000 --N 1", 5001),
+        ("--weight const --param 1e4300 --N 1", 4301),
     ])
     def test_unprintable_report_refused_first(self, capsys, monkeypatch, argv, digits):
         def no_tables(*args):
@@ -161,7 +163,43 @@ class TestMoments:
 
     def test_digit_limit_zero_means_none(self, monkeypatch):
         monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: 0)
-        cli._check_printable("qcr", Fraction(10 ** 100), Fraction(1, 10 ** 100), 20)
+        q = Fraction(10 ** 100)
+        cli._check_printable(we.CrossingPower(q), q, Fraction(1, 10 ** 100), 20)
+
+    @pytest.mark.parametrize("argv", [
+        "--weight qcr --param 1e10000000 --N 2",  # seconds inside Fraction
+        "--weight qcr --param 1e1000000 --N 3",
+        "--weight qcr --param 1e100000 --N 8",
+        "--weight const --param 1e5000 --N 1",
+        "--weight qcr --param 1E-4301 --N 2",
+        "--weight const --N 2 --mix 1e+4301",
+        "--weight qcr --param 1e1_0000000 --N 2",
+        # int-to-str refuses these digits, and the float fallback gave inf
+        pytest.param(f"--weight qcr --param {'1' * 5000} --N 3", id="5000-digit integer"),
+        pytest.param(f"--weight qcr --param 1/{'7' * 4301} --N 3", id="4301-digit denominator"),
+        pytest.param(f"--weight qcr --param 0.{'5' * 4300} --N 3", id="4301-digit decimal"),
+    ])
+    def test_refused_before_parsing(self, capsys, monkeypatch, argv):
+        def no_work(*args):
+            raise AssertionError("a number was built from refused text")
+
+        monkeypatch.setattr(cli, "Fraction", no_work)
+        monkeypatch.setattr(cli, "float", no_work, raising=False)
+        code, out, err = run(capsys, "moments", *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a ") and err.endswith(
+            "-character number passes the int-to-str limit "
+            "sys.get_int_max_str_digits() = 4300 in its digits or exponent\n")
+
+    def test_parse_rational_at_the_digit_limit(self, monkeypatch):
+        assert cli.parse_rational("1e4300") == 10 ** 4300
+        assert cli.parse_rational("-1e-4300") == Fraction(-1, 10 ** 4300)
+        assert cli.parse_rational("9" * 4300) == 10 ** 4300 - 1
+        assert cli.parse_rational("inf") == float("inf")  # no rational reading
+        with pytest.raises(ValueError, match="could not convert"):
+            cli.parse_rational("1/0")
+        monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: 0)
+        assert cli.parse_rational("1e5000") == 10 ** 5000
 
     def test_error_mid_report_leaves_stdout_empty(self, capsys, monkeypatch):
         # past the up-front bound, int-to-str fails while the CSV is written;
@@ -290,7 +328,7 @@ class TestRandmat:
         monkeypatch.setattr(rm, "sample_markov", _no_sampling)
         code, out, err = run(capsys, "randmat", "--n", "2", "--trials", trials, "--kmax", "2")
         assert (code, out) == (2, "")
-        assert "error:" in err and "MAX_TRIALS = 10000" in err
+        assert "error:" in err and "trials cap 10000 (MAX_TRIALS)" in err
 
     def test_kmax_beyond_cap_checked_before_sampling(self, capsys, monkeypatch):
         monkeypatch.setattr(rm, "sample_markov", _no_sampling)
@@ -298,7 +336,8 @@ class TestRandmat:
             capsys, "randmat", "--n", "300", "--trials", "2", "--kmax", "42", "--seed", "1",
         )
         assert (code, out) == (2, "")
-        assert "error:" in err and "kmax 42" in err and "table cap" in err
+        # the order-42 target needs the table at half-size 21
+        assert "error:" in err and "half-size 21 exceeds the table cap 20 (TABLE_MAX_N)" in err
 
     def test_histogram_unwritable_path(self, capsys, tmp_path):
         # the sidecar is written before the report: a path that cannot be
@@ -351,6 +390,18 @@ class TestPermcheck:
         code, _, err = run(capsys, "permcheck", "--n", "9")
         assert code == 2
         assert "--n" in err
+
+    @pytest.mark.parametrize("n,message", [
+        ("1", "--n must be >= 2, got 1"),
+        ("-4", "--n must be >= 2, got -4"),
+        ("6", "--n: group degree 6 exceeds the kernel cap 5 (MAX_KERNEL_DEGREE)"),
+        ("10000000000", "--n: group degree 10000000000 exceeds the kernel cap 5"),
+    ])
+    def test_degree_refused_before_any_kernel(self, capsys, monkeypatch, n, message):
+        monkeypatch.setattr(pg, "enumerate_group", lambda n: pytest.fail("work started"))
+        code, out, err = run(capsys, "permcheck", "--n", n)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
 
     def test_kernel_past_the_float_range_is_a_usage_error(self, capsys):
         # exp(1e13 * H) overflows at the first H > 0

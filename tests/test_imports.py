@@ -118,8 +118,51 @@ def test_unknown_attribute_raises():
     assert not hasattr(pairmoments, "verify_all")
 
 
+CAPS = {"STREAM_MAX_N": 8, "TABLE_MAX_N": 20, "MAX_GROUP_DEGREE": 8, "MAX_KERNEL_DEGREE": 5,
+        "MAX_MATRIX_DIM": 2000, "MAX_TRIALS": 10_000, "MAX_BINS": 10_000}
+
+
+def _modules():
+    # (file name, syntax tree) of every module of the package
+    package = os.path.join(SRC, "pairmoments")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                yield name, ast.parse(fh.read())
+
+
 def test_caps_defined_once():
-    rm, pg = pairmoments.randmat, pairmoments.permgroup
-    for name in ("ENTRY_DISTRIBUTIONS", "MAX_MATRIX_DIM", "MAX_TRIALS", "MAX_BINS"):
-        assert getattr(rm, name) is getattr(exceptions, name)
-    assert pg.MAX_KERNEL_DEGREE is exceptions.MAX_KERNEL_DEGREE
+    assert {name: getattr(exceptions, name) for name in CAPS} == CAPS
+    homes = {pairmoments.pairings: ("STREAM_MAX_N", "TABLE_MAX_N"),
+             pairmoments.randmat: ("ENTRY_DISTRIBUTIONS", "MAX_MATRIX_DIM", "MAX_TRIALS",
+                                   "MAX_BINS"),
+             pairmoments.permgroup: ("MAX_GROUP_DEGREE", "MAX_KERNEL_DEGREE"),
+             pairmoments: ("STREAM_MAX_N", "TABLE_MAX_N")}
+    for module, names in homes.items():
+        for name in names:
+            assert getattr(module, name) is getattr(exceptions, name)
+    # small ints are shared objects, so `is` alone would pass a copy
+    assigned = {(module, node.targets[0].id) for module, tree in _modules() for node in tree.body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in CAPS}
+    assert assigned == {("exceptions.py", name) for name in CAPS}
+
+
+def test_only_exceptions_refuses_past_a_cap():
+    # every cap is checked by exceptions._check_limit: no other module raises
+    # SizeLimitError, and a cap is compared with a value only where it picks
+    # a branch instead of refusing
+    raised, compared = [], set()
+    for module, tree in _modules():
+        if module == "exceptions.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                if "SizeLimitError" in ast.unparse(node.exc):
+                    raised.append(module)
+            elif isinstance(node, ast.Compare):
+                names = (getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node))
+                compared |= {(module, name) for name in names if name in CAPS}
+    assert raised == []
+    # total_singletons cross-checks within the table cap; metric_checks is
+    # exhaustive within the kernel cap
+    assert compared == {("pairings.py", "TABLE_MAX_N"), ("permgroup.py", "MAX_KERNEL_DEGREE")}

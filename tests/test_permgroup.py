@@ -151,7 +151,7 @@ class TestIsolatedSplit:
 
     def test_size_guard(self):
         # the same degree cap as the metric and embedding checks
-        with pytest.raises(SizeLimitError, match="degree 8"):
+        with pytest.raises(SizeLimitError, match=r"group cap 8 \(MAX_GROUP_DEGREE\)"):
             pg.check_isolated_split(pg.MAX_GROUP_DEGREE)
 
     def test_answers_at_the_group_cap(self):
@@ -334,7 +334,7 @@ class TestCnd:
             raise AssertionError("no work above the kernel cap")
 
         monkeypatch.setattr(pg, "enumerate_group", refuse)
-        with pytest.raises(SizeLimitError, match="kernel matrices"):
+        with pytest.raises(SizeLimitError, match=r"kernel cap 5 \(MAX_KERNEL_DEGREE\)"):
             pg.check_cnd(pg.MAX_KERNEL_DEGREE + 1)
 
     def test_schoenberg_exponentials_present(self):

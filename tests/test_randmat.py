@@ -205,6 +205,16 @@ class TestSampleMarkov:
         with pytest.raises(ValueError, match="symmetric"):
             rm.SymMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+    def test_public_constructor_refuses_non_finite_entries(self, bad, at):
+        # the refusal spectrum gives, so empirical_moments never sees inf
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        a[at] = a[at[::-1]] = bad
+        for build in (rm.SymMatrix, rm.spectrum):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                build(a)
+
     def test_n2_structure(self):
         # M = [[-x, x], [x, -x]] with x the off-diagonal entry of X
         m = rm.sample_markov(2, "rademacher", seed=7).matrix
