@@ -5,7 +5,8 @@ the rows of P2(2n - 2).  Each row's crossing graph is one uint8 bitmask per
 block, and Warshall's closure over them gives each block's component.  Rows
 are filed under cases, the (size, crossings) of each component by lowest
 block, which fix (cr, h, cc); only the cases are cached (4 MB at n = 8,
-where the blocks would take 32 MB).
+where the blocks would take 32 MB).  Statistics are read off (cr, h, cc)
+only through :func:`pairmoments.pairings._field`, as everywhere else.
 
 Its callers, :func:`pairmoments.pairings.iter_statistics`,
 :func:`pairmoments.moments.mixed_moment` and the two checks of
@@ -20,7 +21,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .exceptions import _check_limit
-from .pairings import pairing_count
+from .pairings import _field, pairing_count
 
 #: Rows per numpy pass: the temporaries stay under 0.5 MB whatever n.
 _CHUNK = 1 << 11
@@ -142,19 +143,22 @@ def _first_row(n: int, case: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 def _rotation_change(
-    n: int, index: int,
+    n: int, statistic: str,
 ) -> tuple[int, tuple[tuple[int, int], ...], int, int] | None:
-    # The first row of P2(2n) whose statistic (cr, h, cc, H)[index] changes
-    # when the row is rotated, as (row, blocks, before, after), or None.
+    # The first row of P2(2n) whose statistic changes when the row is rotated,
+    # as (row, blocks, before, after), or None.  A statistic read as n minus
+    # its entry of (cr, h, cc) changes exactly when the entry does.
+    at, from_n = _field(statistic)
     s = _stream(n)
-    of_case = np.array([(cr, h, cc, n - h)[index] for cr, h, cc in s.stats], dtype=np.int64)
+    of_case = np.array([stats[at] for stats in s.stats], dtype=np.int64)
     for start, blocks in _chunks(n):
-        cr, h, cc = _chunk_stats(_rotate_rows(blocks))
-        before, after = of_case[s.case[start:start + len(blocks)]], (cr, h, cc, n - h)[index]
+        before = of_case[s.case[start:start + len(blocks)]]
+        after = _chunk_stats(_rotate_rows(blocks))[at]
         changed = np.flatnonzero(before != after)
         if changed.size:
             i = int(changed[0])
-            return start + i, _row_blocks(blocks[i]), int(before[i]), int(after[i])
+            before, after = (n - int(v) if from_n else int(v) for v in (before[i], after[i]))
+            return start + i, _row_blocks(blocks[i]), before, after
     return None
 
 

@@ -36,6 +36,10 @@ MAX_MATRIX_DIM = 2000
 MAX_TRIALS = 10_000
 MAX_BINS = 10_000
 
+#: Most sampled triples in one ``permgroup.metric_checks`` call (about 6 s
+#: at S(6); the work is linear in the count).
+MAX_TRIPLES = 1_000_000
+
 
 class SizeLimitError(ValueError):
     """A size passed the cap of the path that would have to handle it.
@@ -53,6 +57,7 @@ _LIMITS = {
     "dimension": (2, MAX_MATRIX_DIM, "MAX_MATRIX_DIM", "matrix dimension"),
     "trials": (2, MAX_TRIALS, "MAX_TRIALS", "trials"),
     "bins": (1, MAX_BINS, "MAX_BINS", "bins"),
+    "triples": (1, MAX_TRIPLES, "MAX_TRIPLES", "triples"),
 }
 
 

@@ -140,11 +140,17 @@ class StatisticDistribution:
 
     def marginal(self, statistic: str) -> dict[int, int]:
         """Aggregate counts by one statistic: cr, h, cc, H or n-cc."""
-        at, from_n = _field(statistic)
-        out: dict[int, int] = {}
+        return {key: count for (key,), count in self._fold((statistic,), False).items()}
+
+    def _fold(self, statistics: tuple[str, ...], connected_only: bool) -> dict[tuple, int]:
+        # The counts (of the cc = 1 cells when connected_only) added up by the
+        # values of the named statistics, keyed by tuples in the order named.
+        fields = [_field(s) for s in statistics]
+        out: dict[tuple[int, ...], int] = {}
         for cell, count in self.counts.items():
-            key = self.n - cell[at] if from_n else cell[at]
-            out[key] = out.get(key, 0) + count
+            if cell[2] == 1 or not connected_only:
+                key = tuple(self.n - cell[at] if from_n else cell[at] for at, from_n in fields)
+                out[key] = out.get(key, 0) + count
         return out
 
 
@@ -387,8 +393,8 @@ def total_singletons(n: int) -> int:
         raise ValueError("n must be >= 1")
     closed = _singleton_total(n)
     if n <= TABLE_MAX_N:
-        dist = statistic_distribution(n)
-        brute = sum(h * count for (_, h, _), count in dist.counts.items())
+        at, _ = _field("h")
+        brute = sum(cell[at] * count for cell, count in statistic_distribution(n).counts.items())
         if brute != closed:
             raise DualPathMismatchError(
                 f"singleton total mismatch at n={n}: closed form {closed}, "
@@ -548,14 +554,6 @@ def statistic_distribution(n: int) -> StatisticDistribution:
 @lru_cache(maxsize=None)
 def _marginal(n: int, statistics: tuple[str, ...],
               connected_only: bool) -> Mapping[tuple[int, ...], int]:
-    # The counts of the joint table of P2(2n) (its cc = 1 cells when
-    # connected_only), added up by the values of the named statistics: a
-    # read-only dict keyed by tuples in the order named.  It depends on no
+    # _fold of the joint table of P2(2n), read-only.  It depends on no
     # parameter, so the weighted sums of every parameter read it.
-    fields = [_field(s) for s in statistics]
-    out: dict[tuple[int, ...], int] = {}
-    for cell, count in statistic_distribution(n).counts.items():
-        if cell[2] == 1 or not connected_only:
-            key = tuple(n - cell[at] if from_n else cell[at] for at, from_n in fields)
-            out[key] = out.get(key, 0) + count
-    return MappingProxyType(out)
+    return MappingProxyType(statistic_distribution(n)._fold(statistics, connected_only))

@@ -7,7 +7,9 @@ points k that are *isolated*: sigma fixes k and maps {1..k-1} onto itself.
 The quantity H(sigma) = n - h(sigma) extends consistently along the natural
 embeddings S(n) into S(n+1) and behaves like a norm: it is symmetric,
 subadditive, and vanishes only at the identity, so d(sigma, tau) =
-H(sigma^-1 tau) is a left-invariant metric.
+H(sigma^-1 tau) is a left-invariant metric.  Over a whole group, or any
+stack of permutations, split points are counted one way only, by
+``_big_h_of``; :func:`isolated_fixed_points` is the count for one element.
 
 Positivity statements are exercised as finite Gram-matrix eigenvalue tests
 over an entire group S(n); every eigenvalue comes from
@@ -142,15 +144,17 @@ def _invert(images: np.ndarray) -> np.ndarray:
 
 
 def _big_h_of(images: np.ndarray) -> np.ndarray:
-    """H of every permutation in a stack.
+    """H of every permutation in a stack: the degree minus the split points.
 
-    k is an isolated fixed point exactly when sigma(k) = k and the prefix
-    maximum of sigma(1..k) is k (the k - 1 earlier images then fill 1..k-1).
+    k is a split point (an isolated fixed point) when the prefix maxima at
+    k - 1 and at k are k - 1 and k, so that sigma maps {1..k-1} and {1..k}
+    onto themselves.  Every group-wide count of split points is made here.
     """
     degree = images.shape[-1]
-    positions = np.arange(1, degree + 1)
-    isolated = (images == positions) & (np.maximum.accumulate(images, axis=-1) == positions)
-    return degree - isolated.sum(axis=-1)
+    # {1..k} closed, and'ed with {1..k-1} closed (numpy buffers the overlap)
+    split = np.maximum.accumulate(images, axis=-1) == np.arange(1, degree + 1)
+    split[..., 1:] &= split[..., :-1]
+    return degree - split.sum(axis=-1)
 
 
 def _rank(images: np.ndarray) -> np.ndarray:
@@ -194,34 +198,18 @@ def check_isolated_split(n: int) -> GroupCheckReport:
     Over all of S(n+1), the count of isolated fixed points must equal the
     number of positions k whose prefix {1..k-1} and suffix {k+1..n+1} are
     both preserved setwise (membership in a product of two smaller symmetric
-    groups, summed over k).  Degrees n + 1 above ``MAX_GROUP_DEGREE`` raise
-    :class:`SizeLimitError`.
+    groups, summed over k).  ``_big_h_of`` counts them for the whole group,
+    compared element by element with :func:`isolated_fixed_points`.  Degrees
+    n + 1 above ``MAX_GROUP_DEGREE`` raise :class:`SizeLimitError`.
     """
     degree = n + 1
     _check_limit("group", degree)
-    cases = 0
-    for sigma in enumerate_group(degree):
-        cases += 1
-        images = sigma.images
-        # prefix_ok[k]: sigma({1..k}) == {1..k}; via running max
-        split_count = 0
-        prefix_max = 0
-        suffix_min = [0] * (degree + 2)
-        suffix_min[degree + 1] = degree + 1
-        for k in range(degree, 0, -1):
-            suffix_min[k] = min(images[k - 1], suffix_min[k + 1])
-        for k in range(1, degree + 1):
-            prefix_ok = prefix_max == k - 1
-            suffix_ok = suffix_min[k + 1] == k + 1  # empty suffix passes via sentinel
-            if prefix_ok and suffix_ok:
-                split_count += 1
-            prefix_max = max(prefix_max, images[k - 1])
-        if split_count != isolated_fixed_points(sigma):
-            return GroupCheckReport(
-                False, cases, (sigma,),
-                f"split count {split_count} != isolated fixed points "
-                f"{isolated_fixed_points(sigma)} for {sigma.images}",
-            )
+    splits = (degree - _big_h_of(_image_array(degree))).tolist()
+    for cases, (sigma, split_count) in enumerate(zip(enumerate_group(degree), splits), 1):
+        isolated = isolated_fixed_points(sigma)
+        if split_count != isolated:
+            return GroupCheckReport(False, cases, (sigma,), f"split count {split_count} != "
+                                    f"isolated fixed points {isolated} for {sigma.images}")
     return GroupCheckReport(True, cases, None, f"identity holds on all {cases} elements")
 
 
@@ -339,7 +327,8 @@ def metric_checks(
     left invariance.  Exhaustive over all |S(n)|^3 triples for n <= 5;
     for larger degrees a seeded sample of ``triples`` random triples is
     used for the triangle and invariance checks (``triples`` < 1 raises
-    ValueError).  Degrees above ``MAX_GROUP_DEGREE`` raise :class:`SizeLimitError`.
+    ValueError).  Degrees above ``MAX_GROUP_DEGREE``, and at sampled degrees
+    ``triples`` above ``MAX_TRIPLES``, raise :class:`SizeLimitError`.
 
     The exhaustive triangle check compares one slice of the distance table,
     r = e.  Since d(a, b) = H(a^-1 b) is unchanged when r^-1 multiplies both
@@ -351,8 +340,10 @@ def metric_checks(
     """
     _check_limit("group", n)
     exhaustive = n <= MAX_KERNEL_DEGREE
-    if not exhaustive and triples < 1:
-        raise ValueError(f"sampled degree {n} needs triples >= 1, got {triples}")
+    if not exhaustive:
+        if triples < 1:
+            raise ValueError(f"sampled degree {n} needs triples >= 1, got {triples}")
+        _check_limit("triples", triples)
     group = enumerate_group(n)
     order = len(group)
     images = _image_array(n)

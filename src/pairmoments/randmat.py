@@ -166,10 +166,13 @@ def empirical_moments(m: SymMatrix | np.ndarray, kmax: int) -> list[float]:
     ``rtol = atol = 1e-12``, as for :func:`spectrum`, or :class:`ValueError`
     is raised before any product; a :class:`SymMatrix` is symmetric already.
     Either must be at least 1 x 1: a 0 x 0 matrix, for which :func:`spectrum`
-    gives ``[]``, raises :class:`ValueError` too.
+    gives ``[]``, raises :class:`ValueError` too.  kmax above 41, the cap of
+    :class:`McConfig` (half-size ``TABLE_MAX_N``), raises
+    :class:`SizeLimitError` before the matrix is read.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    _check_limit("table", max(kmax // 2, 1))
     a = m.matrix if isinstance(m, SymMatrix) else _checked_symmetric(m)
     n = a.shape[0]
     if n == 0:

@@ -77,14 +77,12 @@ def sequence_rows(which: str, nmax: int) -> list[dict]:
     else:
         tables = pa._joint_tables(nmax)
         if which == "catalan":
-            pairs = [(pa.count_nc_pairings(d.n),
-                      sum(v for (cr, _, _), v in d.counts.items() if cr == 0)) for d in tables]
+            pairs = [(pa.count_nc_pairings(d.n), d.marginal("cr")[0]) for d in tables]
         elif which == "connected":
-            pairs = list(zip(pa.riordan_connected(nmax), (
-                sum(v for (_, _, cc), v in d.counts.items() if cc == 1) for d in tables)))
+            pairs = list(zip(pa.riordan_connected(nmax), (d.marginal("cc")[1] for d in tables)))
         else:
             pairs = [(pa._singleton_total(d.n),
-                      sum(h * v for (_, h, _), v in d.counts.items())) for d in tables]
+                      sum(h * v for h, v in d.marginal("h").items())) for d in tables]
     return [{"n": n, "value": value, "oracle": oracle, "agree": value == oracle}
             for n, (value, oracle) in enumerate(pairs, start=1)]
 

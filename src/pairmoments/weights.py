@@ -264,21 +264,19 @@ def check_strong_multiplicativity(spec: WeightSpec, nmax: int) -> CheckReport:
 def check_traceability(statistic: str, nmax: int) -> CheckReport:
     """Verify a statistic is invariant under cyclic rotation of the ground set.
 
-    The rows of the block arrays of :mod:`pairmoments._arrays` are
-    rotated in bulk and each rotated row's statistic compared with its own;
-    the first row that differs is the witness.  nmax above ``STREAM_MAX_N``
-    raises before any array is built.
+    The statistic is one of cr, h, cc, H or n-cc; any other name raises
+    ValueError.  The rows of the block arrays of :mod:`pairmoments._arrays`
+    are rotated in bulk and each rotated row's statistic compared with its
+    own; the first row that differs is the witness.  nmax above
+    ``STREAM_MAX_N`` raises before any array is built.
     """
-    fields = ("cr", "h", "cc", "H")
-    if statistic not in fields:
-        raise ValueError("statistic must be one of cr, h, cc, H")
+    pairings._field(statistic)
     _check_limit("enumeration", max(nmax, 1))
     from . import _arrays
 
-    index = fields.index(statistic)
     cases = 0
     for n in range(1, nmax + 1):
-        change = _arrays._rotation_change(n, index)
+        change = _arrays._rotation_change(n, statistic)
         if change is not None:
             row, blocks, before, after = change
             return CheckReport(False, cases + row + 1, _fast_partition(n, blocks),

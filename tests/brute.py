@@ -451,12 +451,12 @@ def strong_multiplicativity_report(spec, nmax):
 
 def traceability_report(statistic, nmax):
     """check_traceability, comparing every partition with its rotation."""
-    index = ("cr", "h", "cc", "H").index(statistic)
+    index = ("cr", "h", "cc", "H", "n-cc").index(statistic)
     cases = 0
     for n in range(1, nmax + 1):
         for i, (stats, rotated, _) in enumerate(_records(n)):
             cases += 1
-            a, b = ((*s, n - s[1])[index] for s in (stats, rotated))
+            a, b = ((*s, n - s[1], n - s[2])[index] for s in (stats, rotated))
             if a != b:
                 return weights.CheckReport(False, cases, _partition(n, i),
                                            f"{statistic} changed from {a} to {b} under rotation")

@@ -11,6 +11,7 @@ which shows that the refusal comes first.
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from pairmoments import _arrays as ar
@@ -52,6 +53,8 @@ def no_tables(monkeypatch):
     # transform from the even non-crossing type tables
     monkeypatch.setattr(pa, "_touchard_riordan", _no_work)
     monkeypatch.setattr(pa, "_nc_even_types", _no_work)
+    # and no matrix is read or multiplied
+    monkeypatch.setattr(rm, "np", _NoArrays())
 
 
 TABLE_ENTRIES = {
@@ -75,6 +78,7 @@ TABLE_ENTRIES = {
     "riordan_connected": pa.riordan_connected,
     # order-2n targets need half-size n: kmax 40 and 41 pass, 42 does not
     "McConfig.kmax": lambda n: rm.McConfig(n=2, trials=2, kmax=2 * n),
+    "empirical_moments.kmax": lambda n: rm.empirical_moments(np.eye(2), 2 * n),
 }
 
 

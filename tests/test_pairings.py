@@ -325,6 +325,13 @@ class TestSequences:
         assert [pairings.pairing_count(n) for n in range(1, 9)] == DOUBLE_FACTORIALS
 
 
+def _statistic_readers(n):
+    # each statistic of a cell (cr, h, cc) of P2(2n), written out
+    return {"cr": lambda cr, h, cc: cr, "h": lambda cr, h, cc: h,
+            "cc": lambda cr, h, cc: cc, "H": lambda cr, h, cc: n - h,
+            "n-cc": lambda cr, h, cc: n - cc}
+
+
 class TestStatisticDistribution:
     def test_n1(self):
         d = pairings.statistic_distribution(1)
@@ -342,14 +349,28 @@ class TestStatisticDistribution:
 
     def test_every_marginal_matches_its_cells(self):
         d = pairings.statistic_distribution(5)
-        read = {"cr": lambda cr, h, cc: cr, "h": lambda cr, h, cc: h,
-                "cc": lambda cr, h, cc: cc, "H": lambda cr, h, cc: 5 - h,
-                "n-cc": lambda cr, h, cc: 5 - cc}
-        for statistic, value in read.items():
+        for statistic, value in _statistic_readers(5).items():
             expected = collections.Counter()
             for cell, count in d.counts.items():
                 expected[value(*cell)] += count
             assert d.marginal(statistic) == expected
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_marginal_equals_the_cached_view(self, n):
+        d = pairings.statistic_distribution(n)
+        for statistic in ("cr", "h", "cc", "H", "n-cc"):
+            view = pairings._marginal(n, (statistic,), False)
+            assert d.marginal(statistic) == {key: count for (key,), count in view.items()}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_connected_view_folds_the_cc1_cells(self, n):
+        read = _statistic_readers(n)
+        for statistics in [("cr",), ("H", "cr"), ("n-cc", "h", "cc")]:
+            expected = collections.Counter()
+            for cell, count in pairings.statistic_distribution(n).counts.items():
+                if cell[2] == 1:
+                    expected[tuple(read[s](*cell) for s in statistics)] += count
+            assert pairings._marginal(n, statistics, True) == expected
 
     @pytest.mark.parametrize("statistic", ["foo", "n - cc", "CR", None, ["cr"]])
     def test_unknown_marginal_names_the_statistics(self, statistic):

@@ -7,7 +7,7 @@ import pytest
 import brute
 from pairmoments import pairings, permgroup as pg
 from pairmoments import randmat as rm
-from pairmoments.exceptions import SizeLimitError
+from pairmoments.exceptions import MAX_TRIPLES, SizeLimitError
 from pairmoments.permgroup import Permutation
 
 
@@ -218,6 +218,17 @@ def test_sampled_metric_needs_a_triple(triples):
         pg.metric_checks(6, triples=triples)
     # an exhaustive degree ignores triples
     assert pg.metric_checks(4, triples=triples).triples_checked == 24 ** 3
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_sampled_metric_refuses_past_the_triples_cap(n, monkeypatch):
+    monkeypatch.setattr(pg.Xorshift64Star, "randrange",
+                        lambda self, k: pytest.fail("a triple was drawn"))
+    with pytest.raises(SizeLimitError, match=r"^triples 1000001 exceeds the triples cap "
+                                             r"1000000 \(MAX_TRIPLES\)$"):
+        pg.metric_checks(n, triples=MAX_TRIPLES + 1)
+    # an exhaustive degree ignores triples
+    assert pg.metric_checks(3, triples=MAX_TRIPLES + 1).triples_checked == 6 ** 3
 
 
 class TestKernelMatrix:

@@ -244,7 +244,7 @@ class TestChecksMatchDefinitionalBodies:
             assert weights.check_strong_multiplicativity(spec, nmax) == \
                 brute.strong_multiplicativity_report(spec, nmax)
 
-    @pytest.mark.parametrize("stat", ["cr", "h", "cc", "H"])
+    @pytest.mark.parametrize("stat", ["cr", "h", "cc", "H", "n-cc"])
     def test_traceability(self, stat):
         for nmax in range(8):
             assert weights.check_traceability(stat, nmax) == brute.traceability_report(stat, nmax)
@@ -301,9 +301,28 @@ class TestChecksMatchDefinitionalBodies:
         assert want.cases == 3
         assert weights.check_traceability("cr", 4) == want
 
+    @pytest.mark.parametrize("stat, at, detail", [
+        ("h", 1, "h changed from 0 to 1"), ("H", 1, "H changed from 2 to 1"),
+        ("cc", 2, "cc changed from 1 to 2"), ("n-cc", 2, "n-cc changed from 1 to 0")])
+    def test_changed_values_are_the_statistic(self, monkeypatch, stat, at, detail):
+        # the rotation of {(1,3),(2,4)}, whose (cr, h, cc) is (1, 0, 1), gains
+        # one at entry `at`; H and n-cc report 2 minus the entry
+        real = _arrays._chunk_stats
+
+        def broken(blocks):
+            stats = list(real(blocks))
+            stats[at] = stats[at] + (blocks[:, 0, 1] == 3)
+            return tuple(stats)
+
+        monkeypatch.setattr(_arrays, "_chunk_stats", broken)
+        report = weights.check_traceability(stat, 3)
+        assert (report.cases, report.counterexample) == (
+            3, PairPartition.from_pairs([(1, 3), (2, 4)]))
+        assert report.detail == f"{detail} under rotation"
+
 
 class TestTraceability:
-    @pytest.mark.parametrize("stat", ["cr", "h", "cc", "H"])
+    @pytest.mark.parametrize("stat", ["cr", "h", "cc", "H", "n-cc"])
     def test_all_statistics_traceable(self, stat):
         report = weights.check_traceability(stat, 5)
         assert report.passed, report.detail
@@ -312,5 +331,6 @@ class TestTraceability:
         assert weights.check_traceability("h", 2).passed
 
     def test_unknown_statistic(self):
-        with pytest.raises(ValueError):
-            weights.check_traceability("parity", 3)
+        for statistic in ("parity", "n - cc", None):
+            with pytest.raises(ValueError, match="cr, h, cc, H or n-cc"):
+                weights.check_traceability(statistic, 3)
