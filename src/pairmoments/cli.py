@@ -281,13 +281,19 @@ def cmd_permcheck(args, out) -> int:
     rows.append({"check": "isolated-split", "passed": split.passed,
                  "min_eig": "", "detail": split.detail})
 
+    # (row name, the flag and kernel a float overflow is charged to, kernel)
     kernels = [
-        ("psd-h", lambda s: float(pg.isolated_fixed_points(s))),
-        (f"psd-b^h(b={format_number(b)})", lambda s: float(b) ** pg.isolated_fixed_points(s)),
-        (f"psd-exp(-{format_number(x)}H)", lambda s: math.exp(-x * pg.big_h(s))),
+        ("psd-h", "h", lambda s: float(pg.isolated_fixed_points(s))),
+        (f"psd-b^h(b={format_number(b)})", f"--b {args.b}: b^h",
+         lambda s: float(b) ** pg.isolated_fixed_points(s)),
+        (f"psd-exp(-{format_number(x)}H)", f"--x {format_number(x)}: exp(-xH)",
+         lambda s: math.exp(-x * pg.big_h(s))),
     ]
-    for name, f in kernels:
-        ok, min_eig = pg.check_positive_definite(n, f, tol=args.tol)
+    for name, what, f in kernels:
+        try:
+            ok, min_eig = pg.check_positive_definite(n, f, tol=args.tol)
+        except OverflowError:
+            raise ValueError(f"{what} overflows a float on S({n})") from None
         rows.append({"check": name, "passed": ok, "min_eig": min_eig, "detail": ""})
 
     cnd = pg.check_cnd(n, tol=args.tol)
@@ -333,7 +339,8 @@ def main(argv=None) -> int:
             sys.stdout.write(out.getvalue())
             return status
     except (ValueError, OSError, OverflowError) as exc:  # SizeLimitError is a ValueError
-        # OverflowError: a float parameter pushed a kernel past the float range
+        # OverflowError: float arithmetic past the float range that no
+        # handler named first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

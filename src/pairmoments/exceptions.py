@@ -1,8 +1,9 @@
 """Exception types, and every size cap with its one check, ``_check_limit``.
 
 Every entry point checks its sizes here before any work, so a cap moves by
-editing one constant.  The caps are free of numpy, for the command-line
-parser; pairings, randmat and permgroup re-export them under these names.
+editing one constant; ``_check_order`` checks a sequence's half-order N the
+same way.  The caps are free of numpy, for the command-line parser;
+pairings, randmat and permgroup re-export them under these names.
 """
 
 ENTRY_DISTRIBUTIONS = ("rademacher", "gaussian")
@@ -68,6 +69,15 @@ def _check_limit(kind: str, value: int) -> None:
         raise ValueError(f"{what} must be >= {least}, got {value}")
     if value > cap:
         raise SizeLimitError(f"{what} {value} exceeds the {kind} cap {cap} ({name})")
+
+
+def _check_order(n: int, table: bool = True) -> None:
+    # A half-order N counts entries, so N = 0 is the empty sequence; one
+    # built from the tables is at most TABLE_MAX_N.
+    if n < 0:
+        raise ValueError(f"order N must be >= 0, got {n}")
+    if n and table:
+        _check_limit("table", n)
 
 
 class DualPathMismatchError(RuntimeError):

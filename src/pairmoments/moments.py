@@ -10,19 +10,16 @@ cumulants, and cumulants are recovered by recursive subtraction.  Everything
 is exact when inputs are rational.  Both ring-generic loops and Kreweras'
 table of those partitions by block type live in :mod:`pairmoments.pairings`,
 beside the joint table built on them; this module adds the sequence types,
-the caps and the integer scaling below.
+the integer scaling below and the mixtures with the semicircle.  The sums
+of a weight over the joint table live in :mod:`pairmoments.weights`.
 
 Exact inputs are graded integer arithmetic.  The order-2k entry of a
 product over an even non-crossing type has total weight k, so with D the
 lcm of the denominators, a_k = x_2k * D^k is an int; the transforms run
-over the a_k in Python ints and divide each output by D^k once.  A
-built-in weight is a product of powers p ** s(V) of the statistics s = cr,
-n - cc, H and h, so its sum over the joint (cr, h, cc) table reads a cached
-marginal of the table by those statistics: with p = a / d and s <= E, each
-cell adds count * a ** s * d ** (E - s) in ints, and each order is divided
-once.  Any other weight is summed term by term through ``weight_of``.
-Floats, and anything that is not an int or a Fraction, take the same loops
-term by term, so they round as before.
+over the a_k in Python ints and divide each output by D^k once.  Integral
+types other than int, numpy's among them, are read as ints.  Floats, and
+anything else that is not an int or a Fraction, take the same loops term
+by term, so they round as before.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from math import inf, lcm
 from typing import Callable, Sequence
 
 from . import pairings
-from .exceptions import DualPathMismatchError, _check_limit
+from .exceptions import DualPathMismatchError, _check_order
 from .pairings import _cumulants_of, _moments_of
 from .weights import (
     Constant1,
@@ -42,8 +39,8 @@ from .weights import (
     SingletonCountPower,
     WeightSpec,
     _EXACT,
-    _powers,
-    _statistic_powers,
+    _as_int,
+    _table_sums,
     is_exact,
     numbers_equal,
 )
@@ -125,24 +122,19 @@ class GramMatrix:
         return self.entries[i][j]
 
 
-def _check_order(n: int, table: bool = True) -> None:
-    # A half-order N counts entries, so N = 0 is the empty sequence; one
-    # built from the tables is at most TABLE_MAX_N.
-    if n < 0:
-        raise ValueError(f"order N must be >= 0, got {n}")
-    if n and table:
-        _check_limit("table", n)
-
-
 def _on_one_scale(values: tuple, transform: Callable[[tuple], tuple]) -> tuple:
     # Run a graded transform (order-2k output a sum of products of total
     # weight k) over ints, once the table cap is checked.  With D the lcm of
     # the denominators, a_k = x_2k * D^k is an int; transform maps the a_k to
     # the outputs times D^k, and each is divided by D^k once.  Output k is a
     # Fraction when one of x_2..x_2k is, as in the Fraction loop, and an int
-    # otherwise.  All ints, or any other kind, run transform as given.
+    # otherwise.  Other integral kinds (numpy's) are read as ints first; all
+    # ints, or any other kind, run transform as given.
     _check_order(len(values))
     kinds = set(map(type, values))
+    if not kinds <= _EXACT:
+        values = tuple(map(_as_int, values))
+        kinds = set(map(type, values))
     if Fraction not in kinds or not kinds <= _EXACT:
         return transform(values)
     d = lcm(*(x.denominator for x in values))
@@ -154,60 +146,6 @@ def _on_one_scale(values: tuple, transform: Callable[[tuple], tuple]) -> tuple:
         scale = d ** (k + 1)
         out.append(Fraction(a, scale) if k >= first else a // scale)
     return tuple(out)
-
-
-def _table_sums(
-    n: int,
-    spec: WeightSpec,
-    *,
-    connected_only: bool = False,
-    mix: Number = 1,
-) -> tuple[Number, ...]:
-    # For k = 1..n, the sum of count * mix ** (k - h) * spec.weight_of(k, cr,
-    # h, cc) over the cells of the exact joint (cr, h, cc) table of P2(2k)
-    # (only cc = 1 cells when connected_only).  n above TABLE_MAX_N raises.
-    _check_order(n)
-    powers = _statistic_powers(spec)
-    if powers is None or type(mix) not in _EXACT:
-        return _loop_sums(n, spec, connected_only, mix)
-    # A built-in weight is prod_s p_s ** s(V) over statistics s, and
-    # mix ** (k - h) = mix ** H is one more factor.  With p_s = a_s / d_s and
-    # s(V) <= E_s, each cell adds count * prod_s a_s ** s * d_s ** (E_s - s)
-    # in ints, and the order's sum is divided by prod_s d_s ** E_s once.
-    fraction = type(mix) is Fraction or any(type(p) is Fraction for p in powers.values())
-    if mix != 1:
-        powers["H"] = powers["H"] * mix if "H" in powers else mix
-    stats = tuple(s for s in pairings._STATISTIC_FIELDS if powers.get(s, 1) != 1)
-    values = []
-    for k in range(1, n + 1):
-        scale = 1
-        tables = []
-        for s in stats:
-            top = pairings._statistic_top(s, k)
-            up, down = _powers(powers[s], top)
-            tables.append([u * v for u, v in zip(up, reversed(down))])
-            scale *= down[top]
-        total = 0
-        for key, count in pairings._marginal(k, stats, connected_only).items():
-            for table, e in zip(tables, key):
-                count *= table[e]
-            total += count
-        values.append(Fraction(total, scale) if fraction else total)
-    return tuple(values)
-
-
-def _loop_sums(n: int, spec: WeightSpec, connected_only: bool, mix: Number) -> tuple:
-    # The same sums term by term through spec.weight_of, in sorted cell
-    # order, so floats round as they always have.
-    values = []
-    for dist in pairings._joint_tables(n) if n else ():
-        k = dist.n
-        total = 0
-        for (cr, h, cc), count in dist.counts.items():
-            if cc == 1 or not connected_only:
-                total = total + count * mix ** (k - h) * spec.weight_of(k, cr, h, cc)
-        values.append(total)
-    return tuple(values)
 
 
 def moments_from_cumulants(r: CumulantSequence) -> MomentSequence:
@@ -264,9 +202,12 @@ def dilate_sq(m: MomentSequence, lam_sq: Number) -> MomentSequence:
     """
     if not 0 <= lam_sq < inf:  # also false for NaN
         raise ValueError(f"squared dilation factor must be >= 0 and finite, got {lam_sq}")
-    return MomentSequence(
-        tuple(lam_sq ** n * v for n, v in enumerate(m.values, start=1))
-    )
+    if type(lam_sq) not in _EXACT:
+        lam_sq = _as_int(lam_sq)
+    values = m.values
+    if not set(map(type, values)) <= _EXACT:
+        values = tuple(map(_as_int, values))
+    return MomentSequence(tuple(lam_sq ** n * v for n, v in enumerate(values, start=1)))
 
 
 def semicircle_moments(n: int) -> MomentSequence:

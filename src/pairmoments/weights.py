@@ -8,6 +8,14 @@ or fractions are carried through exactly; floats propagate as floats.
 The convention 0**0 = 1 is used everywhere (Python's ``**`` already does
 this), so e.g. the H-power weight at parameter 0 is the indicator of
 non-crossing partitions.
+
+The sums of a weight over the joint (cr, h, cc) table live here too.  A
+built-in weight is a product of powers p ** s(V) of the statistics s = cr,
+n - cc, H and h, so its sum reads a cached marginal of the table by those
+statistics: with p = a / d and s <= E, each cell adds count * a ** s *
+d ** (E - s) in ints, and each order is divided once.  Any other weight,
+or a float, is summed term by term through ``weight_of``, so floats round
+as before; integral types other than int (numpy's) are read as ints.
 """
 
 from __future__ import annotations
@@ -16,12 +24,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from numbers import Rational
+from numbers import Integral, Rational
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 from . import pairings
-from .exceptions import _check_limit
+from .exceptions import _check_limit, _check_order
 from .pairings import PairPartition, _fast_partition, pairing_count
 
 Number = Union[int, Fraction, float]
@@ -138,6 +146,13 @@ _FAMILY_STATISTIC: dict[type, str] = {
 _EXACT = frozenset((int, Fraction))
 
 
+def _as_int(x):
+    # For x whose type is not in _EXACT: any Integral (numpy's fixed-width
+    # integers, bool) as a Python int, so the graded paths take it and
+    # nothing overflows; anything else as given.
+    return int(x) if isinstance(x, Integral) else x
+
+
 def _statistic_powers(spec: WeightSpec) -> Optional[dict[str, Number]]:
     # {statistic: parameter} with weight_of = prod parameter ** statistic,
     # for a spec whose type is exactly Constant1, a family or a Product of
@@ -148,6 +163,8 @@ def _statistic_powers(spec: WeightSpec) -> Optional[dict[str, Number]]:
         return {}
     if kind in _FAMILY_STATISTIC:
         (param,) = vars(spec).values()
+        if type(param) not in _EXACT:
+            param = _as_int(param)
         return {_FAMILY_STATISTIC[kind]: param} if type(param) in _EXACT else None
     if kind is not Product:
         return None
@@ -161,15 +178,65 @@ def _statistic_powers(spec: WeightSpec) -> Optional[dict[str, Number]]:
     return out
 
 
-def _powers(x: Number, top: int) -> tuple[list[int], list[int]]:
-    # a ** e and d ** e for e = 0..top, where x = a / d is an int or a
-    # Fraction; 0 ** 0 = 1.
+def _graded_powers(x: Number, top: int) -> tuple[list[int], int]:
+    # [a ** e * d ** (top - e) for e = 0..top] and d ** top, where x = a / d
+    # is an int or a Fraction; 0 ** 0 = 1.
     a, d = x.numerator, x.denominator
     up, down = [1], [1]
     for _ in range(top):
         up.append(up[-1] * a)
         down.append(down[-1] * d)
-    return up, down
+    return [u * v for u, v in zip(up, reversed(down))], down[top]
+
+
+def _table_sums(n: int, spec: WeightSpec, *, connected_only: bool = False,
+                mix: Number = 1) -> tuple[Number, ...]:
+    # For k = 1..n, the sum of count * mix ** (k - h) * spec.weight_of(k, cr,
+    # h, cc) over the cells of the exact joint (cr, h, cc) table of P2(2k)
+    # (only cc = 1 cells when connected_only).  n < 0 or > TABLE_MAX_N raises.
+    _check_order(n)
+    powers = _statistic_powers(spec)
+    if type(mix) not in _EXACT:
+        mix = _as_int(mix)
+    if powers is None or type(mix) not in _EXACT:
+        return _loop_sums(n, spec, connected_only, mix)
+    # A built-in weight is prod_s p_s ** s(V) over statistics s, and
+    # mix ** (k - h) = mix ** H is one more factor.  With p_s = a_s / d_s and
+    # s(V) <= E_s, each cell adds count * prod_s a_s ** s * d_s ** (E_s - s)
+    # in ints, and the order's sum is divided by prod_s d_s ** E_s once.
+    fraction = type(mix) is Fraction or any(type(p) is Fraction for p in powers.values())
+    if mix != 1:
+        powers["H"] = powers["H"] * mix if "H" in powers else mix
+    stats = tuple(s for s in pairings._STATISTIC_FIELDS if powers.get(s, 1) != 1)
+    values = []
+    for k in range(1, n + 1):
+        scale = 1
+        tables = []
+        for s in stats:
+            table, top_scale = _graded_powers(powers[s], pairings._statistic_top(s, k))
+            tables.append(table)
+            scale *= top_scale
+        total = 0
+        for key, count in pairings._marginal(k, stats, connected_only).items():
+            for table, e in zip(tables, key):
+                count *= table[e]
+            total += count
+        values.append(Fraction(total, scale) if fraction else total)
+    return tuple(values)
+
+
+def _loop_sums(n: int, spec: WeightSpec, connected_only: bool, mix: Number) -> tuple:
+    # The same sums term by term through spec.weight_of, in sorted cell
+    # order, so floats round as they always have.
+    values = []
+    for dist in pairings._joint_tables(n) if n else ():
+        k = dist.n
+        total = 0
+        for (cr, h, cc), count in dist.counts.items():
+            if cc == 1 or not connected_only:
+                total = total + count * mix ** (k - h) * spec.weight_of(k, cr, h, cc)
+        values.append(total)
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -178,23 +245,25 @@ class StatisticPolynomial:
 
     Evaluating at a parameter x gives sum_V x**statistic(V) exactly.  An
     int or a Fraction x is evaluated in ints over the common denominator
-    and divided once; a float takes the terms in exponent order.
+    and divided once, as is any other integral x, read as an int; a float
+    takes the terms in exponent order.
     """
 
     n: int
     coefficients: Mapping[int, int]
 
     def evaluate(self, param: Number) -> Number:
+        if type(param) not in _EXACT:
+            param = _as_int(param)
         if type(param) not in _EXACT or min(self.coefficients, default=-1) < 0:
             # added left to right: builtin sum compensates floats since 3.12
             total = 0
             for k, count in sorted(self.coefficients.items()):
                 total = total + count * param ** k
             return total
-        top = max(self.coefficients)
-        up, down = _powers(param, top)
-        total = sum(count * up[k] * down[top - k] for k, count in self.coefficients.items())
-        return Fraction(total, down[top]) if type(param) is Fraction else total
+        table, scale = _graded_powers(param, max(self.coefficients))
+        total = sum(count * table[k] for k, count in self.coefficients.items())
+        return Fraction(total, scale) if type(param) is Fraction else total
 
     def total(self) -> int:
         return sum(self.coefficients.values())

@@ -102,6 +102,18 @@ def test_table_entry_refuses_past_cap(entry, no_tables):
         TABLE_ENTRIES[entry](TABLE + 1)
 
 
+@pytest.mark.parametrize("spec", [we.CrossingPower(F(1, 3)), we.CrossingPower(0.5)],
+                         ids=["graded", "loop"])
+def test_table_sums_refuse_before_any_table(spec, no_tables, monkeypatch):
+    monkeypatch.setattr(pa, "_joint_tables", _no_work)
+    monkeypatch.setattr(pa, "_marginal", _no_work)
+    with pytest.raises(ValueError, match=r"^order N must be >= 0, got -1$"):
+        we._table_sums(-1, spec)
+    refusal = r"^half-size 21 exceeds the table cap 20 \(TABLE_MAX_N\)$"
+    with pytest.raises(SizeLimitError, match=refusal):
+        we._table_sums(TABLE + 1, spec, mix=F(1, 4))
+
+
 def test_total_singletons_cross_checks_up_to_the_cap(monkeypatch):
     asked = []
     real = pa.statistic_distribution

@@ -404,10 +404,17 @@ class TestPermcheck:
         assert err.startswith(f"error: {message}")
 
     def test_kernel_past_the_float_range_is_a_usage_error(self, capsys):
-        # exp(1e13 * H) overflows at the first H > 0
-        code, out, err = run(capsys, "permcheck", "--n", "3", "--x", "-10000000000000")
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and "range" in err
+        for flag, value, message in [
+            # exp(1e13 * H) overflows at the first H > 0
+            ("--x", "-10000000000000", "--x -10000000000000: exp(-xH)"),
+            ("--x", "-1000", "--x -1000: exp(-xH)"),
+            # (1e308)^h overflows at h = 2, and 1e400 is past the float range
+            ("--b", "1e308", "--b 1e308: b^h"),
+            ("--b", "1e400", "--b 1e400: b^h"),
+        ]:
+            code, out, err = run(capsys, "permcheck", "--n", "3", flag, value)
+            assert (code, out) == (2, "")
+            assert err == f"error: {message} overflows a float on S(3)\n"
 
     def test_non_finite_kernel_is_a_usage_error(self, capsys):
         # exp(-inf * H) is NaN at the identity

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ import brute
 from pairmoments import _arrays
 from pairmoments import moments as mo
 from pairmoments import pairings
+from pairmoments import weights as we
 from pairmoments.exceptions import DualPathMismatchError, SizeLimitError
 from pairmoments.moments import (
     CumulantSequence,
@@ -417,7 +419,7 @@ class TestTableSumsExact:
             n, lambda cr, h, cc: weight(n, cr, h, cc))
         assert mo.cumulants_from_connected(spec, n).cumulant(2 * n) == brute.weighted_sum(
             n, lambda cr, h, cc: weight(n, cr, h, cc) if cc == 1 else 0)
-        assert mo._table_sums(n, spec, mix=b)[-1] == brute.weighted_sum(
+        assert we._table_sums(n, spec, mix=b)[-1] == brute.weighted_sum(
             n, lambda cr, h, cc: b ** (n - h) * weight(n, cr, h, cc))
 
     @pytest.mark.parametrize("spec", EXACT_SPECS)
@@ -431,7 +433,7 @@ class TestTableSumsExact:
     @pytest.mark.parametrize("mix", [0, 1, Fraction(1, 4), Fraction(0), Fraction(1)])
     def test_mixed_value_and_type_of_the_loop(self, spec, mix):
         n = 9
-        assert _typed(mo._table_sums(n, spec, mix=mix)) == _typed(
+        assert _typed(we._table_sums(n, spec, mix=mix)) == _typed(
             _loop_table_sums(spec, n, mix=mix))
 
     def test_fraction_times_float_takes_the_float_path(self):
@@ -463,7 +465,7 @@ BUILT_INS = {
 def _check_against_the_loop(spec, n, mixes=MIXES):
     for mix in mixes:
         for connected_only in (False, True):
-            assert _typed(mo._table_sums(n, spec, connected_only=connected_only, mix=mix)) == (
+            assert _typed(we._table_sums(n, spec, connected_only=connected_only, mix=mix)) == (
                 _typed(_loop_table_sums(spec, n, connected_only, mix))), (mix, connected_only)
 
 
@@ -494,7 +496,7 @@ class TestBuiltinWeightSums:
         assert mo.moments_of_weight(spec, n).moment(2 * n) == brute.weighted_sum(n, weight[0])
         assert mo.cumulants_from_connected(spec, n).cumulant(2 * n) == brute.weighted_sum(
             n, weight[1])
-        assert mo._table_sums(n, spec, mix=mix)[-1] == brute.weighted_sum(n, weight[2])
+        assert we._table_sums(n, spec, mix=mix)[-1] == brute.weighted_sum(n, weight[2])
 
     def test_closed_forms_at_the_cap(self):
         # written out here, sharing no code with the tables
@@ -534,7 +536,7 @@ class TestBuiltinWeightSums:
             spec = make(Fraction(2, 3))
             mo.moments_of_weight(spec, n)
             mo.cumulants_from_connected(spec, n)
-            mo._table_sums(n, spec, mix=mix)
+            we._table_sums(n, spec, mix=mix)
         mo.semicircle_mix_moments(Constant1(), mix, n)
         mo.check_mix_semigroup(HALF, mix, n)
         assert calls == []
@@ -573,6 +575,46 @@ class TestBuiltinWeightSums:
         # inside a Product the subclass keeps the whole sum on weight_of
         assert mo.moments_of_weight(Product([counted, Constant1()]), n) == want
         assert len(calls) == 3 * cells
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+class TestNumpyIntegers:
+    """numpy's fixed-width integers give the Python int results, value and type."""
+
+    def test_weighted_sums(self, dtype):
+        n = 12
+        for make in BUILT_INS.values():
+            want, got = make(3), make(dtype(3))
+            assert _typed(mo.moments_of_weight(got, n).values) == _typed(
+                mo.moments_of_weight(want, n).values)
+            assert _typed(mo.cumulants_from_connected(got, n).values) == _typed(
+                mo.cumulants_from_connected(want, n).values)
+            for mix in (0, 1):
+                assert _typed(we._table_sums(n, got, mix=dtype(mix))) == _typed(
+                    we._table_sums(n, want, mix=mix))
+
+    def test_transforms(self, dtype):
+        n = pairings.TABLE_MAX_N
+        for values in ((7,) * n, (7, Fraction(1, 3)) * (n // 2)):
+            r = CumulantSequence(tuple(dtype(x) if type(x) is int else x for x in values))
+            assert _typed(mo.moments_from_cumulants(r).values) == _typed(
+                mo.moments_from_cumulants(CumulantSequence(values)).values)
+        # (2k - 1)!! fits in int32 up to k = 10
+        m = mo.gaussian_moments(10)
+        fixed = MomentSequence(tuple(map(dtype, m.values)))
+        assert _typed(mo.cumulants_from_moments(fixed).values) == _typed(
+            mo.cumulants_from_moments(m).values)
+
+    def test_dilate_sq(self, dtype):
+        m = mo.semicircle_moments(pairings.TABLE_MAX_N)
+        assert _typed(mo.dilate_sq(m, dtype(3)).values) == _typed(mo.dilate_sq(m, 3).values)
+        # the Catalan numbers fit in int32 up to C_19
+        m = mo.semicircle_moments(19)
+        fixed = MomentSequence(tuple(map(dtype, m.values)))
+        for lam_sq in (5, Fraction(5, 2)):
+            assert _typed(mo.dilate_sq(fixed, lam_sq).values) == _typed(
+                mo.dilate_sq(m, lam_sq).values)
 
 
 class TestNegativeOrders:

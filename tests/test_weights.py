@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import brute
@@ -158,6 +159,27 @@ class TestStatisticPolynomial:
                 got = poly.evaluate(x)
                 assert type(got) is type(want)
                 assert got == want
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("family", [CrossingPower, ComponentPower, SingletonHPower,
+                                        SingletonCountPower])
+    def test_numpy_integers_evaluate_as_ints(self, family, dtype):
+        # a fixed-width integer would overflow in the term loop: 3^cr alone
+        # passes 2^63 at n = 12
+        poly = weights.statistic_polynomial(family, 12)
+        for x in (3, -2, 0, 1):
+            got, want = poly.evaluate(dtype(x)), poly.evaluate(x)
+            assert type(got) is int and got == want
+
+    def test_graded_powers_pinned(self):
+        for x in (3, -2, 0, Fraction(0), Fraction(-5, 3)):
+            a, d = x.numerator, x.denominator
+            for top in (0, 1, 6):
+                table, scale = weights._graded_powers(x, top)
+                assert table == [a ** e * d ** (top - e) for e in range(top + 1)]
+                assert scale == d ** top
+                assert {type(v) for v in table + [scale]} == {int}
 
     def test_hand_built_polynomials_keep_the_loop(self):
         assert weights.StatisticPolynomial(1, {}).evaluate(Fraction(1, 2)) == 0
