@@ -80,7 +80,7 @@ def emit(rows: list[dict], meta: dict, fmt: str, out) -> None:
 
 
 def parse_rational(text: str):
-    """Exact Fraction for p/q, integer, or decimal strings; float otherwise.
+    """Exact Fraction for p/q, integer, or decimal strings; ValueError otherwise.
 
     Digits or a decimal exponent past the int-to-str limit are refused first.
     """
@@ -93,7 +93,7 @@ def parse_rational(text: str):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        return float(text)
+        raise ValueError(f"{text!r} is not an integer, p/q or decimal") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

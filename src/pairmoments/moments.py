@@ -10,8 +10,8 @@ cumulants, and cumulants are recovered by recursive subtraction.  Everything
 is exact when inputs are rational.  Both ring-generic loops and Kreweras'
 table of those partitions by block type live in :mod:`pairmoments.pairings`,
 beside the joint table built on them; this module adds the sequence types,
-the integer scaling below and the mixtures with the semicircle.  The sums
-of a weight over the joint table live in :mod:`pairmoments.weights`.
+the integer scaling below and the mixtures with the semicircle.  Weighted
+sums and mixed moments add through the loops of :mod:`pairmoments.weights`.
 
 Exact inputs are graded integer arithmetic.  The order-2k entry of a
 product over an even non-crossing type has total weight k, so with D the
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import inf, lcm
 from typing import Callable, Sequence
 
@@ -41,6 +40,7 @@ from .weights import (
     _EXACT,
     _as_int,
     _table_sums,
+    _term_sum,
     is_exact,
     numbers_equal,
 )
@@ -227,11 +227,8 @@ def moments_of_weight(spec: WeightSpec, n: int) -> MomentSequence:
 
     Weights depend on partitions only through (cr, h, cc), so the sum runs
     over the cached exact joint distributions rather than the raw stream;
-    n is capped at ``TABLE_MAX_N``.  The built-in weights with int or
-    Fraction parameters are added in ints from cached marginals of the
-    table by their statistics and divided once per order, with no
-    ``weight_of`` call; any other weight, a subclass of a built-in one
-    included, is added term by term through ``weight_of``.
+    n is capped at ``TABLE_MAX_N``.  :class:`~pairmoments.weights.WeightSpec`
+    says which weights are added without a ``weight_of`` call.
     """
     return MomentSequence(_table_sums(n, spec))
 
@@ -258,14 +255,15 @@ def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
     :mod:`pairmoments._arrays`, so half-sizes above ``STREAM_MAX_N`` raise.
     Entries are indexed 0-based.
 
-    The products are added per (cr, h, cc) key and each key's sum S is
-    weighted once.  A rational matrix with a non-integer entry is first
-    scaled to integers by the lcm D of its denominators, so the sums are
-    of ints and sum(weight * S) / D^n stays exact; an all-int matrix with an
-    int weight gives an int.  Ints run in int64 while max|entry|^n *
-    (2n-1)!! < 2^63; past that, and for floats or any mix of kinds, the
-    entries stay Python objects, multiplied left to right and added in
-    partition order, so floats round as they did one at a time.
+    The products are added per (cr, h, cc) key, and the key sums S are
+    weighted by the term loop of the table sums; numpy's integers are read
+    as ints.  A rational matrix with a non-integer entry is first scaled to
+    integers by the lcm D of its denominators, so the sums are of ints and
+    sum(S * weight) / D^n stays exact; an all-int matrix with an int weight
+    gives an int.  Ints run in int64 while max|entry|^n * (2n-1)!! < 2^63;
+    past that, and for floats or any mix of kinds, the entries stay Python
+    objects, multiplied left to right and added in partition order, so
+    floats round as they did one at a time.
     """
     k = gram.size
     if k % 2 == 1:
@@ -275,15 +273,12 @@ def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
     n = k // 2
     from . import _arrays
 
-    entries = [x for row in gram.entries for x in row]
+    entries = [_as_int(x) for row in gram.entries for x in row]
     denominator = None
     if all(map(is_exact, entries)) and not all(isinstance(x, int) for x in entries):
         denominator = Fraction(lcm(*(x.denominator for x in entries)))
         entries = [int(x * denominator) for x in entries]
-    weight = cache(spec.weight_of)
-    total = 0
-    for (cr, h, cc), value in _arrays._pair_product_sums(n, entries).items():
-        total = total + weight(n, cr, h, cc) * value
+    total = _term_sum(_arrays._pair_product_sums(n, entries).items(), n, spec, 1)
     return total if denominator is None else total / denominator ** n
 
 

@@ -9,13 +9,14 @@ The convention 0**0 = 1 is used everywhere (Python's ``**`` already does
 this), so e.g. the H-power weight at parameter 0 is the indicator of
 non-crossing partitions.
 
-The sums of a weight over the joint (cr, h, cc) table live here too.  A
+Every weighted sum over cells (cr, h, cc) is one of two loops here.  A
 built-in weight is a product of powers p ** s(V) of the statistics s = cr,
-n - cc, H and h, so its sum reads a cached marginal of the table by those
-statistics: with p = a / d and s <= E, each cell adds count * a ** s *
-d ** (E - s) in ints, and each order is divided once.  Any other weight,
-or a float, is summed term by term through ``weight_of``, so floats round
-as before; integral types other than int (numpy's) are read as ints.
+n - cc, H and h, so its table sums, like ``StatisticPolynomial.evaluate``,
+are graded: each cell of a cached marginal adds count * a ** s * d ** (E -
+s) in ints for p = a / d and s <= E, divided once.  Other weights, floats
+and ``mixed_moment``'s per-cell sums go term by term through ``weight_of``,
+so floats round as before.  Numbers are read once, as they enter (a
+family's parameter when the weight is built), numpy's integers as ints.
 """
 
 from __future__ import annotations
@@ -47,6 +48,17 @@ def numbers_equal(a, b, rel_tol: float = 1e-12, abs_tol: float = 1e-12) -> bool:
     return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
 
 
+#: The kinds of number the graded paths take.  They must give what the
+#: term-by-term loops give, value and type, and that is known for these two.
+_EXACT = frozenset((int, Fraction))
+
+
+def _as_int(x):
+    # Any Integral (numpy's fixed-width integers, bool) as a Python int, so
+    # nothing computes in a fixed width; anything else as given.
+    return int(x) if isinstance(x, Integral) else x
+
+
 class WeightSpec:
     """Base class for declarative weights; subclasses define weight_of().
 
@@ -70,8 +82,15 @@ class Constant1(WeightSpec):
         return 1
 
 
+class _Family(WeightSpec):
+    # The four one-parameter families, whose parameter is read once, here.
+    def __post_init__(self):
+        (name, value), *_ = vars(self).items()
+        object.__setattr__(self, name, _as_int(value))
+
+
 @dataclass(frozen=True)
-class CrossingPower(WeightSpec):
+class CrossingPower(_Family):
     """q ** cr(V)."""
 
     q: Number
@@ -81,7 +100,7 @@ class CrossingPower(WeightSpec):
 
 
 @dataclass(frozen=True)
-class ComponentPower(WeightSpec):
+class ComponentPower(_Family):
     """s ** (n - cc(V))."""
 
     s: Number
@@ -91,7 +110,7 @@ class ComponentPower(WeightSpec):
 
 
 @dataclass(frozen=True)
-class SingletonHPower(WeightSpec):
+class SingletonHPower(_Family):
     """b ** H(V) with H = n - h; at b = 0 the non-crossing indicator."""
 
     b: Number
@@ -101,7 +120,7 @@ class SingletonHPower(WeightSpec):
 
 
 @dataclass(frozen=True)
-class SingletonCountPower(WeightSpec):
+class SingletonCountPower(_Family):
     """beta ** h(V); not normalized at the one-pair partition unless beta = 1."""
 
     beta: Number
@@ -141,18 +160,6 @@ _FAMILY_STATISTIC: dict[type, str] = {
 }
 
 
-#: The kinds of number the graded paths take.  They must give what the
-#: term-by-term loops give, value and type, and that is known for these two.
-_EXACT = frozenset((int, Fraction))
-
-
-def _as_int(x):
-    # For x whose type is not in _EXACT: any Integral (numpy's fixed-width
-    # integers, bool) as a Python int, so the graded paths take it and
-    # nothing overflows; anything else as given.
-    return int(x) if isinstance(x, Integral) else x
-
-
 def _statistic_powers(spec: WeightSpec) -> Optional[dict[str, Number]]:
     # {statistic: parameter} with weight_of = prod parameter ** statistic,
     # for a spec whose type is exactly Constant1, a family or a Product of
@@ -163,8 +170,6 @@ def _statistic_powers(spec: WeightSpec) -> Optional[dict[str, Number]]:
         return {}
     if kind in _FAMILY_STATISTIC:
         (param,) = vars(spec).values()
-        if type(param) not in _EXACT:
-            param = _as_int(param)
         return {_FAMILY_STATISTIC[kind]: param} if type(param) in _EXACT else None
     if kind is not Product:
         return None
@@ -189,6 +194,33 @@ def _graded_powers(x: Number, top: int) -> tuple[list[int], int]:
     return [u * v for u, v in zip(up, reversed(down))], down[top]
 
 
+def _graded_sum(cells, params: list, tops: list[int], fraction: bool) -> Number:
+    # The sum of count * prod_i p_i ** key[i] over the (key, count) in cells,
+    # each p_i = a / d an int or a Fraction and key[i] <= tops[i]: count *
+    # prod_i a ** key[i] * d ** (tops[i] - key[i]) in ints, divided once.
+    scale = 1
+    tables = []
+    for param, top in zip(params, tops):
+        table, top_scale = _graded_powers(param, top)
+        tables.append(table)
+        scale *= top_scale
+    total = 0
+    for key, count in cells:
+        for table, e in zip(tables, key):
+            count *= table[e]
+        total += count
+    return Fraction(total, scale) if fraction else total
+
+
+def _term_sum(cells, n: int, spec: WeightSpec, mix: Number) -> Number:
+    # The sum of S * mix ** (n - h) * spec.weight_of(n, cr, h, cc) over the
+    # ((cr, h, cc), S) in cells, term by term in order: floats round as ever.
+    total = 0
+    for (cr, h, cc), s in cells:
+        total = total + s * mix ** (n - h) * spec.weight_of(n, cr, h, cc)
+    return total
+
+
 def _table_sums(n: int, spec: WeightSpec, *, connected_only: bool = False,
                 mix: Number = 1) -> tuple[Number, ...]:
     # For k = 1..n, the sum of count * mix ** (k - h) * spec.weight_of(k, cr,
@@ -199,44 +231,18 @@ def _table_sums(n: int, spec: WeightSpec, *, connected_only: bool = False,
     if type(mix) not in _EXACT:
         mix = _as_int(mix)
     if powers is None or type(mix) not in _EXACT:
-        return _loop_sums(n, spec, connected_only, mix)
-    # A built-in weight is prod_s p_s ** s(V) over statistics s, and
-    # mix ** (k - h) = mix ** H is one more factor.  With p_s = a_s / d_s and
-    # s(V) <= E_s, each cell adds count * prod_s a_s ** s * d_s ** (E_s - s)
-    # in ints, and the order's sum is divided by prod_s d_s ** E_s once.
+        return tuple(_term_sum(pairings._marginal(k, ("cr", "h", "cc"), connected_only).items(),
+                               k, spec, mix) for k in range(1, n + 1))
+    # A built-in weight is prod_s p_s ** s(V), and mix ** (k - h) = mix ** H
+    # one more factor: a graded sum over the statistics whose p_s is not 1.
     fraction = type(mix) is Fraction or any(type(p) is Fraction for p in powers.values())
     if mix != 1:
         powers["H"] = powers["H"] * mix if "H" in powers else mix
     stats = tuple(s for s in pairings._STATISTIC_FIELDS if powers.get(s, 1) != 1)
-    values = []
-    for k in range(1, n + 1):
-        scale = 1
-        tables = []
-        for s in stats:
-            table, top_scale = _graded_powers(powers[s], pairings._statistic_top(s, k))
-            tables.append(table)
-            scale *= top_scale
-        total = 0
-        for key, count in pairings._marginal(k, stats, connected_only).items():
-            for table, e in zip(tables, key):
-                count *= table[e]
-            total += count
-        values.append(Fraction(total, scale) if fraction else total)
-    return tuple(values)
-
-
-def _loop_sums(n: int, spec: WeightSpec, connected_only: bool, mix: Number) -> tuple:
-    # The same sums term by term through spec.weight_of, in sorted cell
-    # order, so floats round as they always have.
-    values = []
-    for dist in pairings._joint_tables(n) if n else ():
-        k = dist.n
-        total = 0
-        for (cr, h, cc), count in dist.counts.items():
-            if cc == 1 or not connected_only:
-                total = total + count * mix ** (k - h) * spec.weight_of(k, cr, h, cc)
-        values.append(total)
-    return tuple(values)
+    params = [powers[s] for s in stats]
+    return tuple(_graded_sum(pairings._marginal(k, stats, connected_only).items(), params,
+                             [pairings._statistic_top(s, k) for s in stats], fraction)
+                 for k in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -244,9 +250,8 @@ class StatisticPolynomial:
     """Distribution of one chord statistic over P2(2n), as exponent -> count.
 
     Evaluating at a parameter x gives sum_V x**statistic(V) exactly.  An
-    int or a Fraction x is evaluated in ints over the common denominator
-    and divided once, as is any other integral x, read as an int; a float
-    takes the terms in exponent order.
+    int or a Fraction x (or any integral x, read as an int) takes the graded
+    loop of the table sums, a float their term loop in exponent order.
     """
 
     n: int
@@ -256,14 +261,13 @@ class StatisticPolynomial:
         if type(param) not in _EXACT:
             param = _as_int(param)
         if type(param) not in _EXACT or min(self.coefficients, default=-1) < 0:
-            # added left to right: builtin sum compensates floats since 3.12
-            total = 0
-            for k, count in sorted(self.coefficients.items()):
-                total = total + count * param ** k
-            return total
-        table, scale = _graded_powers(param, max(self.coefficients))
-        total = sum(count * table[k] for k, count in self.coefficients.items())
-        return Fraction(total, scale) if type(param) is Fraction else total
+            # the term loop, with x ** k the mixing factor of a cell with H = k
+            # under the constant weight: left to right, in exponent order
+            cells = (((0, self.n - k, 0), c) for k, c in sorted(self.coefficients.items()))
+            return _term_sum(cells, self.n, Constant1(), param)
+        # zip(coefficients) gives the exponents as the 1-tuples of a marginal
+        return _graded_sum(zip(zip(self.coefficients), self.coefficients.values()), [param],
+                           [max(self.coefficients)], type(param) is Fraction)
 
     def total(self) -> int:
         return sum(self.coefficients.values())

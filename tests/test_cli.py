@@ -174,7 +174,7 @@ class TestMoments:
         "--weight qcr --param 1E-4301 --N 2",
         "--weight const --N 2 --mix 1e+4301",
         "--weight qcr --param 1e1_0000000 --N 2",
-        # int-to-str refuses these digits, and the float fallback gave inf
+        # int-to-str refuses these digits
         pytest.param(f"--weight qcr --param {'1' * 5000} --N 3", id="5000-digit integer"),
         pytest.param(f"--weight qcr --param 1/{'7' * 4301} --N 3", id="4301-digit denominator"),
         pytest.param(f"--weight qcr --param 0.{'5' * 4300} --N 3", id="4301-digit decimal"),
@@ -195,11 +195,25 @@ class TestMoments:
         assert cli.parse_rational("1e4300") == 10 ** 4300
         assert cli.parse_rational("-1e-4300") == Fraction(-1, 10 ** 4300)
         assert cli.parse_rational("9" * 4300) == 10 ** 4300 - 1
-        assert cli.parse_rational("inf") == float("inf")  # no rational reading
-        with pytest.raises(ValueError, match="could not convert"):
-            cli.parse_rational("1/0")
+        for text in ("inf", "-inf", "infinity", "nan", "1/0"):  # no finite rational reading
+            with pytest.raises(ValueError, match="is not an integer, p/q or decimal"):
+                cli.parse_rational(text)
         monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: 0)
         assert cli.parse_rational("1e5000") == 10 ** 5000
+
+    @pytest.mark.parametrize("argv", [
+        "moments --weight qcr --param nan --N 3",
+        "moments --weight qcr --param inf --N 3",
+        "moments --weight const --N 3 --mix=-Infinity",
+        "moments --weight bH --param 1/0 --N 3",
+        "permcheck --n 3 --b inf",
+    ])
+    def test_non_finite_rationals_are_usage_errors(self, capsys, argv):
+        # exit 0 says every check agreed, which nan or inf moments cannot
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: '") and err.endswith(
+            "' is not an integer, p/q or decimal\n")
 
     def test_error_mid_report_leaves_stdout_empty(self, capsys, monkeypatch):
         # past the up-front bound, int-to-str fails while the CSV is written;

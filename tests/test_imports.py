@@ -166,3 +166,26 @@ def test_only_exceptions_refuses_past_a_cap():
     # total_singletons cross-checks within the table cap; metric_checks is
     # exhaustive within the kernel cap
     assert compared == {("pairings.py", "TABLE_MAX_N"), ("permgroup.py", "MAX_KERNEL_DEGREE")}
+
+
+def test_no_undeclared_dependencies():
+    # scipy and sympy may be installed where the tests run, but pyproject.toml
+    # declares neither, so an import of them would fail on a clean install
+    tests = os.path.dirname(os.path.abspath(__file__))
+    files = [os.path.join(root, name) for top in (os.path.join(SRC, "pairmoments"), tests)
+             for root, _, names in os.walk(top) for name in names if name.endswith(".py")]
+    found = []
+    for path in files:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                named = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                named = [node.module or ""]
+            else:
+                continue
+            found += [(path, name) for name in named
+                      if name.split(".")[0] in ("scipy", "sympy")]
+    assert os.path.join(tests, "test_imports.py") in files  # the walk sees this file
+    assert found == []

@@ -446,6 +446,16 @@ class TestTableSumsExact:
         assert _typed(mo.semicircle_mix_moments(CrossingPower(HALF), 0.25, n).values) == _typed(
             _loop_table_sums(CrossingPower(HALF), n, mix=0.25))
 
+    @pytest.mark.parametrize("spec", [CellDenominators(), IntsOrFractions(), CrossingPower(0.7)],
+                             ids=lambda spec: type(spec).__name__)
+    def test_custom_spec_connected_float_mix_bit_identical(self, spec):
+        # the term-by-term loop over the (cr, h, cc) marginal, connected cells
+        # only, keeps the sorted cell order and the order of each product
+        n = 9
+        for mix in (0.3, 1.0):
+            assert _typed(we._table_sums(n, spec, connected_only=True, mix=mix)) == _typed(
+                _loop_table_sums(spec, n, connected_only=True, mix=mix))
+
 
 PARAMS = [3, Fraction(2, 7), -2, Fraction(-3, 4), 0, Fraction(0), Fraction(1)]
 MIXES = [1, 0, Fraction(1, 5), Fraction(4, 5), Fraction(0), Fraction(1)]

@@ -5,6 +5,7 @@ import pytest
 
 import brute
 from pairmoments import _arrays, pairings, weights
+from pairmoments.moments import GramMatrix, mixed_moment
 from pairmoments.pairings import PairPartition
 from pairmoments.weights import (
     ComponentPower,
@@ -171,6 +172,27 @@ class TestStatisticPolynomial:
         for x in (3, -2, 0, 1):
             got, want = poly.evaluate(dtype(x)), poly.evaluate(x)
             assert type(got) is int and got == want
+        # the parameter is read once, when the weight is built, so no
+        # weight_of computes in a fixed width: 10^6 ** 4 passes 2^63
+        def same(got, want):
+            assert type(got) is type(want) and got == want
+
+        x = 10 ** 6
+        ones = GramMatrix.from_rows([[1] * 8] * 8)
+        same(mixed_moment(family(dtype(x)), ones), mixed_moment(family(x), ones))
+        same(mixed_moment(CrossingPower(dtype(x)), ones), 1000004000010000020000028000028000014)
+        for parts in ([(i, i + 8) for i in range(1, 9)], [(i, i + 1) for i in range(1, 16, 2)]):
+            same(weights.evaluate(family(dtype(x)), P(*parts)),
+                 weights.evaluate(family(x), P(*parts)))
+        assert (weights.check_strong_multiplicativity(family(dtype(x)), 6)
+                == weights.check_strong_multiplicativity(family(x), 6))
+        # numpy entries in the Gram matrix are read as ints: an int, not a
+        # Fraction
+        rows = [[x if i == j else 1 for j in range(8)] for i in range(8)]
+        numpy_rows = GramMatrix.from_rows([[dtype(v) for v in row] for row in rows])
+        same(mixed_moment(Constant1(), numpy_rows), 105)
+        same(mixed_moment(family(3), numpy_rows),
+             mixed_moment(family(3), GramMatrix.from_rows(rows)))
 
     def test_graded_powers_pinned(self):
         for x in (3, -2, 0, Fraction(0), Fraction(-5, 3)):
