@@ -245,10 +245,7 @@ def cmd_randmat(args, out) -> int:
                       dist=args.dist, seed=args.seed)
     report = rm.run_mc(cfg)
     if args.hist is not None:
-        from .rng import substream_seed
-
-        matrix = rm.sample_markov(cfg.n, cfg.dist, substream_seed(cfg.seed, 0))
-        hist = rm.eigenvalue_histogram(matrix, bins=args.bins)
+        hist = rm.eigenvalue_histogram(cfg._trial_matrix(0), bins=args.bins)
         with open(args.hist, "w") as fh:
             fh.write("bin_left,bin_right,count\n")
             for left, right, count in hist:

@@ -142,15 +142,19 @@ class StatisticDistribution:
         """Aggregate counts by one statistic: cr, h, cc, H or n-cc."""
         return {key: count for (key,), count in self._fold((statistic,), False).items()}
 
+    def _cells(self, connected_only: bool):
+        # The table's own (cell, count) pairs in key order, the cc = 1 ones
+        # only when connected_only: the one connected-cell filter.
+        cells = self.counts.items()
+        return ((cell, c) for cell, c in cells if cell[2] == 1) if connected_only else cells
+
     def _fold(self, statistics: tuple[str, ...], connected_only: bool) -> dict[tuple, int]:
-        # The counts (of the cc = 1 cells when connected_only) added up by the
-        # values of the named statistics, keyed by tuples in the order named.
+        # The counts of _cells added up by the named statistics, keyed in that order.
         fields = [_field(s) for s in statistics]
         out: dict[tuple[int, ...], int] = {}
-        for cell, count in self.counts.items():
-            if cell[2] == 1 or not connected_only:
-                key = tuple(self.n - cell[at] if from_n else cell[at] for at, from_n in fields)
-                out[key] = out.get(key, 0) + count
+        for cell, count in self._cells(connected_only):
+            key = tuple(self.n - cell[at] if from_n else cell[at] for at, from_n in fields)
+            out[key] = out.get(key, 0) + count
         return out
 
 
@@ -554,6 +558,6 @@ def statistic_distribution(n: int) -> StatisticDistribution:
 @lru_cache(maxsize=None)
 def _marginal(n: int, statistics: tuple[str, ...],
               connected_only: bool) -> Mapping[tuple[int, ...], int]:
-    # _fold of the joint table of P2(2n), read-only.  It depends on no
-    # parameter, so the weighted sums of every parameter read it.
+    # _fold of the joint table of P2(2n), read-only, for the graded sums of
+    # every parameter and statistic_polynomial; term sums read _cells.
     return MappingProxyType(statistic_distribution(n)._fold(statistics, connected_only))

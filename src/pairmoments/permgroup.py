@@ -7,9 +7,9 @@ points k that are *isolated*: sigma fixes k and maps {1..k-1} onto itself.
 The quantity H(sigma) = n - h(sigma) extends consistently along the natural
 embeddings S(n) into S(n+1) and behaves like a norm: it is symmetric,
 subadditive, and vanishes only at the identity, so d(sigma, tau) =
-H(sigma^-1 tau) is a left-invariant metric.  Over a whole group, or any
-stack of permutations, split points are counted one way only, by
-``_big_h_of``; :func:`isolated_fixed_points` is the count for one element.
+H(sigma^-1 tau) is a left-invariant metric.  ``_big_h_of`` counts split
+points over a stack of permutations at once; :func:`isolated_fixed_points`
+counts one element's, for :func:`big_h` and so for :func:`check_cnd`.
 
 Positivity statements are exercised as finite Gram-matrix eigenvalue tests
 over an entire group S(n); every eigenvalue comes from
@@ -148,7 +148,7 @@ def _big_h_of(images: np.ndarray) -> np.ndarray:
 
     k is a split point (an isolated fixed point) when the prefix maxima at
     k - 1 and at k are k - 1 and k, so that sigma maps {1..k-1} and {1..k}
-    onto themselves.  Every group-wide count of split points is made here.
+    onto themselves.  Every count over an image array is made here.
     """
     degree = images.shape[-1]
     # {1..k} closed, and'ed with {1..k-1} closed (numpy buffers the overlap)

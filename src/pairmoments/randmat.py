@@ -77,6 +77,10 @@ class McConfig:
         if self.dist not in ENTRY_DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {ENTRY_DISTRIBUTIONS}")
 
+    def _trial_matrix(self, t: int) -> SymMatrix:
+        # trial t's matrix, the one rule for run_mc and the CLI's --hist
+        return sample_markov(self.n, self.dist, substream_seed(self.seed, t))
+
 
 @dataclass(frozen=True)
 class MomentRow:
@@ -242,8 +246,7 @@ def run_mc(cfg: McConfig) -> McReport:
     """
     samples = np.empty((cfg.trials, cfg.kmax))
     for t in range(cfg.trials):
-        m = sample_markov(cfg.n, cfg.dist, substream_seed(cfg.seed, t))
-        samples[t, :] = empirical_moments(m, cfg.kmax)
+        samples[t, :] = empirical_moments(cfg._trial_matrix(t), cfg.kmax)
 
     rows = []
     even_ok = True

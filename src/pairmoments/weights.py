@@ -14,9 +14,10 @@ built-in weight is a product of powers p ** s(V) of the statistics s = cr,
 n - cc, H and h, so its table sums, like ``StatisticPolynomial.evaluate``,
 are graded: each cell of a cached marginal adds count * a ** s * d ** (E -
 s) in ints for p = a / d and s <= E, divided once.  Other weights, floats
-and ``mixed_moment``'s per-cell sums go term by term through ``weight_of``,
-so floats round as before.  Numbers are read once, as they enter (a
-family's parameter when the weight is built), numpy's integers as ints.
+and ``mixed_moment``'s per-cell sums go term by term through ``weight_of``
+(over the joint table's own cells, in place, for table sums), so floats
+round as before.  Numbers are read once, as they enter (a family's
+parameter when the weight is built), numpy's integers as ints.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def _table_sums(n: int, spec: WeightSpec, *, connected_only: bool = False,
     if type(mix) not in _EXACT:
         mix = _as_int(mix)
     if powers is None or type(mix) not in _EXACT:
-        return tuple(_term_sum(pairings._marginal(k, ("cr", "h", "cc"), connected_only).items(),
+        return tuple(_term_sum(pairings.statistic_distribution(k)._cells(connected_only),
                                k, spec, mix) for k in range(1, n + 1))
     # A built-in weight is prod_s p_s ** s(V), and mix ** (k - h) = mix ** H
     # one more factor: a graded sum over the statistics whose p_s is not 1.

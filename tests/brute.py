@@ -11,8 +11,8 @@ over P2(2n) is kept as :func:`walk_statistics`, with
 equal it row for row and its mixed moment bit for bit.  The per-partition
 check bodies are kept as oracles for the array checks: they visit every
 partition in walk order and read its rotation and each of its components,
-both built by the validating ``PairPartition.from_pairs``, with the
-package's single-partition kernel.  That kernel is pinned on its own:
+both built from the definitions as sorted block tuples, with the package's
+single-partition kernel.  That kernel is pinned on its own:
 ``statistics``, ``crossings``, ``singleton_blocks`` and
 ``connected_components`` must equal :func:`chord_stats`,
 :func:`singletons` and :func:`components` on every partition with n <= 6.
@@ -392,19 +392,28 @@ def blocks_even(blocks):
 def _records(n):
     """Per partition of P2(2n), in the order of walk_statistics: its (cr, h,
     cc) from the walk, and the (cr, h, cc) of its rotation and the (k, cr,
-    h, cc) of each component standardized to {1..2k}, both built by
-    from_pairs and read by the package's single-partition kernel.  Equal
-    records are shared, so n = 7 holds one reference per partition."""
-    shared = {}
+    h, cc) of each component standardized to {1..2k}, both built as sorted
+    block tuples and read by the package's single-partition kernel, once
+    per distinct standardized component.  Equal records are shared, so
+    n = 7 holds one reference per partition."""
+    m = 2 * n
+    shared, memo = {}, {}
     out = []
     for blocks, cr, h, cc in walk_statistics(n, with_blocks=True):
-        part = pairings._fast_partition(n, blocks)
-        rotated = pairings._chord_stats(rotate_by_pairs(part).blocks)
+        rotated = pairings._chord_stats(tuple(sorted(
+            (x, y) if x < y else (y, x) for x, y in ((1 + a % m, 1 + b % m) for a, b in blocks))))
         if cc == n:
             comps = ((1, 0, 1, 1),) * n
         else:
-            comps = tuple((len(comp), *pairings._chord_stats(standardize_by_pairs(comp).blocks))
-                          for comp in pairings.connected_components(part)[1])
+            comps = []
+            for comp in pairings.connected_components(pairings._fast_partition(n, blocks))[1]:
+                if comp not in memo:
+                    key = standardize(comp)
+                    if key not in memo:
+                        memo[key] = (len(key), *pairings._chord_stats(key))
+                    memo[comp] = memo[key]
+                comps.append(memo[comp])
+            comps = tuple(comps)
         record = (cr, h, cc), rotated, comps
         out.append(shared.setdefault(record, record))
     return out
@@ -421,11 +430,12 @@ def rotate_by_pairs(partition):
     return PairPartition.from_pairs((1 + a % m, 1 + b % m) for a, b in partition.blocks)
 
 
-def standardize_by_pairs(component):
-    """A component relabelled to {1..2k} in order, built by from_pairs."""
+def standardize(component):
+    """A component's blocks relabelled to {1..2k} in order, sorted by low end."""
     support = sorted(p for blk in component for p in blk)
     rank = {p: i + 1 for i, p in enumerate(support)}
-    return PairPartition.from_pairs((rank[a], rank[b]) for a, b in component)
+    return tuple(sorted((rank[a], rank[b]) for a, b in component))
+
 
 
 def strong_multiplicativity_report(spec, nmax):

@@ -294,6 +294,21 @@ class TestRandmat:
         assert len(lines) == 9
         assert sum(int(line.split(",")[2]) for line in lines[1:]) == 100
 
+    def test_histogram_is_trial_zero(self, capsys, tmp_path):
+        # the sidecar bins the spectrum of run_mc's first matrix
+        from pairmoments.rng import substream_seed
+
+        path = tmp_path / "hist.csv"
+        code, _, _ = run(
+            capsys, "randmat", "--n", "30", "--trials", "3", "--kmax", "4",
+            "--dist", "gaussian", "--seed", "7", "--hist", str(path), "--bins", "9",
+        )
+        assert code in (0, 1)
+        csv = ["bin_left,bin_right,count\n" + "".join(
+            f"{left:.15g},{right:.15g},{count}\n" for left, right, count in rm.eigenvalue_histogram(
+                rm.sample_markov(30, "gaussian", substream_seed(7, t)), bins=9)) for t in (0, 1)]
+        assert path.read_text() == csv[0] != csv[1]
+
     def test_histogram_size_guard(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "randmat", "--n", "2001", "--trials", "2", "--kmax", "2",

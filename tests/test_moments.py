@@ -1,6 +1,8 @@
 import functools
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -455,6 +457,58 @@ class TestTableSumsExact:
         for mix in (0.3, 1.0):
             assert _typed(we._table_sums(n, spec, connected_only=True, mix=mix)) == _typed(
                 _loop_table_sums(spec, n, connected_only=True, mix=mix))
+
+
+class TestTermSumsReadTheTable:
+    """The term-by-term table sums read the joint table's own cells in place."""
+
+    N = pairings.TABLE_MAX_N
+
+    def test_no_second_copy_is_kept(self):
+        pairings._joint_tables(self.N)
+        pairings._marginal.cache_clear()
+        tracemalloc.start()
+        try:
+            sums = [we._table_sums(self.N, CrossingPower(0.3), connected_only=connected_only)
+                    for connected_only in (False, True)]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sums[1]) == self.N
+        assert held < 100_000
+        assert pairings._marginal.cache_info().currsize == 0
+
+    def test_first_call_costs_a_repeat(self):
+        # the first call builds nothing a repeat does not; best of 5 each,
+        # with room for a shared host (a cached copy made it about 3.5 times)
+        pairings._joint_tables(self.N)
+        first, repeat = [], []
+        for _ in range(5):
+            pairings._marginal.cache_clear()
+            for times in (first, repeat):
+                start = time.perf_counter()
+                we._table_sums(self.N, CrossingPower(0.3))
+                times.append(time.perf_counter() - start)
+        assert min(first) <= 1.5 * min(repeat)
+
+    def test_one_connected_cell_filter(self, monkeypatch):
+        # swap the filter for one keeping the cc = 2 cells: the folds of the
+        # graded sums and the term-by-term sums both follow it
+        def cells(self, connected_only):
+            items = self.counts.items()
+            return [(c, k) for c, k in items if c[2] == 2] if connected_only else items
+
+        monkeypatch.setattr(pairings.StatisticDistribution, "_cells", cells)
+        pairings._marginal.cache_clear()
+        try:
+            n, spec = 7, CrossingPower(Fraction(1, 3))
+            want = tuple(sum(k * spec.q ** c[0] for c, k in pairings.statistic_distribution(m)
+                             .counts.items() if c[2] == 2) for m in range(1, n + 1))
+            assert we._table_sums(n, spec, connected_only=True) == want
+            got = we._table_sums(n, CrossingPower(float(spec.q)), connected_only=True)
+            assert all(map(math.isclose, got, want)) and want[-1] > 0
+        finally:
+            pairings._marginal.cache_clear()
 
 
 PARAMS = [3, Fraction(2, 7), -2, Fraction(-3, 4), 0, Fraction(0), Fraction(1)]

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -431,6 +432,105 @@ class TestIndicatorSubadditivity:
                     assert self._delta(sigma * tau, j) <= (
                         self._delta(sigma, j) + self._delta(tau, j)
                     )
+
+
+# Split points by the definition, and their generating functions in integer
+# series arithmetic: oracles that share no code with permgroup.  k is a split
+# point of sigma when sigma fixes k and maps {1..k-1} onto itself, that is
+# when {k} is a one-point block of sigma's direct-sum decomposition into
+# indecomposable permutations (Comtet, Advanced Combinatorics (1974); OEIS
+# A003319).  A polynomial of degree n in x is fixed by its values at
+# x = 0..n, so the tests compare sums of x ** #split there.
+
+
+def _split_set(images):
+    # bitmask of the split points of one-line images, bit k for point k
+    mask = 0
+    for k, image in enumerate(images, 1):
+        if image == k and set(images[:k - 1]) == set(range(1, k)):
+            mask |= 1 << k
+    return mask
+
+
+def _sign(images):
+    inversions = sum(a > b for a, b in itertools.combinations(images, 2))
+    return -1 if inversions % 2 else 1
+
+
+def _inverse_series(a, top):
+    # 1 / a(z) to order top, for integer coefficients with a[0] = 1
+    b = [1]
+    for k in range(1, top + 1):
+        b.append(-sum(a[j] * b[k - j] for j in range(1, min(k, len(a) - 1) + 1)))
+    return b
+
+
+def _split_series(x, top):
+    # sum over S(n) of x ** #split, n = 0..top: 1 / (1 - I(z) - (x - 1) z)
+    # with I(z) = 1 - 1 / F(z), F(z) = sum_k k! z^k the indecomposables
+    one_minus_i = _inverse_series([math.factorial(k) for k in range(top + 1)], top)
+    one_minus_i[1] -= x - 1
+    return _inverse_series(one_minus_i, top)
+
+
+def _signed_split_series(x, top):
+    # sum over S(n) of sgn * x ** #split: (1 + z) / (1 - (x - 1) z (1 + z)),
+    # as the sign sums to 0 over the indecomposables of degree >= 2
+    b = _inverse_series([1, 1 - x, 1 - x], top)
+    return [b[k] + (b[k - 1] if k else 0) for k in range(top + 1)]
+
+
+class TestSplitSeries:
+    def test_series_heads(self):
+        # by hand: S(2) has split counts 2, 0; S(3) in lexicographic order
+        # 3, 1, 1, 0, 0, 0 with signs +, -, -, +, +, -
+        assert [_split_series(x, 3) for x in (0, 2)] == [[1, 0, 1, 3], [1, 2, 5, 15]]
+        assert _signed_split_series(2, 3) == [1, 2, 4 - 1, 8 - 2 - 2 + 1 + 1 - 1]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_big_h_of_the_whole_group(self, n):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        images = pg._image_array(n)
+        assert images.tolist() == [list(p) for p in perms]
+        tally = Counter(zip(map(_sign, perms), (n - pg._big_h_of(images)).tolist()))
+        for x in range(n + 1):
+            assert sum(c * x ** s for (_, s), c in tally.items()) == _split_series(x, n)[n]
+            assert sum(c * sign * x ** s for (sign, s), c in tally.items()) == (
+                _signed_split_series(x, n)[n])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_embedded_singletons(self, n):
+        counts = [pairings.singleton_blocks(pg.embed(s))[1] for s in pg.enumerate_group(n)]
+        for x in range(n + 1):
+            assert sum(x ** h for h in counts) == _split_series(x, n)[n]
+
+
+class TestNormLemma:
+    """split(sigma) & split(tau) lies in split(sigma tau): complements give
+    H(sigma tau) <= H(sigma) + H(tau), with the split sets from the definition."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_split_sets_are_what_big_h_of_counts(self, n):
+        splits = [_split_set(p).bit_count() for p in itertools.permutations(range(1, n + 1))]
+        assert splits == (n - pg._big_h_of(pg._image_array(n))).tolist()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_common_split_points_survive_composition(self, n):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        split = {p: _split_set(p) for p in perms}
+        for sigma in perms:
+            for tau in perms:
+                common = split[sigma] & split[tau]
+                if common:
+                    composed = tuple(sigma[t - 1] for t in tau)
+                    assert common & ~split[composed] == 0, (sigma, tau)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_extend_adds_only_split_points(self, n):
+        for p in itertools.permutations(range(1, n + 1)):
+            for m in range(n, n + 3):
+                added = sum(1 << k for k in range(n + 1, m + 1))
+                assert _split_set(Permutation(p).extend(m).images) == _split_set(p) | added
 
 
 KERNEL_FUNCTIONS = {
