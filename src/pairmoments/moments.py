@@ -52,6 +52,10 @@ class _EvenSequence:
     # they inherit the frozen dataclass's __init__, repr, equality and hash.
     values: tuple[Number, ...]
 
+    def __post_init__(self):
+        # any sequence stored as a tuple (a tuple itself kept), numbers as given
+        object.__setattr__(self, "values", tuple(self.values))
+
     @property
     def order(self) -> int:
         """Largest half-order N."""
@@ -100,6 +104,8 @@ class GramMatrix:
     entries: tuple[tuple[Number, ...], ...]
 
     def __post_init__(self):
+        # rows stored as a tuple of tuples (tuple rows kept), entries as given
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         k = len(self.entries)
         for row in self.entries:
             if len(row) != k:
@@ -111,7 +117,7 @@ class GramMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Number]]) -> "GramMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)
 
     @property
     def size(self) -> int:
@@ -202,12 +208,8 @@ def dilate_sq(m: MomentSequence, lam_sq: Number) -> MomentSequence:
     """
     if not 0 <= lam_sq < inf:  # also false for NaN
         raise ValueError(f"squared dilation factor must be >= 0 and finite, got {lam_sq}")
-    if type(lam_sq) not in _EXACT:
-        lam_sq = _as_int(lam_sq)
-    values = m.values
-    if not set(map(type, values)) <= _EXACT:
-        values = tuple(map(_as_int, values))
-    return MomentSequence(tuple(lam_sq ** n * v for n, v in enumerate(values, start=1)))
+    lam_sq = _as_int(lam_sq)
+    return MomentSequence(tuple(lam_sq ** n * _as_int(v) for n, v in enumerate(m.values, 1)))
 
 
 def semicircle_moments(n: int) -> MomentSequence:
@@ -365,10 +367,11 @@ def hankel_psd(m: MomentSequence) -> tuple[bool, float]:
     entries 0, and reports whether its minimum eigenvalue clears
     ``-HANKEL_TOL * (1 + max |entry|)``.  Passing this test is a necessary
     condition for being the moment sequence of some symmetric probability
-    measure, not a sufficient one.
+    measure, not a sufficient one.  N above ``TABLE_MAX_N`` raises first.
     """
     from .randmat import _psd_verdict  # randmat imports this module
 
+    _check_order(m.order)
     size = m.order + 1
     return _psd_verdict([[float(m.moment(i + j)) for j in range(size)] for i in range(size)],
                         HANKEL_TOL)

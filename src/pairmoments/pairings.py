@@ -382,7 +382,9 @@ def riordan_connected(nmax: int) -> list[int]:
 
 def _singleton_total(n: int) -> int:
     # T_2n = n * sum_{k=0..n-1} p_2k * p_2(n-1-k), with p_2k = (2k-1)!!
-    p = [pairing_count(k) for k in range(n)]
+    p = [1]
+    for k in range(1, n):
+        p.append(p[-1] * (2 * k - 1))
     return n * sum(p[k] * p[n - 1 - k] for k in range(n))
 
 
@@ -397,8 +399,7 @@ def total_singletons(n: int) -> int:
         raise ValueError("n must be >= 1")
     closed = _singleton_total(n)
     if n <= TABLE_MAX_N:
-        at, _ = _field("h")
-        brute = sum(cell[at] * count for cell, count in statistic_distribution(n).counts.items())
+        brute = sum(h * count for h, count in statistic_distribution(n).marginal("h").items())
         if brute != closed:
             raise DualPathMismatchError(
                 f"singleton total mismatch at n={n}: closed form {closed}, "

@@ -13,11 +13,12 @@ Every weighted sum over cells (cr, h, cc) is one of two loops here.  A
 built-in weight is a product of powers p ** s(V) of the statistics s = cr,
 n - cc, H and h, so its table sums, like ``StatisticPolynomial.evaluate``,
 are graded: each cell of a cached marginal adds count * a ** s * d ** (E -
-s) in ints for p = a / d and s <= E, divided once.  Other weights, floats
-and ``mixed_moment``'s per-cell sums go term by term through ``weight_of``
-(over the joint table's own cells, in place, for table sums), so floats
-round as before.  Numbers are read once, as they enter (a family's
-parameter when the weight is built), numpy's integers as ints.
+s) in ints for p = a / d, E the top of s at the call's largest order (one
+table per p and call serves every order), divided once.  Other weights,
+floats and ``mixed_moment``'s per-cell sums go term by term through
+``weight_of`` (over the joint table's own cells, in place, for table
+sums), so floats round as before.  Numbers are read once, as they enter
+(a family's parameter when the weight is built), numpy's integers as ints.
 """
 
 from __future__ import annotations
@@ -195,16 +196,11 @@ def _graded_powers(x: Number, top: int) -> tuple[list[int], int]:
     return [u * v for u, v in zip(up, reversed(down))], down[top]
 
 
-def _graded_sum(cells, params: list, tops: list[int], fraction: bool) -> Number:
-    # The sum of count * prod_i p_i ** key[i] over the (key, count) in cells,
-    # each p_i = a / d an int or a Fraction and key[i] <= tops[i]: count *
-    # prod_i a ** key[i] * d ** (tops[i] - key[i]) in ints, divided once.
-    scale = 1
-    tables = []
-    for param, top in zip(params, tops):
-        table, top_scale = _graded_powers(param, top)
-        tables.append(table)
-        scale *= top_scale
+def _graded_sum(cells, tables: list[list[int]], scale: int, fraction: bool) -> Number:
+    # The sum of count * prod_i tables[i][key[i]] over the (key, count) in
+    # cells, divided once by scale.  With tables[i] and d_i ** T_i from
+    # _graded_powers(p_i, T_i), T_i >= every key[i], and scale the product
+    # of the d_i ** T_i, that is the sum of count * prod_i p_i ** key[i].
     total = 0
     for key, count in cells:
         for table, e in zip(tables, key):
@@ -229,8 +225,7 @@ def _table_sums(n: int, spec: WeightSpec, *, connected_only: bool = False,
     # (only cc = 1 cells when connected_only).  n < 0 or > TABLE_MAX_N raises.
     _check_order(n)
     powers = _statistic_powers(spec)
-    if type(mix) not in _EXACT:
-        mix = _as_int(mix)
+    mix = _as_int(mix)
     if powers is None or type(mix) not in _EXACT:
         return tuple(_term_sum(pairings.statistic_distribution(k)._cells(connected_only),
                                k, spec, mix) for k in range(1, n + 1))
@@ -240,10 +235,10 @@ def _table_sums(n: int, spec: WeightSpec, *, connected_only: bool = False,
     if mix != 1:
         powers["H"] = powers["H"] * mix if "H" in powers else mix
     stats = tuple(s for s in pairings._STATISTIC_FIELDS if powers.get(s, 1) != 1)
-    params = [powers[s] for s in stats]
-    return tuple(_graded_sum(pairings._marginal(k, stats, connected_only).items(), params,
-                             [pairings._statistic_top(s, k) for s in stats], fraction)
-                 for k in range(1, n + 1))
+    built = [_graded_powers(powers[s], pairings._statistic_top(s, n)) for s in stats]
+    tables, scale = [table for table, _ in built], math.prod(d for _, d in built)
+    return tuple(_graded_sum(pairings._marginal(k, stats, connected_only).items(), tables,
+                             scale, fraction) for k in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -259,16 +254,16 @@ class StatisticPolynomial:
     coefficients: Mapping[int, int]
 
     def evaluate(self, param: Number) -> Number:
-        if type(param) not in _EXACT:
-            param = _as_int(param)
+        param = _as_int(param)
         if type(param) not in _EXACT or min(self.coefficients, default=-1) < 0:
             # the term loop, with x ** k the mixing factor of a cell with H = k
             # under the constant weight: left to right, in exponent order
             cells = (((0, self.n - k, 0), c) for k, c in sorted(self.coefficients.items()))
             return _term_sum(cells, self.n, Constant1(), param)
         # zip(coefficients) gives the exponents as the 1-tuples of a marginal
-        return _graded_sum(zip(zip(self.coefficients), self.coefficients.values()), [param],
-                           [max(self.coefficients)], type(param) is Fraction)
+        table, scale = _graded_powers(param, max(self.coefficients))
+        return _graded_sum(zip(zip(self.coefficients), self.coefficients.values()), [table],
+                           scale, type(param) is Fraction)
 
     def total(self) -> int:
         return sum(self.coefficients.values())
@@ -313,9 +308,9 @@ def check_strong_multiplicativity(spec: WeightSpec, nmax: int) -> CheckReport:
     same component keys in order of lowest block form one case of the
     cached stream of :mod:`pairmoments._arrays`; each case is checked once,
     in order of its first partition, which is the witness if it fails.  nmax
-    above ``STREAM_MAX_N`` raises before any array is built.
+    outside 1..``STREAM_MAX_N`` raises before any array is built.
     """
-    _check_limit("enumeration", max(nmax, 1))
+    _check_limit("enumeration", nmax)
     from . import _arrays
 
     weight = cache(spec.weight_of)
@@ -341,11 +336,11 @@ def check_traceability(statistic: str, nmax: int) -> CheckReport:
     The statistic is one of cr, h, cc, H or n-cc; any other name raises
     ValueError.  The rows of the block arrays of :mod:`pairmoments._arrays`
     are rotated in bulk and each rotated row's statistic compared with its
-    own; the first row that differs is the witness.  nmax above
-    ``STREAM_MAX_N`` raises before any array is built.
+    own; the first row that differs is the witness.  nmax outside
+    1..``STREAM_MAX_N`` raises before any array is built.
     """
     pairings._field(statistic)
-    _check_limit("enumeration", max(nmax, 1))
+    _check_limit("enumeration", nmax)
     from . import _arrays
 
     cases = 0

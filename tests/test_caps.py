@@ -79,6 +79,8 @@ TABLE_ENTRIES = {
     # order-2n targets need half-size n: kmax 40 and 41 pass, 42 does not
     "McConfig.kmax": lambda n: rm.McConfig(n=2, trials=2, kmax=2 * n),
     "empirical_moments.kmax": lambda n: rm.empirical_moments(np.eye(2), 2 * n),
+    # the (N + 1) x (N + 1) Hankel matrix of an order-N sequence
+    "hankel_psd": lambda n: mo.hankel_psd(mo.MomentSequence((1,) * n)),
 }
 
 
@@ -126,6 +128,13 @@ def test_total_singletons_cross_checks_up_to_the_cap(monkeypatch):
     monkeypatch.setattr(pa, "statistic_distribution", _no_work)
     n = TABLE + 1
     assert pa.total_singletons(n) == n * sum(p[k] * p[n - 1 - k] for k in range(n))
+
+
+def test_singleton_closed_form_equals_the_double_factorial_sum():
+    # the closed form builds (2k - 1)!! up once; each term equals pairing_count's
+    for n in range(61):
+        p = [pa.pairing_count(k) for k in range(n)]
+        assert pa._singleton_total(n) == n * sum(p[k] * p[n - 1 - k] for k in range(n))
 
 
 TABLE_COMMANDS = [
@@ -227,6 +236,18 @@ def test_stream_entry_refuses_past_cap(entry, monkeypatch, capsys):
         with pytest.raises(SizeLimitError, match="enumeration cap"):
             STREAM_ENTRIES[entry](STREAM + 1)
     assert below == []
+
+
+@pytest.mark.parametrize("nmax", [0, -1])
+@pytest.mark.parametrize("entry", ["iter_statistics", "check_traceability",
+                                   "check_strong_multiplicativity"])
+def test_stream_entry_refuses_below_one(entry, nmax, monkeypatch):
+    # one rule for the walks and the checks over them: no check passes "on
+    # 0 partitions" where iter_statistics refuses
+    monkeypatch.setattr(ar, "np", _NoArrays())
+    with pytest.raises(ValueError, match=rf"^half-size must be >= 1, got {nmax}$") as below:
+        STREAM_ENTRIES[entry](nmax)
+    assert type(below.value) is ValueError
 
 
 def test_stream_arrays_refused_before_allocation(monkeypatch):

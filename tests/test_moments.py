@@ -70,6 +70,27 @@ class TestSequencesApi:
         with pytest.raises(AttributeError):
             m.values = ()
 
+    @pytest.mark.parametrize("kind", [MomentSequence, CumulantSequence])
+    def test_any_sequence_is_stored_as_a_tuple(self, kind):
+        # equality, hash and truncate are a tuple's whatever came in, and
+        # the numbers are kept as given; a tuple is stored as it is
+        from_array = kind(np.array([2, 9]))
+        assert from_array == kind((2, 9)) and hash(from_array) == hash(kind((2, 9)))
+        assert type(from_array.values) is tuple
+        assert all(type(x) is np.int64 for x in from_array.values)
+        assert kind([1, 2, 3]).truncate(2).values == (1, 2)
+        assert type(kind([1, 2, 3]).truncate(2).values) is tuple
+        values = (1, 2)
+        assert kind(values).values is values
+
+    def test_gram_stores_tuples(self):
+        rows = ((1, 0), (0, 1))
+        from_lists = GramMatrix([[1, 0], [0, 1]])
+        assert from_lists == GramMatrix(rows) == GramMatrix.from_rows(np.eye(2, dtype=int))
+        assert hash(from_lists) == hash(GramMatrix(rows))
+        assert from_lists.entries == rows and type(from_lists.entries[0]) is tuple
+        assert all(kept is row for kept, row in zip(GramMatrix(rows).entries, rows))
+
     def test_gram_requires_symmetry(self):
         with pytest.raises(ValueError):
             GramMatrix.from_rows([[1, 2], [3, 1]])

@@ -1,6 +1,8 @@
+import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+from pairmoments import moments as mo
 from pairmoments import randmat as rm
 from pairmoments import rng as rng_mod
 from pairmoments.exceptions import SizeLimitError
@@ -381,6 +384,62 @@ class TestSpectrum:
         got = rm.spectrum(rm.sample_markov(15, "gaussian", seed=2))
         assert got == sorted(got)
         assert all(type(x) is float for x in got)
+
+
+class TestExactFiniteMarkovMoments:
+    """E m_k of M / sqrt(n) at finite n, averaged exactly over a finite law.
+
+    M = X - diag(row sums of X) is built here from its definition, with no
+    sampler.  Rademacher entries take every sign pattern; Gaussian entries
+    a 5-node Gauss-Hermite product rule, exact for the polynomials of
+    degree <= 9 in each entry that m_1..m_8 are.  Each even mean is an
+    exact polynomial in 1/n whose leading term is the limit sum_V 2^h(V).
+    """
+
+    # E m_2, E m_4, E m_6, E m_8 as coefficients of 1, 1/n, 1/n^2, ...
+    RADEMACHER = ((2, -2), (9, -19, 10), (56, -216, 288, -128),
+                  (431, -2637, 6286, -6736, 2656))
+    GAUSSIAN = ((2, -2), (9, -3, -6), (56, 48, -56, -48),
+                (431, 1035, 274, -1092, -648))
+
+    @staticmethod
+    def _exact_means(n, nodes, weights):
+        # the weighted mean of empirical_moments(M, 8) over every assignment
+        # of nodes to the entries of X above the diagonal; X's diagonal
+        # cancels in M, so it is left 0
+        upper = np.triu_indices(n, 1)
+        total = np.zeros(8)
+        for pick in itertools.product(range(len(nodes)), repeat=len(upper[0])):
+            x = np.zeros((n, n))
+            x[upper] = nodes[list(pick)]
+            x += x.T
+            m = x - np.diag(x.sum(axis=1))
+            total += np.prod(weights[list(pick)]) * np.array(rm.empirical_moments(m, 8))
+        return total / weights.sum() ** len(upper[0])
+
+    def _check(self, means, polynomials, n):
+        for k, mean in enumerate(means, 1):
+            if k % 2:
+                assert mean == pytest.approx(0, abs=1e-10), k
+            else:
+                coefficients = polynomials[k // 2 - 1]
+                want = sum(Fraction(c, n ** i) for i, c in enumerate(coefficients))
+                assert mean == pytest.approx(float(want), rel=1e-10), k
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rademacher_every_sign_pattern(self, n):
+        means = self._exact_means(n, np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
+        self._check(means, self.RADEMACHER, n)
+
+    def test_gaussian_hermite_product_rule(self):
+        nodes, weights = np.polynomial.hermite_e.hermegauss(5)
+        self._check(self._exact_means(3, nodes, weights), self.GAUSSIAN, 3)
+
+    def test_leading_terms_are_the_markov_limit(self):
+        limit = mo.markov_limit_moments(4).values
+        assert limit == (2, 9, 56, 431)
+        assert tuple(c[0] for c in self.RADEMACHER) == limit
+        assert tuple(c[0] for c in self.GAUSSIAN) == limit
 
 
 class TestRunMc:

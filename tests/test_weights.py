@@ -203,6 +203,17 @@ class TestStatisticPolynomial:
                 assert scale == d ** top
                 assert {type(v) for v in table + [scale]} == {int}
 
+    def test_one_power_table_per_parameter_per_call(self, monkeypatch):
+        # each parameter's table is built once, at its top for order n, and
+        # every order k <= n reads it
+        built, real = [], weights._graded_powers
+        monkeypatch.setattr(weights, "_graded_powers",
+                            lambda x, top: built.append((x, top)) or real(x, top))
+        spec = Product((CrossingPower(Fraction(1, 3)), ComponentPower(Fraction(2, 3))))
+        sums = weights._table_sums(20, spec, mix=Fraction(1, 4))
+        assert len(sums) == 20
+        assert built == [(Fraction(1, 3), 190), (Fraction(1, 4), 20), (Fraction(2, 3), 20)]
+
     def test_hand_built_polynomials_keep_the_loop(self):
         assert weights.StatisticPolynomial(1, {}).evaluate(Fraction(1, 2)) == 0
         got = weights.StatisticPolynomial(1, {-1: 2, 1: 3}).evaluate(2)
@@ -278,19 +289,19 @@ ORACLE_SPECS = [
 
 class TestChecksMatchDefinitionalBodies:
     """The array checks give the same CheckReport, field for field, as the
-    per-partition check bodies kept in brute.py, at every nmax up to 7."""
+    per-partition check bodies kept in brute.py, at every nmax from 1 to 7."""
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=[
         "const", "qcr", "scc", "bH", "betah", "product", "qcr-float", "cr-plus-one",
         "qcr-2.0", "bH-0"])
     def test_strong_multiplicativity(self, spec):
-        for nmax in range(8):
+        for nmax in range(1, 8):
             assert weights.check_strong_multiplicativity(spec, nmax) == \
                 brute.strong_multiplicativity_report(spec, nmax)
 
     @pytest.mark.parametrize("stat", ["cr", "h", "cc", "H", "n-cc"])
     def test_traceability(self, stat):
-        for nmax in range(8):
+        for nmax in range(1, 8):
             assert weights.check_traceability(stat, nmax) == brute.traceability_report(stat, nmax)
 
     @pytest.mark.parametrize("chunk", [1, 5])
