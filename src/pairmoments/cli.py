@@ -37,7 +37,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-WEIGHT_CHOICES = ("const", "qcr", "scc", "bH", "betah")
+#: The --weight names and the weight each one builds.
+WEIGHT_CHOICES = {"const": we.Constant1, "qcr": we.CrossingPower, "scc": we.ComponentPower,
+                  "bH": we.SingletonHPower, "betah": we.SingletonCountPower}
 
 
 def format_number(x) -> str:
@@ -171,12 +173,7 @@ def _make_weight(name: str, param) -> we.WeightSpec:
         return we.Constant1()
     if param is None:
         raise ValueError(f"--param is required for weight {name!r}")
-    return {
-        "qcr": we.CrossingPower,
-        "scc": we.ComponentPower,
-        "bH": we.SingletonHPower,
-        "betah": we.SingletonCountPower,
-    }[name](param)
+    return WEIGHT_CHOICES[name](param)
 
 
 def _check_flag(flag: str, kind: str, value: int) -> None:
@@ -247,9 +244,8 @@ def cmd_randmat(args, out) -> int:
     if args.hist is not None:
         hist = rm.eigenvalue_histogram(cfg._trial_matrix(0), bins=args.bins)
         with open(args.hist, "w") as fh:
-            fh.write("bin_left,bin_right,count\n")
-            for left, right, count in hist:
-                fh.write(f"{left:.15g},{right:.15g},{count}\n")
+            emit([{"bin_left": left, "bin_right": right, "count": count}
+                  for left, right, count in hist], {}, "csv", fh)
     rows = [
         {"k": r.k, "mean": r.mean, "stderr": r.stderr,
          "target": r.target, "z": r.z, "passed": r.passed}

@@ -2,9 +2,12 @@
 
 Every entry point checks its sizes here before any work, so a cap moves by
 editing one constant; ``_check_order`` checks a sequence's half-order N the
-same way.  The caps are free of numpy, for the command-line parser;
-pairings, randmat and permgroup re-export them under these names.
+same way.  A size that is not an integer (numpy's are) raises ValueError.
+The caps are free of numpy, for the command-line parser; pairings, randmat
+and permgroup re-export them under these names.
 """
+
+from numbers import Integral
 
 ENTRY_DISTRIBUTIONS = ("rademacher", "gaussian")
 
@@ -62,11 +65,17 @@ _LIMITS = {
 }
 
 
-def _check_limit(kind: str, value: int) -> None:
-    # ValueError below the least value of the kind, SizeLimitError past its cap
-    least, cap, name, what = _LIMITS[kind]
+def _check_least(value: int, least: int, what: str) -> None:
+    if not isinstance(value, (int, Integral)):  # int first: the ABC's check is slow
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{what} must be >= {least}, got {value}")
+
+
+def _check_limit(kind: str, value: int) -> None:
+    # _check_least for the kind, then SizeLimitError past its cap
+    least, cap, name, what = _LIMITS[kind]
+    _check_least(value, least, what)
     if value > cap:
         raise SizeLimitError(f"{what} {value} exceeds the {kind} cap {cap} ({name})")
 
@@ -74,8 +83,7 @@ def _check_limit(kind: str, value: int) -> None:
 def _check_order(n: int, table: bool = True) -> None:
     # A half-order N counts entries, so N = 0 is the empty sequence; one
     # built from the tables is at most TABLE_MAX_N.
-    if n < 0:
-        raise ValueError(f"order N must be >= 0, got {n}")
+    _check_least(n, 0, "order N")
     if n and table:
         _check_limit("table", n)
 

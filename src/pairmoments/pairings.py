@@ -22,9 +22,9 @@ Touchard-Riordan q-Gaussian moments T_k(q) (Bozejko-Speicher, CMP 137
 (1991); Lehner, Eur. J. Combin. 23 (2002)).  Partitions of one block-size
 type give equal products, so each type is one term, times Kreweras' count.
 The same sum over types is the free moment-cumulant transform; its forward
-and inverse loops over any ring live here, run on packed ints by the joint
-table and wrapped by :mod:`pairmoments.moments`, which this module does not
-import.
+and inverse loops over any ring live here, wrapped by :mod:`pairmoments.moments`
+(not imported here).  The joint table runs them on packed ints: each (h, cc)
+cell is the forward loop's sum over the types with cc blocks, h of size 2.
 
 The per-partition streams keep one canonical order.  There is one walk: a
 non-recursive depth-first walk over an explicit stack that stops six free
@@ -54,7 +54,8 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .exceptions import STREAM_MAX_N, TABLE_MAX_N, DualPathMismatchError, _check_limit
+from .exceptions import (STREAM_MAX_N, TABLE_MAX_N, DualPathMismatchError, _check_least,
+                         _check_limit)
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,8 @@ def _statistic_top(statistic: str, n: int) -> int:
 
 
 def pairing_count(n: int) -> int:
-    """(2n-1)!! = number of pair partitions of {1..2n}; p(0) = 1."""
+    """(2n-1)!! = number of pair partitions of {1..2n}, for an integer n >= 0; p(0) = 1."""
+    _check_least(n, 0, "n")
     out = 1
     for k in range(1, n + 1):
         out *= 2 * k - 1
@@ -186,9 +188,8 @@ def pairing_count(n: int) -> int:
 
 
 def count_nc_pairings(n: int) -> int:
-    """Number of non-crossing pair partitions of {1..2n} (Catalan number)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """Number of non-crossing pair partitions of {1..2n} (Catalan number), integer n >= 0."""
+    _check_least(n, 0, "n")
     return comb(2 * n, n) // (n + 1)
 
 
@@ -393,10 +394,9 @@ def total_singletons(n: int) -> int:
 
     Uses the closed form ``T_{2n} = n * sum_{k=0..n-1} p_{2k} * p_{2(n-1-k)}``
     and, whenever n is within ``TABLE_MAX_N``, cross-checks it against the
-    joint table.
+    joint table.  n must be an integer >= 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_least(n, 1, "n")
     closed = _singleton_total(n)
     if n <= TABLE_MAX_N:
         brute = sum(h * count for h, count in statistic_distribution(n).marginal("h").items())
@@ -526,16 +526,14 @@ def _joint_tables(n: int) -> tuple[StatisticDistribution, ...]:
         connected = _cumulants_of(tuple(_touchard_riordan(n)))
         tables = []
         for k in range(1, n + 1):
-            # An even non-crossing type with b blocks, h of size 2, gives
-            # count * prod_s C_(s/2)(q) to the cell (h, cc = b); C_1 = 1.
-            cells: dict[tuple[int, int], int] = {}
+            # The cell (h, cc) is the transform loop's sum over the even
+            # non-crossing types with cc blocks, h of size 2; C_1 = 1.
+            cells: dict[tuple[int, int], list] = {}
             for sizes, count in _nc_even_types(2 * k):
-                for s in sizes:
-                    count *= connected[s // 2 - 1]
-                key = sizes.count(2), len(sizes)
-                cells[key] = cells.get(key, 0) + count
+                cells.setdefault((sizes.count(2), len(sizes)), []).append((sizes, count))
             counts = {}
-            for (h, cc), packed in cells.items():
+            for (h, cc), types in cells.items():
+                packed = _type_sum(connected, types)
                 raw = packed.to_bytes(-(-packed.bit_length() // 8), "little")
                 for at in range(0, len(raw), size):
                     count = int.from_bytes(raw[at:at + size], "little")
@@ -556,7 +554,7 @@ def statistic_distribution(n: int) -> StatisticDistribution:
     return _joint_tables(n)[-1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 is refused, not a hit for 3
 def _marginal(n: int, statistics: tuple[str, ...],
               connected_only: bool) -> Mapping[tuple[int, ...], int]:
     # _fold of the joint table of P2(2n), read-only, for the graded sums of

@@ -51,9 +51,10 @@ class Permutation:
     @classmethod
     def from_cycles(cls, n: int, *cycles) -> "Permutation":
         images = list(range(1, n + 1))
+        point = cls.identity(n)  # point(a) is a, or ValueError outside 1..n
         for cycle in cycles:
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                images[a - 1] = b
+                images[point(a) - 1] = b
         return cls(tuple(images))
 
     @property
@@ -61,6 +62,8 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, k: int) -> int:
+        if not 1 <= k <= len(self.images):
+            raise ValueError(f"point {k} is outside 1..{self.degree} (degree {self.degree})")
         return self.images[k - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
@@ -81,7 +84,7 @@ class Permutation:
         return Permutation(self.images + tuple(range(self.degree + 1, n + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 is refused, not a hit for 3
 def enumerate_group(n: int) -> tuple[Permutation, ...]:
     """All of S(n) in lexicographic one-line order.
 
@@ -95,7 +98,7 @@ def enumerate_group(n: int) -> tuple[Permutation, ...]:
 def embed(sigma: Permutation) -> PairPartition:
     """The pair partition {(k, 2n+1-sigma(k))} on {1..2n}."""
     n = sigma.degree
-    return PairPartition.from_pairs((k, 2 * n + 1 - sigma(k)) for k in range(1, n + 1))
+    return PairPartition.from_pairs((k, 2 * n + 1 - s) for k, s in enumerate(sigma.images, 1))
 
 
 def isolated_fixed_points(sigma: Permutation) -> int:
@@ -108,10 +111,10 @@ def isolated_fixed_points(sigma: Permutation) -> int:
     """
     count = 0
     prefix_max = 0
-    for k in range(1, sigma.degree + 1):
-        if sigma(k) == k and prefix_max == k - 1:
+    for k, image in enumerate(sigma.images, 1):
+        if image == k and prefix_max == k - 1:
             count += 1
-        prefix_max = max(prefix_max, sigma(k))
+        prefix_max = max(prefix_max, image)
     return count
 
 

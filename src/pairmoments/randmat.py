@@ -6,7 +6,7 @@ row of M sums to zero.  As the dimension grows, the empirical eigenvalue
 distribution of M / sqrt(n) converges to the law whose even moments are
 sum over pair partitions of 2^h(V) -- the free additive convolution of the
 semicircle and standard normal laws, with moments 2, 9, 56, ... at orders
-2, 4, 6.
+2, 4, 6: :func:`run_mc`'s targets, one ``markov_limit_moments`` read per run.
 
 Empirical moments are taken from traces of matrix powers, of which only
 about half are formed.  The matrices are symmetric, and so are their
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments as moments_mod
-from .exceptions import ENTRY_DISTRIBUTIONS, MAX_BINS, MAX_MATRIX_DIM, MAX_TRIALS, _check_limit
+from .exceptions import (ENTRY_DISTRIBUTIONS, MAX_BINS, MAX_MATRIX_DIM, MAX_TRIALS, _check_least,
+                         _check_limit)
 from .rng import Xorshift64Star, substream_seed
 
 #: :func:`run_mc`'s pass rules: an even moment passes when |z| <= Z_LIMIT
@@ -71,8 +72,7 @@ class McConfig:
     def __post_init__(self):
         _check_limit("dimension", self.n)
         _check_limit("trials", self.trials)  # the standard error needs two
-        if self.kmax < 2:
-            raise ValueError("kmax must be >= 2")
+        _check_least(self.kmax, 2, "kmax")
         _check_limit("table", self.kmax // 2)  # the exact target of order kmax
         if self.dist not in ENTRY_DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {ENTRY_DISTRIBUTIONS}")
@@ -174,8 +174,7 @@ def empirical_moments(m: SymMatrix | np.ndarray, kmax: int) -> list[float]:
     :class:`McConfig` (half-size ``TABLE_MAX_N``), raises
     :class:`SizeLimitError` before the matrix is read.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    _check_least(kmax, 1, "kmax")
     _check_limit("table", max(kmax // 2, 1))
     a = m.matrix if isinstance(m, SymMatrix) else _checked_symmetric(m)
     n = a.shape[0]
@@ -229,25 +228,20 @@ def _psd_verdict(m, tol: float, scale_of=None) -> tuple[bool, float]:
     return min_eig >= -tol * scale, min_eig
 
 
-def target_moment(k: int) -> float:
-    """Limit moment of order k: 0 for odd k, sum of 2^h(V) for even k."""
-    if k % 2 == 1:
-        return 0.0
-    return float(moments_mod.markov_limit_moments(k // 2).moment(k))
-
-
 def run_mc(cfg: McConfig) -> McReport:
     """Average empirical moments over independent trials and compare to targets.
 
     Trial t uses the substream seed derived from (cfg.seed, t); trials are
     accumulated in index order, so the report is identical however the work
-    is scheduled.  Even moments pass when |z| <= ``Z_LIMIT`` against the exact
-    limit values; odd moments pass when |mean| <= ``ODD_SIGMA`` * stderr.
+    is scheduled.  Even moments pass when |z| <= ``Z_LIMIT`` against the limit
+    values, all read from one ``markov_limit_moments`` sequence; odd moments
+    pass when |mean| <= ``ODD_SIGMA`` * stderr.
     """
     samples = np.empty((cfg.trials, cfg.kmax))
     for t in range(cfg.trials):
         samples[t, :] = empirical_moments(cfg._trial_matrix(t), cfg.kmax)
 
+    limit = moments_mod.markov_limit_moments(cfg.kmax // 2)
     rows = []
     even_ok = True
     odd_ok = True
@@ -255,7 +249,7 @@ def run_mc(cfg: McConfig) -> McReport:
         col = samples[:, k - 1]
         mean = float(col.mean())
         stderr = float(col.std(ddof=1) / np.sqrt(cfg.trials))
-        target = target_moment(k)
+        target = float(limit.moment(k))
         if stderr > 0:
             z = (mean - target) / stderr
         else:

@@ -9,6 +9,8 @@ builders, the walks and numpy itself fail the test if any work starts,
 which shows that the refusal comes first.
 """
 
+import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,6 +20,7 @@ from pairmoments import _arrays as ar
 from pairmoments import cli, exceptions
 from pairmoments import moments as mo
 from pairmoments import pairings as pa
+from pairmoments import permgroup as pg
 from pairmoments import randmat as rm
 from pairmoments import weights as we
 from pairmoments.exceptions import SizeLimitError, _check_limit
@@ -41,6 +44,11 @@ def test_one_check_per_limit(kind):
     with pytest.raises(ValueError, match=f"^{what} must be >= {least}, got {least - 1}$") as below:
         _check_limit(kind, least - 1)
     assert type(below.value) is ValueError
+    for value in (float(cap), str(least)):
+        refusal = f"^{what} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=refusal) as refused:
+            _check_limit(kind, value)
+        assert type(refused.value) is ValueError
 
 
 def _no_work(*args, **kwargs):
@@ -102,6 +110,19 @@ def test_sequences_below_the_cap():
 def test_table_entry_refuses_past_cap(entry, no_tables):
     with pytest.raises(SizeLimitError, match="table cap"):
         TABLE_ENTRIES[entry](TABLE + 1)
+
+
+#: Entries whose size is the length of a sequence: an int whatever is given.
+SIZED_BY_LENGTH = {"moments_from_cumulants", "hankel_psd"}
+
+
+@pytest.mark.parametrize("entry", [e for e in TABLE_ENTRIES if e not in SIZED_BY_LENGTH])
+def test_table_entry_refuses_non_integral(entry, no_tables):
+    # kmax is named itself, not as the half-size of its target
+    refusal = r"^(half-size|order N|kmax) must be an integer, got \d+\.0$"
+    with pytest.raises(ValueError, match=refusal) as refused:
+        TABLE_ENTRIES[entry](float(TABLE))
+    assert type(refused.value) is ValueError
 
 
 @pytest.mark.parametrize("spec", [we.CrossingPower(F(1, 3)), we.CrossingPower(0.5)],
@@ -236,6 +257,57 @@ def test_stream_entry_refuses_past_cap(entry, monkeypatch, capsys):
         with pytest.raises(SizeLimitError, match="enumeration cap"):
             STREAM_ENTRIES[entry](STREAM + 1)
     assert below == []
+
+
+@pytest.mark.parametrize("entry", [e for e in STREAM_ENTRIES if e != "mixed_moment"])
+def test_stream_entry_refuses_non_integral(entry, monkeypatch, capsys):
+    # mixed_moment's half-size is half a Gram matrix's int size
+    below = _stub_streams(monkeypatch, STREAM)
+    monkeypatch.setattr(pa, "_block_batches", _no_work)
+    monkeypatch.setattr(ar, "np", _NoArrays())
+    if entry.startswith("sequences"):  # --max is parsed as an int
+        with pytest.raises(SystemExit) as exc:
+            STREAM_ENTRIES[entry](float(STREAM))
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+    else:
+        refusal = rf"^half-size must be an integer, got {float(STREAM)}$"
+        with pytest.raises(ValueError, match=refusal) as refused:
+            STREAM_ENTRIES[entry](float(STREAM))
+        assert type(refused.value) is ValueError
+    assert below == []
+
+
+def test_group_and_sampling_sizes_refuse_non_integral():
+    pg.enumerate_group(3)  # cached; 3.0 must still be refused, not served
+    entries = [(lambda: pg.enumerate_group(3.0), "group degree", 3.0),
+               (lambda: pg.embedding_consistency(3.0), "group degree", 3.0),
+               (lambda: rm.sample_markov(10.5), "matrix dimension", 10.5),
+               (lambda: rm.eigenvalue_histogram(np.eye(2), bins=5.0), "bins", 5.0)]
+    for entry, what, value in entries:
+        with pytest.raises(ValueError, match=rf"^{what} must be an integer, got {value}$"):
+            entry()
+    assert pg.enumerate_group(np.int64(3)) == pg.enumerate_group(3)
+
+
+def test_stream_array_widths_hold_the_stream_cap():
+    # _crossings keeps one bit per block in a uint8.  _case_keys packs one
+    # byte per component into an int64: 1 + ((size - 1) << 5 | crossings),
+    # with twice the crossings summed in one byte first.  _stream numbers
+    # the distinct keys in int16; a key lists (size, crossings) pairs whose
+    # sizes sum to n, so there are at most f(n), f(n) = sum_s (C(s, 2) + 1)
+    # * f(n - s), f(0) = 1.
+    n = STREAM
+    keys = [1]
+    for m in range(1, n + 1):
+        keys.append(sum((math.comb(s, 2) + 1) * keys[m - s] for s in range(1, m + 1)))
+    most = math.comb(n, 2)  # crossings in one component
+    fits = (n <= np.iinfo(np.uint8).bits
+            and n <= np.dtype(np.int64).itemsize
+            and most < 2 ** 5 and 2 * most <= np.iinfo(np.uint8).max
+            and 1 + ((n - 1) << 5 | most) <= np.iinfo(np.uint8).max
+            and keys[n] <= np.iinfo(np.int16).max)
+    assert fits, (f"STREAM_MAX_N = {n} passes the fixed widths of "
+                  "_arrays._crossings and _arrays._case_keys")
 
 
 @pytest.mark.parametrize("nmax", [0, -1])

@@ -227,6 +227,31 @@ class TestMoments:
 GOLDEN = Path(__file__).parent / "golden"
 
 
+class TestNegativeFractions:
+    # argparse takes a spaced value that starts with "-" for an option
+    # unless it looks like -1 or -0.5, so a negative fraction needs --flag=value
+    @pytest.mark.parametrize("argv, key, value, code", [
+        (("permcheck", "--n", "3", "--b=-1/2"), "b", "-1/2", 1),
+        (("moments", "--weight", "qcr", "--param=-1/3", "--N", "4"), "param", "-1/3", 0),
+    ])
+    def test_equals_form_runs(self, capsys, argv, key, value, code):
+        status, out, _ = run(capsys, *argv, "--format", "json")
+        assert status == code  # b^h with b = -1/2 is not positive definite on S(3)
+        assert json.loads(out)[key] == value
+
+    @pytest.mark.parametrize("argv", [
+        ("permcheck", "--n", "3", "--b", "-1/2"),
+        ("moments", "--weight", "qcr", "--param", "-1/3", "--N", "4"),
+        ("moments", "--weight", "qcr", "--param", "-1e-1", "--N", "4"),
+    ])
+    def test_spaced_form_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "expected one argument" in err
+
+
 class TestGoldenStdout:
     """Exact-table reports, byte for byte as first recorded (tests/golden)."""
 

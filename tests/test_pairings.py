@@ -324,6 +324,18 @@ class TestSequences:
     def test_pairing_count(self):
         assert [pairings.pairing_count(n) for n in range(1, 9)] == DOUBLE_FACTORIALS
 
+    @pytest.mark.parametrize("closed_form, least", [
+        (pairings.pairing_count, 0), (pairings.count_nc_pairings, 0),
+        (pairings.total_singletons, 1)])
+    def test_closed_forms_refuse_bad_n(self, closed_form, least):
+        for n in (least - 1, -3):
+            with pytest.raises(ValueError, match=rf"^n must be >= {least}, got {n}$"):
+                closed_form(n)
+        for n in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match=rf"^n must be an integer, got {n!r}$"):
+                closed_form(n)
+        assert closed_form(np.int64(3)) == closed_form(3)
+
 
 def _statistic_readers(n):
     # each statistic of a cell (cr, h, cc) of P2(2n), written out
@@ -426,6 +438,24 @@ class TestStatisticDistribution:
         assert pairings._joint_tables(12)[:10] == tables
         assert [d.n for d in pairings._joint_tables(11)] == list(range(1, 12))
         assert built == [10, 12]
+
+    def test_cells_are_sums_of_the_transform_loop(self, monkeypatch):
+        # the inverse transform calls _type_sum once per order, then each
+        # (k, cell) is one call over the types with cc blocks, h of size 2
+        calls = []
+        real = pairings._type_sum
+
+        def recorded(r, types):
+            calls.append(tuple(types))
+            return real(r, types)
+
+        monkeypatch.setattr(pairings, "_JOINT", ())
+        monkeypatch.setattr(pairings, "_type_sum", recorded)
+        n = 8
+        tables = pairings._joint_tables(n)
+        assert len(calls) == n + sum(len({cell[1:] for cell in d.counts}) for d in tables)
+        for types in calls[n:]:
+            assert len({(sizes.count(2), len(sizes)) for sizes, _ in types}) == 1
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_stream_fold(self, n):

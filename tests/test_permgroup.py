@@ -36,6 +36,16 @@ class TestPermutation:
         assert Permutation.from_cycles(4, (1, 2, 3)).images == (2, 3, 1, 4)
         assert Permutation.from_cycles(3).images == (1, 2, 3)
 
+    def test_points_outside_the_degree_raise(self):
+        for cycle, k in (((1, 5), 5), ((0, 1), 0)):
+            with pytest.raises(ValueError, match=rf"^point {k} is outside 1\.\.3 \(degree 3\)$"):
+                Permutation.from_cycles(3, cycle)
+        sigma = perm(2, 1)
+        for k in (0, -1, 3, 5):
+            with pytest.raises(ValueError, match=rf"^point {k} is outside 1\.\.2 \(degree 2\)$"):
+                sigma(k)
+        assert (sigma(1), sigma(2)) == (2, 1)
+
     def test_extend(self):
         assert perm(2, 1).extend(4).images == (2, 1, 3, 4)
 

@@ -454,6 +454,14 @@ class TestRunMc:
         targets = [r.target for r in rep.rows]
         assert targets == [0, 2, 0, 9, 0, 56]
 
+    def test_targets_read_one_limit_sequence(self, monkeypatch):
+        asked = []
+        real = mo.markov_limit_moments
+        monkeypatch.setattr(mo, "markov_limit_moments", lambda n: asked.append(n) or real(n))
+        rep = rm.run_mc(rm.McConfig(n=10, trials=2, kmax=6, seed=2))
+        assert asked == [3]
+        assert [type(r.target) for r in rep.rows] == [float] * 6
+
     def test_tiny_smoke(self):
         # every Rademacher 2x2 Markov matrix has the same order-2 moment 1,
         # so the two trials tie: stderr 0 and the row fails
@@ -482,6 +490,15 @@ class TestRunMc:
             rm.McConfig(n=2, trials=2, kmax=1)
         with pytest.raises(ValueError):
             rm.McConfig(n=2, trials=2, kmax=2, dist="cauchy")
+
+    # kmax is named itself, not as the half-size of its target
+    @pytest.mark.parametrize("field, value, what", [
+        ("n", 10.5, "matrix dimension"), ("trials", 2.0, "trials"), ("kmax", 2.5, "kmax")])
+    def test_config_refuses_non_integral_sizes(self, field, value, what):
+        sizes = {"n": 10, "trials": 2, "kmax": 2, field: value}
+        with pytest.raises(ValueError, match=rf"^{what} must be an integer, got {value}$") as no:
+            rm.McConfig(**sizes)
+        assert type(no.value) is ValueError
 
     def test_config_rejects_kmax_beyond_cap(self):
         rm.McConfig(n=2, trials=2, kmax=41)
