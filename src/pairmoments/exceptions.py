@@ -2,9 +2,9 @@
 
 Every entry point checks its sizes here before any work, so a cap moves by
 editing one constant; ``_check_order`` checks a sequence's half-order N the
-same way.  A size that is not an integer (numpy's are) raises ValueError.
-The caps are free of numpy, for the command-line parser; pairings, randmat
-and permgroup re-export them under these names.
+same way.  A size, order, point or seed that is not an integer (numpy's are)
+raises ValueError from ``_check_integer``.  The caps are free of numpy, for
+the command-line parser; pairings, randmat and permgroup re-export them.
 """
 
 from numbers import Integral
@@ -65,9 +65,13 @@ _LIMITS = {
 }
 
 
-def _check_least(value: int, least: int, what: str) -> None:
+def _check_integer(value: int, what: str) -> None:
     if not isinstance(value, (int, Integral)):  # int first: the ABC's check is slow
         raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_least(value: int, least: int, what: str) -> None:
+    _check_integer(value, what)
     if value < least:
         raise ValueError(f"{what} must be >= {least}, got {value}")
 

@@ -30,7 +30,7 @@ from math import inf, lcm
 from typing import Callable, Sequence
 
 from . import pairings
-from .exceptions import DualPathMismatchError, _check_order
+from .exceptions import DualPathMismatchError, _check_least, _check_order
 from .pairings import _cumulants_of, _moments_of
 from .weights import (
     Constant1,
@@ -67,34 +67,32 @@ class _EvenSequence:
             raise ValueError(f"cannot extend to N={n} (have {self.order})")
         return type(self)(self.values[:n])
 
+    def _entry(self, k: int, kind: str) -> Number:
+        # The one accessor of moment and cumulant: an integer order k >= 0,
+        # odd orders structurally zero, m_0 = 1 and no cumulant of order 0.
+        _check_least(k, 0, f"{kind} order")
+        if k % 2 == 1:
+            return 0
+        if k == 0 and kind == "moment":
+            return 1
+        if k == 0 or k > 2 * self.order:
+            raise ValueError(f"{kind} of order {k} not stored (max {2 * self.order})")
+        return self.values[k // 2 - 1]
+
 
 class MomentSequence(_EvenSequence):
     """Even moments m_2, m_4, ..., m_{2N} of a symmetric law."""
 
     def moment(self, k: int) -> Number:
         """Moment of any order 0 <= k <= 2N; odd orders are structurally zero."""
-        if k < 0:
-            raise ValueError(f"moment order must be >= 0, got {k}")
-        if k == 0:
-            return 1
-        if k % 2 == 1:
-            return 0
-        if k > 2 * self.order:
-            raise ValueError(f"moment of order {k} not stored (max {2 * self.order})")
-        return self.values[k // 2 - 1]
+        return self._entry(k, "moment")
 
 
 class CumulantSequence(_EvenSequence):
     """Even free cumulants r_2, r_4, ..., r_{2N} of a symmetric law."""
 
     def cumulant(self, k: int) -> Number:
-        if k < 0:
-            raise ValueError(f"cumulant order must be >= 0, got {k}")
-        if k % 2 == 1:
-            return 0
-        if k == 0 or k > 2 * self.order:
-            raise ValueError(f"cumulant of order {k} not stored (max {2 * self.order})")
-        return self.values[k // 2 - 1]
+        return self._entry(k, "cumulant")
 
 
 @dataclass(frozen=True)
@@ -373,5 +371,5 @@ def hankel_psd(m: MomentSequence) -> tuple[bool, float]:
 
     _check_order(m.order)
     size = m.order + 1
-    return _psd_verdict([[float(m.moment(i + j)) for j in range(size)] for i in range(size)],
-                        HANKEL_TOL)
+    entries = [float(m.moment(k)) for k in range(2 * size - 1)]
+    return _psd_verdict([entries[i:i + size] for i in range(size)], HANKEL_TOL)

@@ -27,9 +27,10 @@ and inverse loops over any ring live here, wrapped by :mod:`pairmoments.moments`
 cell is the forward loop's sum over the types with cc blocks, h of size 2.
 
 The per-partition streams keep one canonical order.  There is one walk: a
-non-recursive depth-first walk over an explicit stack that stops six free
-points early and yields, per leaf, a tuple of its 15 completions written
-out in canonical order.  :func:`enumerate_pairings` builds each
+recursive depth-first walk that stops six free points early and yields,
+per leaf, a tuple of its 15 completions written out in canonical order.
+Recursion costs nothing here: each level adds one frame resumption per
+batch of 15, not per partition.  :func:`enumerate_pairings` builds each
 :class:`PairPartition` inside that loop.  The statistics of
 :func:`iter_statistics`, :func:`pairmoments.moments.mixed_moment` and the
 checks of :mod:`pairmoments.weights` come from numpy block arrays and
@@ -214,50 +215,37 @@ def enumerate_pairings(n: int) -> Iterator[PairPartition]:
 
 
 def _block_batches(n: int) -> Iterator[tuple[tuple[tuple[int, int], ...], ...]]:
-    # The one walk: non-recursive, depth first, in canonical order.  Depth d
-    # holds the free points left after d blocks, the index of the partner
-    # last tried for the smallest of them, and the blocks placed above it.
-    # The walk stops at six free points a < b < c < e < f < g (d is the
-    # depth) and yields their 15 completions as one tuple, written out in
-    # canonical order; the completions share their pair tuples.
+    # The one walk, in canonical order; n = 1 and n = 2 are one batch each.
     if n == 1:
         yield (((1, 2),),)
         return
     if n == 2:
         yield (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
         return
-    last = n - 3
-    free: list[tuple[int, ...]] = [()] * (last + 1)
-    pick = [0] * (last + 1)
-    placed: list[tuple[tuple[int, int], ...]] = [()] * (last + 1)
-    free[0] = tuple(range(1, 2 * n + 1))
-    d = 0
-    while d >= 0:
-        pts = free[d]
-        if d == last:
-            a, b, c, e, f, g = pts
-            ab, ac, ae, af, ag = (a, b), (a, c), (a, e), (a, f), (a, g)
-            bc, be, bf, bg = (b, c), (b, e), (b, f), (b, g)
-            ce, cf, cg, ef, eg, fg = (c, e), (c, f), (c, g), (e, f), (e, g), (f, g)
-            head = placed[d]
-            yield (
-                head + (ab, ce, fg), head + (ab, cf, eg), head + (ab, cg, ef),
-                head + (ac, be, fg), head + (ac, bf, eg), head + (ac, bg, ef),
-                head + (ae, bc, fg), head + (ae, bf, cg), head + (ae, bg, cf),
-                head + (af, bc, eg), head + (af, be, cg), head + (af, bg, ce),
-                head + (ag, bc, ef), head + (ag, be, cf), head + (ag, bf, ce),
-            )
-            d -= 1
-            continue
-        i = pick[d] + 1
-        if i == len(pts):
-            d -= 1
-            continue
-        pick[d] = i
-        d += 1
-        free[d] = pts[1:i] + pts[i + 1:]
-        pick[d] = 0
-        placed[d] = placed[d - 1] + ((pts[0], pts[i]),)
+    yield from _batches_below(tuple(range(1, 2 * n + 1)), ())
+
+
+def _batches_below(pts: tuple[int, ...], head: tuple[tuple[int, int], ...]) -> Iterator[tuple]:
+    # Depth first below the blocks head: pairs the smallest free point with
+    # each larger one in turn.  At six free points a < b < c < e < f < g it
+    # yields their 15 completions as one tuple in canonical order, sharing
+    # their pair tuples; recursion costs one frame per level per batch of 15.
+    if len(pts) == 6:
+        a, b, c, e, f, g = pts
+        ab, ac, ae, af, ag = (a, b), (a, c), (a, e), (a, f), (a, g)
+        bc, be, bf, bg = (b, c), (b, e), (b, f), (b, g)
+        ce, cf, cg, ef, eg, fg = (c, e), (c, f), (c, g), (e, f), (e, g), (f, g)
+        yield (
+            head + (ab, ce, fg), head + (ab, cf, eg), head + (ab, cg, ef),
+            head + (ac, be, fg), head + (ac, bf, eg), head + (ac, bg, ef),
+            head + (ae, bc, fg), head + (ae, bf, cg), head + (ae, bg, cf),
+            head + (af, bc, eg), head + (af, be, cg), head + (af, bg, ce),
+            head + (ag, bc, ef), head + (ag, be, cf), head + (ag, bf, ce),
+        )
+        return
+    lo = pts[0]
+    for i in range(1, len(pts)):
+        yield from _batches_below(pts[1:i] + pts[i + 1:], head + ((lo, pts[i]),))
 
 
 def _crossing_graph(

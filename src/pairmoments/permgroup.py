@@ -26,7 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import MAX_GROUP_DEGREE, MAX_KERNEL_DEGREE, _check_limit
+from .exceptions import (MAX_GROUP_DEGREE, MAX_KERNEL_DEGREE, _check_integer, _check_least,
+                         _check_limit)
 from .pairings import PairPartition, singleton_blocks
 from .randmat import _psd_verdict
 from .rng import Xorshift64Star
@@ -46,6 +47,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        _check_least(n, 0, "degree")
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
@@ -62,6 +64,7 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, k: int) -> int:
+        _check_integer(k, "point")
         if not 1 <= k <= len(self.images):
             raise ValueError(f"point {k} is outside 1..{self.degree} (degree {self.degree})")
         return self.images[k - 1]
@@ -79,6 +82,7 @@ class Permutation:
 
     def extend(self, n: int) -> "Permutation":
         """View in S(n) for n >= degree, appending fixed points."""
+        _check_integer(n, "degree")
         if n < self.degree:
             raise ValueError("cannot extend to a smaller degree")
         return Permutation(self.images + tuple(range(self.degree + 1, n + 1)))

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments as moments_mod
-from .exceptions import (ENTRY_DISTRIBUTIONS, MAX_BINS, MAX_MATRIX_DIM, MAX_TRIALS, _check_least,
-                         _check_limit)
+from .exceptions import (ENTRY_DISTRIBUTIONS, MAX_BINS, MAX_MATRIX_DIM, MAX_TRIALS, _check_integer,
+                         _check_least, _check_limit)
 from .rng import Xorshift64Star, substream_seed
 
 #: :func:`run_mc`'s pass rules: an even moment passes when |z| <= Z_LIMIT
@@ -76,6 +76,8 @@ class McConfig:
         _check_limit("table", self.kmax // 2)  # the exact target of order kmax
         if self.dist not in ENTRY_DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {ENTRY_DISTRIBUTIONS}")
+        _check_integer(self.seed, "seed")  # any sign: mix64 reads it mod 2^64
+        object.__setattr__(self, "seed", int(self.seed))  # numpy's as a Python int
 
     def _trial_matrix(self, t: int) -> SymMatrix:
         # trial t's matrix, the one rule for run_mc and the CLI's --hist

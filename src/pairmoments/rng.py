@@ -41,6 +41,8 @@ import math
 
 import numpy as np
 
+from .exceptions import _check_integer
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STAR = 0x2545F4914F6CDD1D
@@ -126,7 +128,8 @@ class Xorshift64Star:
     """xorshift64* stream; deterministic given the seed."""
 
     def __init__(self, seed: int):
-        state = mix64(seed)
+        _check_integer(seed, "seed")  # any sign: mix64 reads it mod 2^64
+        state = mix64(int(seed))  # numpy's as a Python int
         if state == 0:
             state = _GOLDEN  # xorshift state must be nonzero
         self._state = state

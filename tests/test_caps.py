@@ -282,11 +282,26 @@ def test_group_and_sampling_sizes_refuse_non_integral():
     entries = [(lambda: pg.enumerate_group(3.0), "group degree", 3.0),
                (lambda: pg.embedding_consistency(3.0), "group degree", 3.0),
                (lambda: rm.sample_markov(10.5), "matrix dimension", 10.5),
-               (lambda: rm.eigenvalue_histogram(np.eye(2), bins=5.0), "bins", 5.0)]
+               (lambda: rm.eigenvalue_histogram(np.eye(2), bins=5.0), "bins", 5.0),
+               (lambda: rm.sample_markov(4, "rademacher", 2.5), "seed", 2.5),
+               (lambda: pg.metric_checks(6, triples=10, seed=1.5), "seed", 1.5),
+               (lambda: mo.MomentSequence((1, 3)).moment(2.0), "moment order", 2.0),
+               (lambda: mo.CumulantSequence((1, 0)).cumulant(2.0), "cumulant order", 2.0),
+               (lambda: pg.Permutation((2, 1))(1.5), "point", 1.5),
+               (lambda: pg.Permutation.identity(2.0), "degree", 2.0),
+               (lambda: pg.Permutation((2, 1)).extend(3.0), "degree", 3.0)]
     for entry, what, value in entries:
         with pytest.raises(ValueError, match=rf"^{what} must be an integer, got {value}$"):
             entry()
+    with pytest.raises(ValueError, match=r"^degree must be >= 0, got -1$"):
+        pg.Permutation.identity(-1)
     assert pg.enumerate_group(np.int64(3)) == pg.enumerate_group(3)
+    assert mo.MomentSequence((1, 3)).moment(np.int64(4)) == 3
+    assert pg.Permutation((2, 1))(np.int64(1)) == 2
+    # numpy seeds draw as their Python int; negative ones are read mod 2^64
+    for seed in (np.int64(7), np.uint64(7), -7):
+        want = rm.sample_markov(4, "rademacher", int(seed) % 2 ** 64).matrix
+        assert np.array_equal(rm.sample_markov(4, "rademacher", seed).matrix, want)
 
 
 def test_stream_array_widths_hold_the_stream_cap():

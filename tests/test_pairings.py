@@ -109,6 +109,23 @@ class TestEnumeration:
         mine = [v.blocks for v in pairings.enumerate_pairings(n)]
         assert mine == [tuple(p) for p in brute.all_pairings(range(1, 2 * n + 1))]
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_walk_batch_shape(self, n):
+        # One batch for n = 1 and n = 2; past that, the 15 completions of six
+        # free points, which share their pair tuples: each distinct pair of a
+        # batch is one object.
+        batches = list(pairings._block_batches(n))
+        assert [blocks for batch in batches for blocks in batch] == [
+            tuple(p) for p in brute.all_pairings(range(1, 2 * n + 1))]
+        if n <= 2:
+            assert len(batches) == 1
+            return
+        for batch in batches:
+            assert len(batch) == 15
+            assert batch[0][-1] is batch[3][-1] is batch[6][-1]
+            pairs = [pair for blocks in batch for pair in blocks]
+            assert len({id(pair) for pair in pairs}) == len(set(pairs))
+
     def test_all_distinct_and_canonical(self):
         seen = set()
         for v in pairings.enumerate_pairings(5):

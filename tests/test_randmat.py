@@ -493,7 +493,8 @@ class TestRunMc:
 
     # kmax is named itself, not as the half-size of its target
     @pytest.mark.parametrize("field, value, what", [
-        ("n", 10.5, "matrix dimension"), ("trials", 2.0, "trials"), ("kmax", 2.5, "kmax")])
+        ("n", 10.5, "matrix dimension"), ("trials", 2.0, "trials"), ("kmax", 2.5, "kmax"),
+        ("seed", 1.5, "seed")])
     def test_config_refuses_non_integral_sizes(self, field, value, what):
         sizes = {"n": 10, "trials": 2, "kmax": 2, field: value}
         with pytest.raises(ValueError, match=rf"^{what} must be an integer, got {value}$") as no:
