@@ -110,16 +110,6 @@ class PairPartition:
         return "{" + inner + "}"
 
 
-def _fast_partition(n: int, blocks: tuple[tuple[int, int], ...]) -> PairPartition:
-    # Internal constructor for blocks canonical by construction (rotations,
-    # witnesses): sets the slots directly, past the frozen __setattr__ and
-    # __post_init__ validation.
-    obj = object.__new__(PairPartition)
-    PairPartition.n.__set__(obj, n)
-    PairPartition.blocks.__set__(obj, blocks)
-    return obj
-
-
 @dataclass(frozen=True)
 class ChordStatistics:
     """The (cr, h, cc) statistics of one pair partition, plus H = n - h."""
@@ -203,7 +193,8 @@ def enumerate_pairings(n: int) -> Iterator[PairPartition]:
     raise :class:`SizeLimitError` on the first ``next()``.
     """
     _check_limit("enumeration", n)
-    # _fast_partition written out, so no call per partition
+    # The blocks are canonical by construction, so each partition's slots
+    # are set directly, past the frozen __setattr__ and the O(n) validation
     new = object.__new__
     set_n, set_blocks = PairPartition.n.__set__, PairPartition.blocks.__set__
     for batch in _block_batches(n):
@@ -351,7 +342,7 @@ def rotate(partition: PairPartition) -> PairPartition:
     last = 2 * partition.n
     head = [(1, lo + 1) for lo, hi in partition.blocks if hi == last]
     rest = [(lo + 1, hi + 1) for lo, hi in partition.blocks if hi != last]
-    return _fast_partition(partition.n, tuple(head + rest))
+    return PairPartition(partition.n, tuple(head + rest))
 
 
 def riordan_connected(nmax: int) -> list[int]:

@@ -8,8 +8,9 @@ The quantity H(sigma) = n - h(sigma) extends consistently along the natural
 embeddings S(n) into S(n+1) and behaves like a norm: it is symmetric,
 subadditive, and vanishes only at the identity, so d(sigma, tau) =
 H(sigma^-1 tau) is a left-invariant metric.  ``_big_h_of`` counts split
-points over a stack of permutations at once; :func:`isolated_fixed_points`
-counts one element's, for :func:`big_h` and so for :func:`check_cnd`.
+points over a stack of permutations at once, and every count over a whole
+group goes through it, :func:`check_cnd`'s kernel included;
+:func:`isolated_fixed_points` counts one element's, for :func:`big_h`.
 
 Positivity statements are exercised as finite Gram-matrix eigenvalue tests
 over an entire group S(n); every eigenvalue comes from
@@ -281,14 +282,16 @@ def check_cnd(
     Certificate one: with P the projector onto zero-sum vectors, -P K P must
     be PSD (the quadratic form of K is nonpositive wherever coefficients sum
     to zero).  Certificate two (Schoenberg): exp(-x K) entrywise must be PSD
-    for each positive x in ``exponents``.  Degrees above
-    ``MAX_KERNEL_DEGREE`` raise in :func:`kernel_matrix`, before any work;
-    so does a ``tol`` that is not finite and positive.
+    for each positive x in ``exponents``.  A ``tol`` that is not finite and
+    positive raises ValueError, and then a degree above ``MAX_KERNEL_DEGREE``
+    :class:`SizeLimitError`, both before the group is listed.  The kernel
+    K[a, b] = H(sigma_a^-1 sigma_b) is H of the whole group from
+    ``_big_h_of``, read off the quotient table.
     """
     _check_tol(tol)
-    km = kernel_matrix(n, lambda s: float(big_h(s)))
-    order = km.order
-    k = km.entries
+    _check_limit("kernel", n)
+    k = _big_h_of(_image_array(n)).astype(float)[_quotient_table(n)]
+    order = len(k)
     proj = np.eye(order) - np.full((order, order), 1.0 / order)
     centered = -(proj @ k @ proj)
     ok, centered_min = _psd_verdict((centered + centered.T) / 2.0, tol, scale_of=k)

@@ -39,12 +39,12 @@ ODD_SIGMA = 3.0
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """A dense real symmetric matrix with finite entries; treat the array as read-only."""
+    """A real symmetric matrix: the finite float array checked when built; treat as read-only."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        _checked_symmetric(self.matrix, tol=0.0)
+        object.__setattr__(self, "matrix", _checked_symmetric(self.matrix, tol=0.0))
 
     @property
     def n(self) -> int:
@@ -137,13 +137,12 @@ def sample_markov(n: int, dist: str = "rademacher", seed: int = 0) -> SymMatrix:
     return _symmetric(x)
 
 
-def _array(m: SymMatrix | np.ndarray) -> np.ndarray:
-    return m.matrix if isinstance(m, SymMatrix) else np.asanyarray(m, dtype=float)
-
-
 def _checked_symmetric(m: SymMatrix | np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    # square, finite and symmetric within rtol = atol = tol (exactly at 0)
-    a = _array(m)
+    # The one matrix reader: a SymMatrix as built; anything else is read as
+    # floats, square, finite and symmetric within rtol = atol = tol (0: exactly)
+    if isinstance(m, SymMatrix):
+        return m.matrix
+    a = np.asanyarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -170,7 +169,7 @@ def empirical_moments(m: SymMatrix | np.ndarray, kmax: int) -> list[float]:
 
     A plain array must be square, finite and symmetric within
     ``rtol = atol = 1e-12``, as for :func:`spectrum`, or :class:`ValueError`
-    is raised before any product; a :class:`SymMatrix` is symmetric already.
+    is raised before any product; a :class:`SymMatrix` was checked when built.
     Either must be at least 1 x 1: a 0 x 0 matrix, for which :func:`spectrum`
     gives ``[]``, raises :class:`ValueError` too.  kmax above 41, the cap of
     :class:`McConfig` (half-size ``TABLE_MAX_N``), raises
@@ -178,7 +177,7 @@ def empirical_moments(m: SymMatrix | np.ndarray, kmax: int) -> list[float]:
     """
     _check_least(kmax, 1, "kmax")
     _check_limit("table", max(kmax // 2, 1))
-    a = m.matrix if isinstance(m, SymMatrix) else _checked_symmetric(m)
+    a = _checked_symmetric(m)
     n = a.shape[0]
     if n == 0:
         raise ValueError("matrix must be at least 1 x 1: a 0 x 0 spectrum has no moments")
@@ -217,7 +216,8 @@ def spectrum(m: SymMatrix | np.ndarray) -> list[float]:
     ``eigvalsh`` reads one triangle only, so a matrix that is not square, or
     not symmetric within ``rtol = atol = 1e-12``, raises :class:`ValueError`
     rather than getting the spectrum of a matrix it is not; so does a NaN or
-    infinite entry.  Integer input is accepted; a 0 x 0 matrix gives ``[]``.
+    infinite entry.  Entries are read as floats, a :class:`SymMatrix`'s as built;
+    a 0 x 0 matrix gives ``[]``.
     """
     return np.linalg.eigvalsh(_checked_symmetric(m)).tolist()
 
@@ -226,7 +226,7 @@ def _psd_verdict(m, tol: float, scale_of=None) -> tuple[bool, float]:
     # (verdict, min eigenvalue of m); the verdict allows roundoff of
     # tol * (1 + max |entry|) below zero, the entry read off scale_of or m
     min_eig = spectrum(m)[0]
-    scale = 1.0 + float(np.abs(_array(m if scale_of is None else scale_of)).max())
+    scale = 1.0 + float(np.abs(m if scale_of is None else scale_of).max())
     return min_eig >= -tol * scale, min_eig
 
 
@@ -276,10 +276,8 @@ def eigenvalue_histogram(
     under a second.
     """
     _check_limit("bins", bins)
-    a = _array(m)
-    n = a.shape[0]
-    lam = np.array(spectrum(a)) / np.sqrt(n)
-    counts, edges = np.histogram(lam, bins=bins)
+    lam = np.array(spectrum(m))
+    counts, edges = np.histogram(lam / np.sqrt(len(lam)), bins=bins)
     return [
         (float(edges[i]), float(edges[i + 1]), int(counts[i]))
         for i in range(len(counts))

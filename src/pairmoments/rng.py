@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .exceptions import _check_integer
+from .exceptions import _check_integer, _check_least
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -112,24 +112,25 @@ def _apply(cols: list[int], v: int) -> int:
 
 
 def mix64(z: int) -> int:
-    """splitmix64 output mixing function."""
-    z &= _MASK64
+    """splitmix64 output mixing function; reads every seed: an integer of any sign, mod 2^64."""
+    _check_integer(z, "seed")
+    z = int(z) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
 def substream_seed(seed: int, index: int) -> int:
-    """Deterministic seed for the index-th parallel substream of a run."""
-    return mix64(mix64(seed) + (index + 1) * _GOLDEN)
+    """Deterministic seed for the index-th parallel substream of a run; integers, any sign."""
+    _check_integer(index, "index")
+    return mix64(mix64(seed) + (int(index) + 1) * _GOLDEN)
 
 
 class Xorshift64Star:
     """xorshift64* stream; deterministic given the seed."""
 
     def __init__(self, seed: int):
-        _check_integer(seed, "seed")  # any sign: mix64 reads it mod 2^64
-        state = mix64(int(seed))  # numpy's as a Python int
+        state = mix64(seed)
         if state == 0:
             state = _GOLDEN  # xorshift state must be nonzero
         self._state = state
@@ -178,13 +179,14 @@ class Xorshift64Star:
         return ((self.next_u64() >> 11) + 1) * 2.0 ** -53
 
     def normals(self, count: int) -> np.ndarray:
-        """count standard normals; pair i takes words 2i and 2i + 1.
+        """count standard normals, count an integer >= 0; pair i takes words 2i and 2i + 1.
 
         Box-Muller on u1 = uniform() and u2 = (word >> 11) * 2**-53, giving
         r cos(2 pi u2), r sin(2 pi u2) with r = sqrt(-2 log u1); an odd count
         drops the sine of the last pair.  log, cos and sin are the ``math``
         functions, whose results the stream pins.
         """
+        _check_least(count, 0, "count")
         out = np.empty(count)
         for start in range(0, count, _NORMALS_CHUNK):
             chunk = out[start:start + _NORMALS_CHUNK]  # a view; even length but the last
@@ -198,15 +200,16 @@ class Xorshift64Star:
         return out
 
     def rademacher(self, count: int) -> np.ndarray:
-        """count independent +-1 values, 64 signs per generated word."""
+        """count independent +-1 values (an integer count >= 0), 64 signs per generated word."""
+        _check_least(count, 0, "count")
         words = self._words((count + 63) // 64).astype("<u8")  # little-endian bytes
         bits = np.unpackbits(words.view(np.uint8), bitorder="little")[:count]
         return 2.0 * bits.astype(np.float64) - 1.0
 
     def randrange(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection (no modulo bias)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in [0, bound) by rejection (no modulo bias); bound is an int >= 1."""
+        _check_least(bound, 1, "bound")
+        bound = int(bound)  # numpy's as a Python int, which holds 2^64
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             v = self.next_u64()

@@ -33,7 +33,7 @@ from typing import Mapping, Optional, Union
 
 from . import pairings
 from .exceptions import _check_limit, _check_order
-from .pairings import PairPartition, _fast_partition, pairing_count
+from .pairings import PairPartition, pairing_count
 
 Number = Union[int, Fraction, float]
 
@@ -324,7 +324,7 @@ def check_strong_multiplicativity(spec: WeightSpec, nmax: int) -> CheckReport:
                 split = split * weight(k, cr, int(k == 1), 1)
             if not numbers_equal(whole, split):
                 row, blocks = _arrays._first_row(n, case)
-                return CheckReport(False, cases + row + 1, _fast_partition(n, blocks),
+                return CheckReport(False, cases + row + 1, PairPartition(n, blocks),
                                    f"t(V)={whole} but component product is {split}")
         cases += len(s.case)
     return CheckReport(True, cases, None, f"factorization holds on {cases} partitions")
@@ -348,7 +348,7 @@ def check_traceability(statistic: str, nmax: int) -> CheckReport:
         change = _arrays._rotation_change(n, statistic)
         if change is not None:
             row, blocks, before, after = change
-            return CheckReport(False, cases + row + 1, _fast_partition(n, blocks),
+            return CheckReport(False, cases + row + 1, PairPartition(n, blocks),
                                f"{statistic} changed from {before} to {after} under rotation")
         cases += pairing_count(n)
     return CheckReport(True, cases, None, f"{statistic} rotation-invariant on {cases} partitions")

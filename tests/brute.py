@@ -406,7 +406,7 @@ def _records(n):
             comps = ((1, 0, 1, 1),) * n
         else:
             comps = []
-            for comp in pairings.connected_components(pairings._fast_partition(n, blocks))[1]:
+            for comp in pairings.connected_components(PairPartition(n, blocks))[1]:
                 if comp not in memo:
                     key = standardize(comp)
                     if key not in memo:

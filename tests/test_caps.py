@@ -22,6 +22,7 @@ from pairmoments import moments as mo
 from pairmoments import pairings as pa
 from pairmoments import permgroup as pg
 from pairmoments import randmat as rm
+from pairmoments import rng
 from pairmoments import weights as we
 from pairmoments.exceptions import SizeLimitError, _check_limit
 
@@ -285,6 +286,12 @@ def test_group_and_sampling_sizes_refuse_non_integral():
                (lambda: rm.eigenvalue_histogram(np.eye(2), bins=5.0), "bins", 5.0),
                (lambda: rm.sample_markov(4, "rademacher", 2.5), "seed", 2.5),
                (lambda: pg.metric_checks(6, triples=10, seed=1.5), "seed", 1.5),
+               (lambda: rng.mix64(1.5), "seed", 1.5),
+               (lambda: rng.substream_seed(1.5, 0), "seed", 1.5),
+               (lambda: rng.substream_seed(7, 1.5), "index", 1.5),
+               (lambda: rng.Xorshift64Star(1).randrange(1.5), "bound", 1.5),
+               (lambda: rng.Xorshift64Star(1).rademacher(1.5), "count", 1.5),
+               (lambda: rng.Xorshift64Star(1).normals(1.5), "count", 1.5),
                (lambda: mo.MomentSequence((1, 3)).moment(2.0), "moment order", 2.0),
                (lambda: mo.CumulantSequence((1, 0)).cumulant(2.0), "cumulant order", 2.0),
                (lambda: pg.Permutation((2, 1))(1.5), "point", 1.5),
@@ -293,15 +300,28 @@ def test_group_and_sampling_sizes_refuse_non_integral():
     for entry, what, value in entries:
         with pytest.raises(ValueError, match=rf"^{what} must be an integer, got {value}$"):
             entry()
-    with pytest.raises(ValueError, match=r"^degree must be >= 0, got -1$"):
-        pg.Permutation.identity(-1)
+    refusals = [(lambda: pg.Permutation.identity(-1), "degree", 0, -1),
+                (lambda: rng.Xorshift64Star(1).randrange(0), "bound", 1, 0),
+                (lambda: rng.Xorshift64Star(1).rademacher(-1), "count", 0, -1),
+                (lambda: rng.Xorshift64Star(1).normals(-1), "count", 0, -1)]
+    for entry, what, least, value in refusals:
+        with pytest.raises(ValueError, match=rf"^{what} must be >= {least}, got {value}$"):
+            entry()
     assert pg.enumerate_group(np.int64(3)) == pg.enumerate_group(3)
     assert mo.MomentSequence((1, 3)).moment(np.int64(4)) == 3
     assert pg.Permutation((2, 1))(np.int64(1)) == 2
-    # numpy seeds draw as their Python int; negative ones are read mod 2^64
-    for seed in (np.int64(7), np.uint64(7), -7):
-        want = rm.sample_markov(4, "rademacher", int(seed) % 2 ** 64).matrix
+    # numpy seeds, indices and bounds are read as their Python int; negative
+    # seeds and indices mod 2^64
+    for seed in (np.int64(7), np.uint64(7), np.uint32(7), -7):
+        plain = int(seed) % 2 ** 64
+        assert rng.mix64(seed) == rng.mix64(plain)
+        assert rng.substream_seed(seed, seed) == rng.substream_seed(plain, int(seed))
+        assert (rng.Xorshift64Star(seed)._words(3).tolist()
+                == rng.Xorshift64Star(plain)._words(3).tolist())
+        want = rm.sample_markov(4, "rademacher", plain).matrix
         assert np.array_equal(rm.sample_markov(4, "rademacher", seed).matrix, want)
+    draws = [rng.Xorshift64Star(3).randrange(bound) for bound in (np.int64(7), 7)]
+    assert draws[0] == draws[1] and type(draws[0]) is int
 
 
 def test_stream_array_widths_hold_the_stream_cap():

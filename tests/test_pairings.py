@@ -46,14 +46,6 @@ class TestPairPartition:
         assert P((1, 2), (3, 4)) == P((3, 4), (1, 2))
         assert len({P((1, 2), (3, 4)), P((2, 1), (4, 3))}) == 1
 
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_fast_constructor_equals_public(self, n):
-        for pairs in brute.all_pairings(range(1, 2 * n + 1)):
-            fast = pairings._fast_partition(n, tuple(pairs))
-            public = PairPartition(n, tuple(pairs))
-            assert fast == public and hash(fast) == hash(public)
-            assert type(fast) is PairPartition
-
     def test_slotted_and_frozen(self):
         for v in (P((1, 3), (2, 4)), next(pairings.enumerate_pairings(3))):
             assert not hasattr(v, "__dict__")

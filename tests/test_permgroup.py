@@ -359,6 +359,24 @@ class TestCnd:
         with pytest.raises(SizeLimitError, match=r"kernel cap 5 \(MAX_KERNEL_DEGREE\)"):
             pg.check_cnd(pg.MAX_KERNEL_DEGREE + 1)
 
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("kwargs", [{}, {"exponents": (), "tol": 1e-6}])
+    def test_report_is_the_kernel_matrix_of_big_h(self, n, kwargs):
+        # the whole-group kernel from _big_h_of, float for float the one
+        # kernel_matrix builds from big_h element by element
+        tol = kwargs.get("tol", 1e-8)
+        k = pg.kernel_matrix(n, lambda s: float(pg.big_h(s))).entries
+        proj = np.eye(len(k)) - np.full(k.shape, 1.0 / len(k))
+        centered = -(proj @ k @ proj)
+        ok, centered_min = rm._psd_verdict((centered + centered.T) / 2.0, tol, scale_of=k)
+        schoenberg = {}
+        for x in kwargs.get("exponents", (0.1, 0.5, 1.0, 2.0)):
+            passed, schoenberg[x] = rm._psd_verdict(np.exp(-x * k), tol)
+            ok = ok and passed
+        detail = f"centered min eig {centered_min:.3e}; " + "; ".join(
+            f"exp(-{x}H) min eig {m:.3e}" for x, m in schoenberg.items())
+        assert pg.check_cnd(n, **kwargs) == pg.CndReport(ok, centered_min, schoenberg, detail)
+
     def test_schoenberg_exponentials_present(self):
         rep = pg.check_cnd(3)
         assert set(rep.schoenberg_min_eigs) == {0.1, 0.5, 1.0, 2.0}

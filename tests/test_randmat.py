@@ -204,6 +204,13 @@ class TestSampleMarkov:
         monkeypatch.undo()
         rm.SymMatrix(got.matrix)  # the public constructor accepts it
 
+    def test_public_constructor_stores_a_float_array(self):
+        m = rm.SymMatrix([[2, 1], [1, 2]])
+        assert type(m.matrix) is np.ndarray and m.matrix.dtype == np.float64
+        assert m.n == 2
+        assert rm.spectrum(m) == [1.0, 3.0]
+        assert rm.empirical_moments(m, 2) == rm.empirical_moments(np.array([[2.0, 1], [1, 2]]), 2)
+
     def test_public_constructor_still_checks(self):
         with pytest.raises(ValueError, match="symmetric"):
             rm.SymMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
