@@ -10,8 +10,9 @@ cumulants, and cumulants are recovered by recursive subtraction.  Everything
 is exact when inputs are rational.  Both ring-generic loops and Kreweras'
 table of those partitions by block type live in :mod:`pairmoments.pairings`,
 beside the joint table built on them; this module adds the sequence types,
-the integer scaling below and the mixtures with the semicircle.  Weighted
-sums and mixed moments add through the loops of :mod:`pairmoments.weights`.
+the integer scaling below and the mixtures with the semicircle, which enters
+a mixture through its one nonzero free cumulant, r_2.  Weighted sums and
+mixed moments add through the loops of :mod:`pairmoments.weights`.
 
 Exact inputs are graded integer arithmetic.  The order-2k entry of a
 product over an even non-crossing type has total weight k, so with D the
@@ -287,11 +288,12 @@ def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
 _MIX_TOL = 1e-9
 
 
-def _mix_with_semicircle(m: MomentSequence, b: Number, n: int) -> MomentSequence:
-    # The sqrt(b)-dilation of m freely convolved with the sqrt(1 - b)-dilated
-    # semicircle, to order 2n.
+def _mix_with_semicircle(m: MomentSequence, b: Number) -> MomentSequence:
+    # m dilated by sqrt(b), freely convolved with the sqrt(1 - b)-dilated
+    # semicircle: its free cumulants are (1 - b, 0, 0, ...), so only r_2 moves.
     one = Fraction(1) if is_exact(b) else 1.0
-    return free_convolve(dilate_sq(m, b), dilate_sq(semicircle_moments(n), one - b), n)
+    r = cumulants_from_moments(dilate_sq(m, b)).values
+    return moments_from_cumulants(CumulantSequence((r[0] + (one - b),) + r[1:] if r else r))
 
 
 def semicircle_mix_moments(spec: WeightSpec, b: Number, n: int) -> MomentSequence:
@@ -299,10 +301,11 @@ def semicircle_mix_moments(spec: WeightSpec, b: Number, n: int) -> MomentSequenc
 
     Two independent paths are always computed and compared: the direct sum
     of b**H(V) times the weight over all pair partitions, and the free
-    convolution of the sqrt(b)-dilated law of X with the sqrt(1-b)-dilated
-    semicircle.  The caller is expected to pass a strongly multiplicative
-    weight (see :func:`pairmoments.weights.check_strong_multiplicativity`);
-    the dual-path agreement is exactly the statement being exercised.
+    cumulants of the sqrt(b)-dilated law of X with the sqrt(1-b)-dilated
+    semicircle's one cumulant, 1 - b, added to r_2, transformed back.  The
+    caller is expected to pass a strongly multiplicative weight (see
+    :func:`pairmoments.weights.check_strong_multiplicativity`); the
+    dual-path agreement is exactly the statement being exercised.
 
     Raises :class:`DualPathMismatchError` if the paths disagree (exact
     comparison when b and the weight parameters are rational).
@@ -310,7 +313,7 @@ def semicircle_mix_moments(spec: WeightSpec, b: Number, n: int) -> MomentSequenc
     if not 0 <= b <= 1:
         raise ValueError(f"mixing parameter b must lie in [0, 1], got {b}")
     path_a = MomentSequence(_table_sums(n, spec, mix=b))
-    path_b = _mix_with_semicircle(moments_of_weight(spec, n), b, n)
+    path_b = _mix_with_semicircle(moments_of_weight(spec, n), b)
     for va, vb in zip(path_a.values, path_b.values):
         if not numbers_equal(va, vb, rel_tol=0, abs_tol=_MIX_TOL):
             raise DualPathMismatchError(
@@ -340,14 +343,14 @@ def check_mix_semigroup(b: Number, c: Number, n: int) -> SemigroupReport:
     """Check that mixing by b then by c equals mixing once by b*c.
 
     lhs: moments of the (b*c)-mixture of the normal law with the semicircle.
-    rhs: sqrt(c)-dilation of the b-mixture, freely convolved with the
-    sqrt(1-c)-dilated semicircle.
+    rhs: the b-mixture's sqrt(c)-dilation with 1 - c, the free cumulant of the
+    sqrt(1-c)-dilated semicircle, added to its r_2.
     """
     for name, val in (("b", b), ("c", c)):
         if not 0 <= val <= 1:
             raise ValueError(f"{name} must lie in [0, 1], got {val}")
     lhs = semicircle_mix_moments(Constant1(), b * c, n)
-    rhs = _mix_with_semicircle(semicircle_mix_moments(Constant1(), b, n), c, n)
+    rhs = _mix_with_semicircle(semicircle_mix_moments(Constant1(), b, n), c)
     pairs = list(zip(lhs.values, rhs.values))
     passed = all(numbers_equal(x, y, rel_tol=0, abs_tol=_MIX_TOL) for x, y in pairs)
     diffs = [abs(x - y) for x, y in pairs]

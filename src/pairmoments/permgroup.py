@@ -300,10 +300,8 @@ def check_cnd(
     for x in exponents:
         passed, schoenberg[x] = _psd_verdict(np.exp(-x * k), tol)
         ok = ok and passed
-    detail = (
-        f"centered min eig {centered_min:.3e}; "
-        + "; ".join(f"exp(-{x}H) min eig {m:.3e}" for x, m in schoenberg.items())
-    )
+    detail = "; ".join([f"centered min eig {centered_min:.3e}"]
+                       + [f"exp(-{x}H) min eig {m:.3e}" for x, m in schoenberg.items()])
     return CndReport(ok, centered_min, schoenberg, detail)
 
 

@@ -37,7 +37,7 @@ Z_LIMIT = 4.0
 ODD_SIGMA = 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal and hashed by identity: the array is neither
 class SymMatrix:
     """A real symmetric matrix: the finite float array checked when built; treat as read-only."""
 

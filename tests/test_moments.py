@@ -1141,6 +1141,86 @@ class TestSemigroup:
             mo.check_mix_semigroup(Fraction(1, 2), Fraction(5, 4), 3)
 
 
+def _convolve_with_semicircle(m, b, n):
+    # The mixture as a free convolution with the sqrt(1 - b)-dilated
+    # semicircle's moments: three transforms, the oracle of the r_2 shift.
+    one = Fraction(1) if we.is_exact(b) else 1.0
+    return mo.free_convolve(mo.dilate_sq(m, b), mo.dilate_sq(mo.semicircle_moments(n), one - b), n)
+
+
+def _mix_outcome(call):
+    # typed values of a result, or the text and typed paths of its mismatch
+    try:
+        got = call()
+    except DualPathMismatchError as err:
+        return str(err), _typed(err.path_a.values), _typed(err.path_b.values)
+    if isinstance(got, mo.SemigroupReport):
+        return (got.passed, got.b, got.c, _typed(got.lhs.values), _typed(got.rhs.values),
+                got.max_abs_diff.hex())
+    return _typed(got.values)
+
+
+MIX_BS = [0, 1, Fraction(0), Fraction(1), Fraction(1, 4), Fraction(1, 3), Fraction(3, 4),
+          np.int64(0), np.int64(1), True]
+
+
+class TestMixShiftsR2:
+    @staticmethod
+    def _against_the_convolution(calls, monkeypatch):
+        # each call's typed outcome, then the same with the helper swapped
+        # for the three-transform oracle
+        new = [_mix_outcome(call) for call in calls]
+        monkeypatch.setattr(mo, "_mix_with_semicircle",
+                            lambda m, b: _convolve_with_semicircle(m, b, m.order))
+        assert new == [_mix_outcome(call) for call in calls]
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 20])
+    @pytest.mark.parametrize("name", ["const", *BUILT_INS])
+    def test_exact_b_equals_the_free_convolution(self, name, n, monkeypatch):
+        # the helper is path b of semicircle_mix_moments, whose outcome holds
+        # both paths when they disagree (betah is not normalized); the
+        # constant weight's moments are ints, the others' Fractions
+        spec = Constant1() if name == "const" else BUILT_INS[name](Fraction(2, 3))
+        m = mo.moments_of_weight(spec, n)
+        self._against_the_convolution(
+            [lambda b=b: mo._mix_with_semicircle(m, b) for b in MIX_BS]
+            + [lambda b=b: mo.semicircle_mix_moments(spec, b, n) for b in MIX_BS], monkeypatch)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 20])
+    def test_exact_semigroup_equals_the_free_convolution(self, n, monkeypatch):
+        self._against_the_convolution(
+            [lambda b=b, c=c: mo.check_mix_semigroup(b, c, n)
+             for b in MIX_BS for c in (b, Fraction(2, 3))], monkeypatch)
+
+    @pytest.mark.parametrize("b", [0.0, 0.25, 1 / 3, 0.3, 0.75, 1.0, np.float64(0.6)])
+    @pytest.mark.parametrize("spec", [Constant1(), CrossingPower(Fraction(2, 3)),
+                                      CrossingPower(0.7), SingletonHPower(0.4)],
+                             ids=["const", "qcr-2_3", "qcr-0.7", "bH-0.4"])
+    def test_float_b_within_the_mix_tolerance(self, spec, b):
+        for n in (0, 1, 7):
+            m = mo.moments_of_weight(spec, n)
+            got = mo._mix_with_semicircle(m, b)
+            want = _convolve_with_semicircle(m, b, n)
+            assert got.order == n
+            assert all(we.numbers_equal(x, y, rel_tol=0, abs_tol=mo._MIX_TOL)
+                       for x, y in zip(got.values, want.values, strict=True))
+
+    @pytest.mark.parametrize("b", [Fraction(1, 3), 0.3, 0, np.int64(1)])
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_one_inverse_and_one_forward_transform_per_mixture(self, n, b, monkeypatch):
+        calls = []
+        for name in ("_cumulants_of", "_moments_of", "semicircle_moments"):
+            def counted(*args, name=name, real=getattr(mo, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(mo, name, counted)
+        mo.semicircle_mix_moments(Constant1(), b, n)
+        assert sorted(calls) == ["_cumulants_of", "_moments_of"]
+        calls.clear()
+        mo.check_mix_semigroup(b, HALF, n)  # three mixtures
+        assert sorted(calls) == ["_cumulants_of"] * 3 + ["_moments_of"] * 3
+
+
 class TestHankel:
     def test_catalan_psd(self):
         ok, min_eig = mo.hankel_psd(mo.semicircle_moments(4))

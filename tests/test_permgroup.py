@@ -373,8 +373,8 @@ class TestCnd:
         for x in kwargs.get("exponents", (0.1, 0.5, 1.0, 2.0)):
             passed, schoenberg[x] = rm._psd_verdict(np.exp(-x * k), tol)
             ok = ok and passed
-        detail = f"centered min eig {centered_min:.3e}; " + "; ".join(
-            f"exp(-{x}H) min eig {m:.3e}" for x, m in schoenberg.items())
+        detail = "; ".join([f"centered min eig {centered_min:.3e}"]
+                           + [f"exp(-{x}H) min eig {m:.3e}" for x, m in schoenberg.items()])
         assert pg.check_cnd(n, **kwargs) == pg.CndReport(ok, centered_min, schoenberg, detail)
 
     def test_schoenberg_exponentials_present(self):

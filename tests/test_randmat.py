@@ -211,6 +211,14 @@ class TestSampleMarkov:
         assert rm.spectrum(m) == [1.0, 3.0]
         assert rm.empirical_moments(m, 2) == rm.empirical_moments(np.array([[2.0, 1], [1, 2]]), 2)
 
+    def test_equality_and_hash_by_identity(self):
+        # the array has no truth value or hash; both constructors compare by identity
+        rows = [[2.0, 1.0], [1.0, 2.0]]
+        for a in (rm.SymMatrix(rows), rm._symmetric(np.array(rows))):
+            assert a == a
+            assert a != rm.SymMatrix(rows)
+            assert len({a, a, rm.SymMatrix(rows)}) == 2 and a in {a}
+
     def test_public_constructor_still_checks(self):
         with pytest.raises(ValueError, match="symmetric"):
             rm.SymMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
