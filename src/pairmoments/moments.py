@@ -10,9 +10,9 @@ cumulants, and cumulants are recovered by recursive subtraction.  Everything
 is exact when inputs are rational.  Both ring-generic loops and Kreweras'
 table of those partitions by block type live in :mod:`pairmoments.pairings`,
 beside the joint table built on them; this module adds the sequence types,
-the integer scaling below and the mixtures with the semicircle, which enters
-a mixture through its one nonzero free cumulant, r_2.  Weighted sums and
-mixed moments add through the loops of :mod:`pairmoments.weights`.
+the integer scaling below and the semicircle mixtures (the semicircle adds
+only r_2; the b-mixture of the normal law is the table sum of b**H(V)).
+Weighted sums and mixed moments add through :mod:`pairmoments.weights`.
 
 Exact inputs are graded integer arithmetic.  The order-2k entry of a
 product over an even non-crossing type has total weight k, so with D the
@@ -34,9 +34,9 @@ from . import pairings
 from .exceptions import DualPathMismatchError, _check_least, _check_order
 from .pairings import _cumulants_of, _moments_of
 from .weights import (
-    Constant1,
     Number,
     SingletonCountPower,
+    SingletonHPower,
     WeightSpec,
     _EXACT,
     _as_int,
@@ -283,8 +283,8 @@ def mixed_moment(spec: WeightSpec, gram: GramMatrix) -> Number:
     return total if denominator is None else total / denominator ** n
 
 
-#: Absolute tolerance of the mixture comparisons; it matters only for floats,
-#: as exact values compare equal or not.
+#: Relative and absolute tolerance of the mixture comparisons; it matters
+#: only for floats, as exact values compare equal or not.
 _MIX_TOL = 1e-9
 
 
@@ -315,7 +315,7 @@ def semicircle_mix_moments(spec: WeightSpec, b: Number, n: int) -> MomentSequenc
     path_a = MomentSequence(_table_sums(n, spec, mix=b))
     path_b = _mix_with_semicircle(moments_of_weight(spec, n), b)
     for va, vb in zip(path_a.values, path_b.values):
-        if not numbers_equal(va, vb, rel_tol=0, abs_tol=_MIX_TOL):
+        if not numbers_equal(va, vb, rel_tol=_MIX_TOL, abs_tol=_MIX_TOL):
             raise DualPathMismatchError(
                 f"mixture moment paths disagree: {va} vs {vb}",
                 path_a=path_a,
@@ -342,17 +342,16 @@ class SemigroupReport:
 def check_mix_semigroup(b: Number, c: Number, n: int) -> SemigroupReport:
     """Check that mixing by b then by c equals mixing once by b*c.
 
-    lhs: moments of the (b*c)-mixture of the normal law with the semicircle.
-    rhs: the b-mixture's sqrt(c)-dilation with 1 - c, the free cumulant of the
-    sqrt(1-c)-dilated semicircle, added to its r_2.
+    lhs: sum_V (b*c)**H(V), the (b*c)-mixture of the normal law.  rhs: the
+    c-mixture of sum_V b**H(V), its sqrt(c)-dilation with 1 - c added to r_2.
     """
     for name, val in (("b", b), ("c", c)):
         if not 0 <= val <= 1:
             raise ValueError(f"{name} must lie in [0, 1], got {val}")
-    lhs = semicircle_mix_moments(Constant1(), b * c, n)
-    rhs = _mix_with_semicircle(semicircle_mix_moments(Constant1(), b, n), c)
+    lhs = moments_of_weight(SingletonHPower(b * c), n)
+    rhs = _mix_with_semicircle(moments_of_weight(SingletonHPower(b), n), c)
     pairs = list(zip(lhs.values, rhs.values))
-    passed = all(numbers_equal(x, y, rel_tol=0, abs_tol=_MIX_TOL) for x, y in pairs)
+    passed = all(numbers_equal(x, y, rel_tol=_MIX_TOL, abs_tol=_MIX_TOL) for x, y in pairs)
     diffs = [abs(x - y) for x, y in pairs]
     return SemigroupReport(passed, b, c, lhs, rhs, float(max(diffs, default=0)))
 

@@ -180,7 +180,7 @@ def _rank(images: np.ndarray) -> np.ndarray:
 def _quotient_table(n: int) -> np.ndarray:
     """q[a, b] = index of sigma_a^-1 sigma_b in ``enumerate_group(n)``; read-only.
 
-    Shared by :func:`kernel_matrix` and the exhaustive :func:`metric_checks`;
+    Read by :func:`kernel_matrix`, :func:`check_cnd` and :func:`metric_checks`;
     callers keep n <= ``MAX_KERNEL_DEGREE`` (120 x 120 entries at most).
     """
     images = _image_array(n)

@@ -93,18 +93,19 @@ def test_criterion_05_mix_dual_path():
 
 
 def test_criterion_06_mix_cumulant_scaling(monkeypatch):
+    # each mixture is the table sum of b**H, read once per b
     seen = []
-    mix = mo.semicircle_mix_moments
+    moments_of_weight = mo.moments_of_weight
 
-    def recording_mix(spec, b, n):
-        seen.append(b)
-        return mix(spec, b, n)
+    def recording_moments(spec, n):
+        seen.append(spec)
+        return moments_of_weight(spec, n)
 
-    monkeypatch.setattr(mo, "semicircle_mix_moments", recording_mix)
+    monkeypatch.setattr(mo, "moments_of_weight", recording_moments)
     _run(6)
     # the union of the mixing parameters both earlier copies of this check ran
-    assert seen == [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2),
-                    Fraction(3, 4)]
+    assert seen == [we.SingletonHPower(b) for b in (
+        Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 4))]
 
 
 def test_criterion_07_mix_semigroup():

@@ -252,21 +252,17 @@ class TestNegativeFractions:
         assert out == "" and "expected one argument" in err
 
 
+#: (exit code, golden file, argv) per line of tests/golden/cases.txt, the
+#: one list of golden runs; CI replays it on an interpreter without numpy.
+GOLDEN_CASES = [(int(code), name, argv) for code, name, argv in (
+    line.split(maxsplit=2) for line in (GOLDEN / "cases.txt").read_text().splitlines())]
+
+
 class TestGoldenStdout:
     """Exact-table reports, byte for byte as first recorded (tests/golden)."""
 
     @pytest.mark.parametrize("argv,name", [
-        ("moments --weight qcr --param 1/3 --N 20 --mix 1/4", "moments-qcr-1_3-N20-mix-1_4.csv"),
-        ("moments --weight qcr --param 0.3 --N 8 --mix 1/4", "moments-qcr-0.3-N8-mix-1_4.csv"),
-        ("moments --weight scc --param 2/3 --N 20 --mix 1/4", "moments-scc-2_3-N20-mix-1_4.csv"),
-        ("moments --weight bH --param 1/2 --N 20 --mix 1/4", "moments-bH-1_2-N20-mix-1_4.csv"),
-        ("moments --weight const --N 20 --mix 1/4", "moments-const-N20-mix-1_4.csv"),
-        ("sequences --which connected --max 20", "sequences-connected-max20.csv"),
-        ("sequences --which pairings --max 6", "sequences-pairings-max6.csv"),
-        ("sequences --which catalan --max 20", "sequences-catalan-max20.csv"),
-        ("sequences --which singletons --max 7", "sequences-singletons-max7.csv"),
-        ("sequences --which moments --max 20", "sequences-moments-max20.csv"),
-    ])
+        (argv, name) for code, name, argv in GOLDEN_CASES if code == 0])
     def test_golden_stdout(self, capsys, argv, name):
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
@@ -276,10 +272,16 @@ class TestGoldenStdout:
         # beta^h is beta, not 1, on the one-pair partition, so the two
         # mixture paths disagree at order 2: exit 1, and the report keeps
         # the moments and cumulants without the mixture column
-        code, out, err = run(capsys, *"moments --weight betah --param 3/2 --N 20 --mix 1/4".split())
-        assert code == 1
+        (want, name, argv), = [case for case in GOLDEN_CASES if case[0] != 0]
+        code, out, err = run(capsys, *argv.split())
+        assert code == want
         assert err == "error: mixture moment paths disagree: 3/2 vs 9/8\n"
-        assert out == (GOLDEN / "moments-betah-3_2-N20-mix-1_4.csv").read_text()
+        assert out == (GOLDEN / name).read_text()
+
+    def test_every_golden_file_is_listed_once(self):
+        names = [name for _, name, _ in GOLDEN_CASES]
+        assert sorted(names) == sorted(
+            path.name for path in GOLDEN.iterdir() if path.name != "cases.txt")
 
 
 class TestRandmat:

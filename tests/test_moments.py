@@ -1077,6 +1077,13 @@ class TestSemicircleMix:
         got = mo.semicircle_mix_moments(Constant1(), 0.5, 3)
         assert got.moment(4) == pytest.approx(2.25)
 
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_float_paths_agree_relative_to_the_moments(self, n):
+        # the paths differ in their last bits; at n = 12 that is 7.5e-9
+        # absolute on moments of 3.3e6, about two parts in 1e15
+        got = mo.semicircle_mix_moments(Constant1(), 0.3, n)
+        assert got.values == we._table_sums(n, Constant1(), mix=0.3)
+
     def test_rejects_b_outside_unit_interval(self):
         with pytest.raises(ValueError):
             mo.semicircle_mix_moments(Constant1(), Fraction(3, 2), 3)
@@ -1135,6 +1142,12 @@ class TestSemigroup:
         rep = mo.check_mix_semigroup(Fraction(0), Fraction(2, 3), 4)
         assert rep.passed
         assert rep.lhs.values == mo.semicircle_moments(4).values
+
+    @pytest.mark.parametrize("b,c,n", [(0.3, 0.5, 12), (0.5, 0.2, 20)])
+    def test_float_sides_agree_relative_to_the_moments(self, b, c, n):
+        rep = mo.check_mix_semigroup(b, c, n)
+        assert rep.passed
+        assert rep.max_abs_diff <= mo._MIX_TOL * max(rep.lhs.values)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -1217,8 +1230,73 @@ class TestMixShiftsR2:
         mo.semicircle_mix_moments(Constant1(), b, n)
         assert sorted(calls) == ["_cumulants_of", "_moments_of"]
         calls.clear()
-        mo.check_mix_semigroup(b, HALF, n)  # three mixtures
-        assert sorted(calls) == ["_cumulants_of"] * 3 + ["_moments_of"] * 3
+        mo.check_mix_semigroup(b, HALF, n)  # one mixture, its rhs
+        assert sorted(calls) == ["_cumulants_of", "_moments_of"]
+
+
+def _semigroup_by_nested_mixtures(b, c, n):
+    # The semigroup check as two nested semicircle_mix_moments calls, each
+    # side a dual-path mixture of the constant weight whose paths compare
+    # with rel_tol=0: the report's fields, or None where a nested path check
+    # raises.  A mixture's value is its table-sum path.
+    def mix(x):
+        path_a = MomentSequence(we._table_sums(n, Constant1(), mix=x))
+        path_b = mo._mix_with_semicircle(mo.moments_of_weight(Constant1(), n), x)
+        agree = all(we.numbers_equal(va, vb, rel_tol=0, abs_tol=mo._MIX_TOL)
+                    for va, vb in zip(path_a.values, path_b.values))
+        return path_a if agree else None
+
+    lhs, mixed = mix(b * c), mix(b)
+    if lhs is None or mixed is None:
+        return None
+    rhs = mo._mix_with_semicircle(mixed, c)
+    pairs = list(zip(lhs.values, rhs.values))
+    passed = all(we.numbers_equal(x, y, rel_tol=0, abs_tol=mo._MIX_TOL) for x, y in pairs)
+    return passed, b, c, lhs, rhs, float(max((abs(x - y) for x, y in pairs), default=0))
+
+
+def _typed_sides(b, c, lhs, rhs, max_abs_diff):
+    return ((type(b).__name__, b), (type(c).__name__, c), _typed(lhs.values),
+            _typed(rhs.values), max_abs_diff.hex())
+
+
+SEMIGROUP_BS = MIX_BS + [0.0, 0.25, 0.3, 1.0, np.float64(0.6)]
+
+
+class TestSemigroupReadsTb:
+    @pytest.mark.parametrize("n", [0, 1, 7, 20])
+    def test_report_equals_the_nested_mixtures(self, n):
+        # every report passes; b, c, lhs, rhs and max_abs_diff in value and
+        # type wherever no nested path check would have raised, and the
+        # verdict too, but for the one float gap (4.8e-6 at moments of 6.6e9)
+        # that rel_tol=0 failed
+        reports, verdicts_moved = 0, []
+        for b in SEMIGROUP_BS:
+            for c in (b, Fraction(2, 3), 0.5):
+                rep = mo.check_mix_semigroup(b, c, n)
+                assert rep.passed, (b, c)
+                want = _semigroup_by_nested_mixtures(b, c, n)
+                if want is None:
+                    continue
+                reports += 1
+                assert _typed_sides(rep.b, rep.c, rep.lhs, rep.rhs, rep.max_abs_diff) == (
+                    _typed_sides(*want[1:])), (b, c)
+                if not want[0]:
+                    verdicts_moved.append((b, c))
+        assert reports == {0: 45, 1: 45, 7: 45, 20: 26}[n]
+        assert verdicts_moved == ([(0.0, Fraction(2, 3))] if n == 20 else [])
+
+    def test_no_dual_path_mixture_inside(self, monkeypatch):
+        from pairmoments import verify
+
+        calls = []
+        real = mo.semicircle_mix_moments
+        monkeypatch.setattr(mo, "semicircle_mix_moments",
+                            lambda *args: calls.append(args) or real(*args))
+        assert mo.check_mix_semigroup(HALF, Fraction(2, 3), 7).passed
+        assert mo.check_mix_semigroup(0.3, 0.5, 7).passed
+        assert verify._cumulant_scaling(5)[0]
+        assert calls == []
 
 
 class TestHankel:
