@@ -30,9 +30,11 @@ MAX_GROUP_DEGREE = 8
 MAX_KERNEL_DEGREE = 5
 
 #: Largest Markov matrix dimension sampled; at 2000 one dense float matrix
-#: is 32 MB, and a ``randmat --n 2000 --kmax 6 --hist`` run (sampling,
-#: trace powers and the spectrum) peaks below 180 MB of resident memory;
-#: with ``--kmax 41``, which holds eight powers at once, it peaks at 330 MB.
+#: is 32 MB, and a ``randmat --n 2000 --trials 2 --kmax 6 --hist`` run
+#: (sampling, trace powers and the spectrum) peaks at 116 MB of resident
+#: memory, within a budget of 130 MB that CI holds it to; with ``--kmax
+#: 41``, which holds seven powers besides the input and a strip, it peaks
+#: at 300 MB (2-core Xeon, numpy 2.4, OpenBLAS).
 MAX_MATRIX_DIM = 2000
 
 #: Most trials in one run, and most bins in one histogram.  Both bound the

@@ -9,11 +9,16 @@ semicircle and standard normal laws, with moments 2, 9, 56, ... at orders
 2, 4, 6: :func:`run_mc`'s targets, one ``markov_limit_moments`` read per run.
 
 Empirical moments are taken from traces of matrix powers, of which only
-about half are formed.  The matrices are symmetric, and so are their
-powers: each even power is one product of its half power with its own
-transpose, which numpy hands to BLAS syrk at half the cost of a general
-product, and the higher traces are entrywise inner products of two formed
-powers.  :func:`spectrum` is the package's one eigenvalue routine:
+about half are formed, and never the highest.  The matrices are
+symmetric, and so are their powers: each even power is one product of its
+half power with its own transpose, which numpy hands to BLAS syrk at half
+the cost of a general product, and the higher traces are entrywise inner
+products of two powers.  The highest power is read in row strips of
+``_STRIP_ROWS`` rows: kmax <= 4 forms no n x n power, kmax = 6 holds the
+input, A^2 and one strip, kmax <= 10 at most three powers besides the
+input and a strip, and kmax = 41 seven.  A moment that overflows float64
+raises ``ValueError`` naming its order.
+:func:`spectrum` is the package's one eigenvalue routine:
 LAPACK's symmetric solver (``numpy.linalg.eigvalsh``) behind an explicit
 symmetry check, which the trace path shares.  It serves the Hankel and
 group-kernel positivity tests and the histogram export.  Matrix
@@ -35,6 +40,10 @@ from .rng import Xorshift64Star, substream_seed
 #: against its limit value, an odd one when |mean| <= ODD_SIGMA * stderr.
 Z_LIMIT = 4.0
 ODD_SIGMA = 3.0
+
+#: Rows per strip of the highest power in :func:`empirical_moments`: a
+#: strip is at most 128 x n floats, 1 MB at n = 1000.
+_STRIP_ROWS = 128
 
 
 @dataclass(frozen=True, eq=False)  # equal and hashed by identity: the array is neither
@@ -120,19 +129,23 @@ def sample_markov(n: int, dist: str = "rademacher", seed: int = 0) -> SymMatrix:
     """One Markov matrix M = X - diag(row sums), rows summing to zero.
 
     The upper triangle of X (diagonal included) is filled row by row from
-    the seeded stream and mirrored, and the row sums are subtracted from
-    the diagonal in place, all in one buffer; a given (n, dist, seed)
-    always produces the same matrix, on any machine.  Dimensions above
+    one draw of the seeded stream, each row mirrored down its column as it
+    is written, and the row sums are subtracted from the diagonal in place,
+    all in one buffer; a given (n, dist, seed) always produces the same
+    matrix, on any machine.  Dimensions above
     ``MAX_MATRIX_DIM`` raise :class:`SizeLimitError` before anything is
     allocated.
     """
     _check_limit("dimension", n)
     rng = Xorshift64Star(seed)
     vals = sample_entries(rng, dist, n * (n + 1) // 2)
-    x = np.zeros((n, n))
-    upper = np.triu(np.ones((n, n), dtype=bool))
-    x[upper] = vals
-    x.T[upper] = vals  # the mirror image; the diagonal is written twice
+    x = np.empty((n, n))
+    start = 0
+    for i in range(n):  # row i's upper part, and its mirror down column i
+        row = vals[start:start + n - i]
+        x[i, i:] = row
+        x[i:, i] = row  # the diagonal entry is written twice
+        start += n - i
     x.flat[::n + 1] -= x.sum(axis=1)
     return _symmetric(x)
 
@@ -156,24 +169,33 @@ def empirical_moments(m: SymMatrix | np.ndarray, kmax: int) -> list[float]:
     """Moments of the empirical spectral law of M / sqrt(n), orders 1..kmax.
 
     Computed as (1/n) trace(A^k) with A = M/sqrt(n).  With J = ceil(kmax/2),
-    the powers A^1..A^J are formed, except that for odd J >= 3 A^(J+1)
-    takes the place of A^J.  An even power is P @ P.T for its half power P,
-    which numpy sends to BLAS syrk (one triangle, half a general product);
-    an odd power is A^(j-1) @ A.  A formed order is the trace of its power;
-    any other order k is the entrywise inner product <A^i, A^(k-i)> of two
-    formed powers, i as close to k/2 as they allow, which equals the trace
-    because the powers are symmetric.  kmax = 6 forms A^2 and A^4, two
-    syrk products and no general one.  Each power is dropped once nothing
-    still to come reads it, so kmax <= 10 holds at most three n x n powers
-    at once and kmax = 41 eight.
+    the orders 1..J are taken as powers, except that for odd J >= 3 the
+    order J+1 takes the place of J; the highest, top, is then even or 1.
+    M itself stands for A, its 1/sqrt(n) carried as a scalar on each trace
+    and inner product, so A is never copied.  An even power is P @ P.T for
+    its half power P, which numpy sends to BLAS syrk (one triangle, half a
+    general product), and A^2 = (M @ M.T) / n is scaled in place; an odd
+    power is A^(j-1) @ M, scaled in place by 1/sqrt(n).  A^top is never
+    formed: with H = A^(top/2) it is H @ H.T, and its trace and inner
+    products are summed over row strips H[r0:r1] @ H[r0:].T of
+    ``_STRIP_ROWS`` rows, the block on the diagonal once and the part right
+    of it twice, since both factors are symmetric; that is syrk's flop
+    count.  Any other order k is the entrywise inner product <A^i, A^(k-i)>
+    of two powers, i as close to k/2 as they allow, which equals the trace
+    because the powers are symmetric.  kmax <= 4 forms no n x n power and
+    kmax = 6 forms A^2 alone.  Each power is dropped once nothing still to
+    come reads it, so besides M and one strip kmax <= 10 holds at most
+    three n x n powers at once and kmax = 41 seven.
 
     A plain array must be square, finite and symmetric within
     ``rtol = atol = 1e-12``, as for :func:`spectrum`, or :class:`ValueError`
     is raised before any product; a :class:`SymMatrix` was checked when built.
     Either must be at least 1 x 1: a 0 x 0 matrix, for which :func:`spectrum`
-    gives ``[]``, raises :class:`ValueError` too.  kmax above 41, the cap of
-    :class:`McConfig` (half-size ``TABLE_MAX_N``), raises
-    :class:`SizeLimitError` before the matrix is read.
+    gives ``[]``, raises :class:`ValueError` too.  So does a moment whose
+    computation overflows float64: the error names the lowest such order
+    (order 4 for a 3 x 3 matrix of entries 1e100, order 6 for 1e60).  kmax
+    above 41, the cap of :class:`McConfig` (half-size ``TABLE_MAX_N``),
+    raises :class:`SizeLimitError` before the matrix is read.
     """
     _check_least(kmax, 1, "kmax")
     _check_limit("table", max(kmax // 2, 1))
@@ -185,7 +207,8 @@ def empirical_moments(m: SymMatrix | np.ndarray, kmax: int) -> list[float]:
     formed = list(range(1, half + 1))
     if half >= 3 and half % 2:
         formed[-1] += 1
-    # order -> (i, j): <A^i, A^j> with i + j = k, taken once A^j is formed
+    top = formed[-1]
+    # order -> (i, j): <A^i, A^j> with i + j = k, taken once A^j is at hand
     pairs = {k: next((i, k - i) for i in range(k // 2, 0, -1)
                      if i in formed and k - i in formed)
              for k in range(1, kmax + 1) if k not in formed}
@@ -194,20 +217,63 @@ def empirical_moments(m: SymMatrix | np.ndarray, kmax: int) -> list[float]:
     last = {}  # power -> the step after which nothing reads it
     for q, j in reads:
         last[q] = max(last.get(q, 0), j)
-    powers = {1: a / np.sqrt(n)}
+    sqrt_n = np.sqrt(n)
+    # power q -> its array over A^q: M is sqrt(n) A, and top = 2 strips M @ M.T = n A^2
+    carry = {1: sqrt_n, 2: float(n)} if top == 2 else {1: sqrt_n}
+    powers = {1: a}
     traces = [0.0] * kmax
-    for j in formed:
-        if j % 2 == 0:
-            powers[j] = powers[j // 2] @ powers[j // 2].T
-        elif j > 1:
-            powers[j] = powers[j - 1] @ powers[1]
-        traces[j - 1] = np.trace(powers[j])
-        for k, (i, later) in pairs.items():
-            if later == j:
-                traces[k - 1] = np.vdot(powers[i], powers[j])
-        for q in [q for q in powers if last.get(q, 0) <= j]:
-            del powers[q]
-    return [float(t) / n for t in traces]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is read off the results
+        for j in formed:
+            due = [(k, i) for k, (i, at) in pairs.items() if at == j]
+            if j == top and j > 1:
+                trace, inner = _strip_sums(powers[j // 2], [powers.get(i) for _, i in due])
+            else:
+                if j % 2 == 0:
+                    powers[j] = powers[j // 2] @ powers[j // 2].T
+                    if j == 2:
+                        powers[j] /= n
+                elif j > 1:
+                    powers[j] = powers[j - 1] @ a
+                    powers[j] /= sqrt_n
+                trace = np.trace(powers[j])
+                inner = [_inner(powers[i], powers[j]) for _, i in due]
+            traces[j - 1] = trace / carry.get(j, 1.0)
+            for (k, i), value in zip(due, inner):
+                traces[k - 1] = value / carry.get(i, 1.0) / carry.get(j, 1.0)
+            for q in [q for q in powers if last.get(q, 0) <= j]:
+                del powers[q]
+    out = [float(t) / n for t in traces]
+    bad = next((k for k, t in enumerate(out, 1) if not np.isfinite(t)), None)
+    if bad is not None:
+        raise ValueError(f"the moment of order {bad} overflows float64")
+    return out
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> float:
+    # sum of x * y entrywise, for any strides and without a copy
+    return np.einsum("ij,ij->", x, y)
+
+
+def _strip_sums(h: np.ndarray, partners: list) -> tuple[float, list[float]]:
+    """trace(T) and <P, T> for each partner P, with T = h @ h.T never formed.
+
+    T is summed over row strips T[r0:r1, r0:] = h[r0:r1] @ h[r0:].T; every
+    partner is symmetric, so the strip's diagonal block counts once and the
+    part right of it twice.  A partner None stands for T itself.
+    """
+    n = len(h)
+    trace = 0.0
+    inner = [0.0] * len(partners)
+    for r0 in range(0, n, _STRIP_ROWS):
+        r1 = min(r0 + _STRIP_ROWS, n)
+        strip = h[r0:r1] @ h[r0:].T
+        d = r1 - r0
+        trace += np.trace(strip)  # the diagonal block's
+        views = [strip if p is None else p[r0:r1, r0:] for p in partners]
+        inner = [acc + _inner(v[:, :d], strip[:, :d]) + 2 * _inner(v[:, d:], strip[:, d:])
+                 for acc, v in zip(inner, views)]
+        del strip, views  # before the next strip is allocated
+    return trace, inner
 
 
 def spectrum(m: SymMatrix | np.ndarray) -> list[float]:

@@ -29,13 +29,17 @@ stream order, so the words, and the state the generator ends in, are
 exactly the scalar loop's; the tests pin the lane copy of the shifts to
 the scalar step word for word.
 :meth:`Xorshift64Star.normals` and :meth:`Xorshift64Star.rademacher` work
-on those arrays.  Box-Muller keeps ``math.log``, ``math.cos`` and
-``math.sin`` (applied elementwise): numpy's versions round differently
-on some inputs, which would change the pinned stream of normals.
+on those arrays.  Box-Muller keeps ``math.log`` and takes cos and sin
+from one ``cmath.exp`` of (0, angle) per pair, whose parts CPython computes
+as exp(0) * cos and exp(0) * sin with the same libm calls as ``math.cos``
+and ``math.sin`` (all applied elementwise): numpy's versions round
+differently on some inputs, which would change the pinned stream of
+normals.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -57,7 +61,7 @@ _BULK_MIN = 10 * _LANE_STEPS
 
 #: Normals made per block (even, so only the last block can drop a sine):
 #: 256 lanes of words per block, and Python-level float lists of at most
-#: 32,768 entries for the ``math`` functions at any count.
+#: 32,768 entries for ``math.log`` and ``cmath.exp`` at any count.
 _NORMALS_CHUNK = 1 << 16
 
 # numpy uint64 operands, so no operation promotes under either numpy 1's
@@ -183,8 +187,10 @@ class Xorshift64Star:
 
         Box-Muller on u1 = uniform() and u2 = (word >> 11) * 2**-53, giving
         r cos(2 pi u2), r sin(2 pi u2) with r = sqrt(-2 log u1); an odd count
-        drops the sine of the last pair.  log, cos and sin are the ``math``
-        functions, whose results the stream pins.
+        drops the sine of the last pair.  log is ``math.log``, and cos and
+        sin come from one ``cmath.exp(1j * angle)`` per pair, whose parts
+        are exp(0) cos and exp(0) sin from the same libm calls as
+        ``math.cos`` and ``math.sin``; the stream pins their results.
         """
         _check_least(count, 0, "count")
         out = np.empty(count)
@@ -193,10 +199,11 @@ class Xorshift64Star:
             size = len(chunk)
             words = self._words(2 * -(-size // 2)) >> _R11
             u1 = (words[0::2] + _ONE64) * 2.0 ** -53
-            angle = (2.0 * math.pi) * (words[1::2] * 2.0 ** -53)
+            turn = 1j * ((2.0 * math.pi) * (words[1::2] * 2.0 ** -53))  # (0, angle)
             r = np.sqrt(-2.0 * _map(math.log, u1))
-            chunk[0::2] = r * _map(math.cos, angle)
-            chunk[1::2] = (r * _map(math.sin, angle))[:size // 2]
+            unit = np.fromiter(map(cmath.exp, turn.tolist()), dtype=complex, count=len(turn))
+            chunk[0::2] = r * unit.real
+            chunk[1::2] = (r * unit.imag)[:size // 2]
         return out
 
     def rademacher(self, count: int) -> np.ndarray:
@@ -204,7 +211,10 @@ class Xorshift64Star:
         _check_least(count, 0, "count")
         words = self._words((count + 63) // 64).astype("<u8")  # little-endian bytes
         bits = np.unpackbits(words.view(np.uint8), bitorder="little")[:count]
-        return 2.0 * bits.astype(np.float64) - 1.0
+        out = bits.astype(np.float64)
+        out *= 2.0
+        out -= 1.0
+        return out
 
     def randrange(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection (no modulo bias); bound is an int >= 1."""

@@ -2,6 +2,8 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -257,6 +259,27 @@ class TestSampleMarkov:
             rm.sample_markov(100_000)
 
 
+def _check_against_iterated_products(kmax, before_each=lambda n: None):
+    # |difference| <= 1e-12 * ||A^floor(k/2)||_F ||A^ceil(k/2)||_F / n, the
+    # size of the terms of the inner product; for even k on a symmetric
+    # matrix that is the moment itself.  The formed powers come from
+    # syrk, whose rounding is not gemm's, so no order is pinned bit for bit.
+    g = np.random.default_rng(kmax).standard_normal((70, 70))
+    for a in (rm.sample_markov(90, "rademacher", seed=kmax).matrix,
+              rm.sample_markov(80, "gaussian", seed=kmax).matrix,
+              (g + g.T) / 2):
+        n = len(a)
+        before_each(n)
+        got = rm.empirical_moments(a, kmax)
+        ref = brute.empirical_moments_by_products(a, kmax)
+        norms = [np.linalg.norm(np.linalg.matrix_power(a / np.sqrt(n), j))
+                 for j in range(kmax + 1)]
+        assert len(got) == kmax
+        for k in range(1, kmax + 1):
+            scale = norms[k // 2] * norms[k - k // 2] / n
+            assert abs(got[k - 1] - ref[k - 1]) <= 1e-12 * scale, (n, k)
+
+
 class TestEmpiricalMoments:
     def test_identity_matrix(self):
         got = rm.empirical_moments(np.eye(2), 2)
@@ -281,35 +304,59 @@ class TestEmpiricalMoments:
 
     @pytest.mark.parametrize("kmax", range(1, 17))
     def test_matches_iterated_products(self, kmax):
-        # |difference| <= 1e-12 * ||A^floor(k/2)||_F ||A^ceil(k/2)||_F / n, the
-        # size of the terms of the inner product; for even k on a symmetric
-        # matrix that is the moment itself.  The formed powers come from
-        # syrk, whose rounding is not gemm's, so no order is pinned bit for bit.
-        g = np.random.default_rng(kmax).standard_normal((70, 70))
-        for a in (rm.sample_markov(90, "rademacher", seed=kmax).matrix,
-                  rm.sample_markov(80, "gaussian", seed=kmax).matrix,
-                  (g + g.T) / 2):
-            n = len(a)
-            got = rm.empirical_moments(a, kmax)
-            ref = brute.empirical_moments_by_products(a, kmax)
-            norms = [np.linalg.norm(np.linalg.matrix_power(a / np.sqrt(n), j))
-                     for j in range(kmax + 1)]
-            assert len(got) == kmax
-            for k in range(1, kmax + 1):
-                scale = norms[k // 2] * norms[k - k // 2] / n
-                assert abs(got[k - 1] - ref[k - 1]) <= 1e-12 * scale, k
+        _check_against_iterated_products(kmax)
+
+    @pytest.mark.parametrize("rows", [lambda n: 1, lambda n: 7, lambda n: n - 1,
+                                      lambda n: n, lambda n: n + 1],
+                             ids=["1", "7", "n-1", "n", "n+1"])
+    @pytest.mark.parametrize("kmax", range(1, 17))
+    def test_strip_heights(self, kmax, rows, monkeypatch):
+        # the default strip holds all of n <= 128 in one strip; these
+        # heights reach one-row strips, a short last strip and none
+        _check_against_iterated_products(
+            kmax, lambda n: monkeypatch.setattr(rm, "_STRIP_ROWS", rows(n)))
 
     @pytest.mark.parametrize("kmax, products", [
-        (6, [True, True]), (8, [True, False, True]),
+        (6, [(40, 40, True), (16, 40, False), (16, 24, False), (8, 8, True)]),
+        (8, [(40, 40, True), (40, 40, False), (16, 40, False), (16, 24, False), (8, 8, True)]),
+        (4, [(16, 40, False), (16, 24, False), (8, 8, True)]),
     ])
-    def test_product_count(self, kmax, products):
-        # kmax = 6 forms A^2 and A^4, each an array times its own transpose
-        # (BLAS syrk); kmax = 8 adds one general product, A^3 = A^2 @ A
+    def test_product_count(self, kmax, products, monkeypatch):
+        # (rows, columns, syrk) of each product at n = 40 in strips of 16
+        # rows: kmax = 6 forms A^2 = M @ M.T / n (BLAS syrk) and takes A^4 in
+        # strips A^2[r0:r1] @ A^2[r0:].T, the last of them syrk again;
+        # kmax = 8 adds one general product, A^3 = A^2 @ M; kmax = 4 forms
+        # no n x n power, its strips read M itself
+        monkeypatch.setattr(rm, "_STRIP_ROWS", 16)
         m = rm.sample_markov(40, "gaussian", seed=kmax)
         log = []
         got = rm.empirical_moments(m.matrix.view(_Recorder).setup(log), kmax)
         assert log == products
         assert got == rm.empirical_moments(m, kmax)
+
+    def test_working_set_pinned(self):
+        # besides its input, kmax = 6 holds A^2 and one strip of 128 rows:
+        # 1.43 n^2 floats at n = 300, where a scaled copy of the input, A^2
+        # and A^4 took 3 n^2
+        n = 300
+        m = rm.sample_markov(n, "rademacher", seed=3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rm.empirical_moments(m, 6)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n * 8
+
+    @pytest.mark.parametrize("entry, order", [(1e100, 4), (1e60, 6)])
+    def test_overflow_raises_naming_the_order(self, entry, order):
+        # entries 1e100: A^4 overflows; 1e60: orders 1..5 fit, <A^2, A^4> does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^the moment of order {order} overflows"):
+                rm.empirical_moments(np.full((3, 3), entry), 6)
+            assert np.isfinite(rm.empirical_moments(np.full((3, 3), entry), order - 1)).all()
 
     def test_non_symmetric_refused_before_any_product(self):
         products = []
@@ -347,8 +394,9 @@ class TestEmpiricalMoments:
 
 
 class _Recorder(np.ndarray):
-    """An array that appends one entry per np.matmul it takes part in:
-    True when the product is of an array with its own transpose."""
+    """An array that appends one entry per np.matmul it takes part in: the
+    product's (rows, columns) and whether it is of an array with exactly
+    its own transpose (what numpy sends to BLAS syrk)."""
 
     def setup(self, log):
         self.log = log
@@ -358,11 +406,17 @@ class _Recorder(np.ndarray):
         self.log = getattr(obj, "log", None)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        log = next(x.log for x in inputs if isinstance(x, _Recorder))
+        outs = kwargs.get("out", ())
+        log = next(x.log for x in inputs + outs if isinstance(x, _Recorder))
         plain = [x.view(np.ndarray) if isinstance(x, _Recorder) else x for x in inputs]
+        if outs:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, _Recorder) else x
+                                  for x in outs)
         if ufunc is np.matmul:
             x, y = plain
-            log.append(np.may_share_memory(x, y) and y.strides == x.strides[::-1])
+            own = (x.__array_interface__["data"] == y.__array_interface__["data"]
+                   and y.shape == x.shape[::-1] and y.strides == x.strides[::-1])
+            log.append((x.shape[0], y.shape[1], own))
         out = getattr(ufunc, method)(*plain, **kwargs)
         if isinstance(out, np.ndarray):
             out = out.view(_Recorder)
